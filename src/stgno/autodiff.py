@@ -3,7 +3,7 @@
 Every value is a 2-D, C-ordered float64 array wrapped in a :class:`Value`.
 Differentiable primitives take an explicit :class:`Tape` and append one
 entry per executed op, so the tape is topologically ordered by
-construction; :func:`backward` replays it in reverse, seeding the loss
+construction; :meth:`Tape.backward` replays it in reverse, seeding the loss
 gradient with 1.0 and accumulating into each touched value's ``grad``
 slot. :class:`Parameter` grads are zero-initialized and persist across
 backward calls (repeated backward without zeroing doubles them); the
@@ -122,10 +122,6 @@ class Tape:
         for _op, _inputs, output, backward_fn in reversed(self._entries):
             if output.grad is not None:
                 backward_fn()
-
-
-def backward(tape: Tape, loss: Value) -> None:
-    tape.backward(loss)
 
 
 def constant(data) -> Value:
@@ -286,6 +282,62 @@ def edge_matvec(tape: Tape, mats: Value, vecs: Value) -> Value:
         _accumulate(vecs, np.einsum("eij,ei->ej", k, g))
 
     tape.record("edge_matvec", (mats, vecs), out, bwd)
+    return out
+
+
+def kernel_message_mean(tape: Tape, hidden: Value, weight: Value, bias: Value,
+                        v: Value, layout) -> Value:
+    """Mean over each node's in-edges of K_e v_src, where the flattened
+    h x h edge kernel is K_e = z_e W + b, without building any K_e.
+
+    ``layout`` is a padded in-neighbour layout (``neighbours`` and ``mask``,
+    n x D, and ``inv_degree``, n); ``hidden`` holds one row z_e per slot,
+    (n*D) x k node-major, with any values in pad slots; ``weight`` is
+    k x h^2, ``bias`` 1 x h^2 and ``v`` n x h. The last kernel layer is
+    linear, so the mean reorders exactly into
+
+        S_x   = sum_s z_(x,s) outer v_nbr(x,s)         (k x h per node)
+        out_x = (vec(S_x) W~ + (sum_s v_nbr(x,s)) B^T) / deg(x)
+
+    with W~[c*h + j, i] = W[c, i*h + j] and B[i, j] = b[i*h + j]: per-slot
+    work is k*h multiply-adds instead of k*h^2. Pad slots take a zero v
+    row, so they add nothing and their z gradient is exactly 0. Nodes
+    without in-edges get a zero row.
+    """
+    nbr, mask = layout.neighbours, layout.mask
+    (n, width), (rows, k) = nbr.shape, hidden.data.shape
+    h = v.data.shape[1]
+    if v.data.shape[0] != n or rows != n * width:
+        raise DimensionError(
+            f"{v.data.shape[0]} node rows and {rows} slot rows for a layout "
+            f"of {n} nodes x {width} slots")
+    if weight.data.shape != (k, h * h) or bias.data.shape != (1, h * h):
+        raise DimensionError(
+            f"kernel weight/bias must be {k}x{h * h} and 1x{h * h}, got "
+            f"{weight.data.shape} and {bias.data.shape}")
+    z = hidden.data.reshape(n, width, k)
+    vs = v.data[nbr]
+    vs *= mask[:, :, None]
+    w_t = weight.data.reshape(k, h, h).transpose(0, 2, 1).reshape(k * h, h)
+    b_mat = bias.data.reshape(h, h)
+    inv = layout.inv_degree[:, None]
+    s = np.matmul(z.transpose(0, 2, 1), vs).reshape(n, k * h)
+    vsum = vs.sum(axis=1)
+    out = Value(inv * (s @ w_t + vsum @ b_mat.T))
+
+    def bwd():
+        g = out.grad * inv
+        _accumulate(weight, (s.T @ g).reshape(k, h, h).transpose(0, 2, 1)
+                    .reshape(k, h * h))
+        _accumulate(bias, (g.T @ vsum).reshape(1, h * h))
+        ds = (g @ w_t.T).reshape(n, k, h)
+        _accumulate(hidden, np.matmul(vs, ds.transpose(0, 2, 1)).reshape(rows, k))
+        dvs = np.matmul(z, ds)
+        dvs += (g @ b_mat)[:, None, :]
+        dvs *= mask[:, :, None]
+        _accumulate(v, _scatter_rows(nbr.ravel(), dvs.reshape(-1, h), n))
+
+    tape.record("kernel_message_mean", (hidden, weight, bias, v), out, bwd)
     return out
 
 

@@ -22,7 +22,6 @@ from . import pipeline as pl
 from . import train as tr
 from .errors import (CheckpointError, ContractError, DataError, DimensionError,
                      DivergenceError, NormalizationError, ParameterError)
-from .geometry import degree_stats
 from .ioutil import atomic_write_text, dump_json, read_json
 from .models import MODEL_KINDS, make_config
 from .train import TrainConfig, evaluate, load_checkpoint, run_experiment, save_checkpoint

@@ -8,13 +8,16 @@ squared-distance comparison d2 <= radius**2.
 
 Edges are directed and stored both ways, sorted by (src, dst), with no
 self loops and no duplicates. Edge attributes are (dx, dy, distance)
-taken dst minus src. A built graph is immutable by convention and safe
-to share across threads.
+taken dst minus src. A built graph is immutable by convention. Constants
+derived from it (the padded in-neighbour layout, normalization and
+kernel weights) are computed on first use and cached on the instance;
+concurrent first uses may compute one twice, with identical results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -39,10 +42,78 @@ class RadiusGraph:
     edges: np.ndarray      # (m, 2) int64, directed both ways, sorted
     edge_attr: np.ndarray  # (m, 3) float64: dx, dy, euclidean distance
     radius: float
+    _constants: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
+
+    def cached(self, key, build: Callable[[], object],
+               reuse: Callable[[object], bool] | None = None):
+        """The per-graph constant ``key``: ``build()`` makes it on first use,
+        and again whenever ``reuse(held)`` says the held one is stale."""
+        held = self._constants.get(key)
+        if held is None or (reuse is not None and not reuse(held)):
+            held = self._constants[key] = build()
+        return held
+
+    @property
+    def layout(self) -> "NeighbourLayout":
+        return self.cached("layout", lambda: neighbour_layout(self))
+
+
+@dataclass(eq=False)
+class NeighbourLayout:
+    """In-edges of every node packed into D = max in-degree slots.
+
+    Slot (i, s) holds node i's s-th in-edge, in edge-list order (so by
+    ascending source). Slots past a node's degree are padding: their
+    neighbour id is 0, ``mask`` is False and ``slot_edge`` is -1. Per-slot
+    rows are laid out node-major, as (n * D) x c matrices.
+    """
+
+    neighbours: np.ndarray  # (n, D) int64 source node of each slot
+    mask: np.ndarray        # (n, D) bool, True on real edges
+    slot_edge: np.ndarray   # (n * D,) int64 edge index of each slot, -1 in pads
+    inv_degree: np.ndarray  # (n,) float64, 1 / max(in-degree, 1)
+    edge_attr: np.ndarray   # (n * D, 3) edge attributes / radius, 0 in pads
+
+    @property
+    def max_degree(self) -> int:
+        return self.neighbours.shape[1]
+
+    def pad_edge_rows(self, rows) -> np.ndarray:
+        """Spread an m x c per-edge matrix over the slots, zero in pads."""
+        return _spread_over_slots(self.slot_edge, rows)
+
+
+def _spread_over_slots(slot_edge: np.ndarray, rows) -> np.ndarray:
+    rows = np.asarray(rows, dtype=np.float64)
+    valid = slot_edge >= 0
+    out = np.zeros((slot_edge.size, rows.shape[1]))
+    out[valid] = rows[slot_edge[valid]]
+    return out
+
+
+def neighbour_layout(graph: RadiusGraph) -> NeighbourLayout:
+    """Pack ``graph``'s in-edges into its padded layout (see NeighbourLayout)."""
+    n, m = graph.num_nodes, graph.num_edges
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+    deg = np.bincount(dst, minlength=n)
+    width = int(deg.max()) if m else 0
+    order = np.argsort(dst, kind="stable")
+    owner = dst[order]
+    slots = owner * width + np.arange(m) - (np.cumsum(deg) - deg)[owner]
+    slot_edge = np.full(n * width, -1, dtype=np.int64)
+    slot_edge[slots] = order
+    neighbours = np.zeros(n * width, dtype=np.int64)
+    neighbours[slots] = src[order]
+    return NeighbourLayout(
+        neighbours=neighbours.reshape(n, width),
+        mask=(slot_edge >= 0).reshape(n, width),
+        slot_edge=slot_edge,
+        inv_degree=1.0 / np.maximum(deg, 1).astype(np.float64),
+        edge_attr=_spread_over_slots(slot_edge, graph.edge_attr / graph.radius))
 
 
 def build_radius_graph(points, radius: float) -> RadiusGraph:
@@ -149,14 +220,3 @@ def apply_kernel(tape: ad.Tape, weights: KernelWeights, node_features: ad.Value)
     return ad.coo_matmul(tape, node_features, weights.src, weights.dst,
                          weights.weights, weights.num_nodes)
 
-
-def degree_stats(graph: RadiusGraph) -> dict[str, float]:
-    """Median / mean / min / max in-degree, for radius diagnostics."""
-    deg = np.bincount(graph.edges[:, 1], minlength=graph.num_nodes) \
-        if graph.num_edges else np.zeros(graph.num_nodes, dtype=np.int64)
-    return {
-        "median": float(np.median(deg)) if graph.num_nodes else 0.0,
-        "mean": float(deg.mean()) if graph.num_nodes else 0.0,
-        "min": int(deg.min()) if graph.num_nodes else 0,
-        "max": int(deg.max()) if graph.num_nodes else 0,
-    }

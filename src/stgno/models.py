@@ -19,6 +19,14 @@ Six kinds share one config and parameter scheme:
                      network mapping the 3 edge attributes to an h x h
                      matrix, then a linear readout.
 
+The graphpde kernel network's last layer is linear, K_e = z_e W2 + b2 with
+z_e its last hidden activation, so the mean message is evaluated exactly as
+W~2 . mean_e(z_e outer v_e) + B2 . mean_e v_e (:func:`ad.kernel_message_mean`)
+and no per-edge h x h matrix is ever built. The hidden kernel layers run
+on the graph's padded in-neighbour layout (``RadiusGraph.layout``: every
+node's in-edges in D = max in-degree slots), built on first use and
+cached on the graph like the normalization and Gaussian weights.
+
 Parameter names are stable per config, so two inits with the same seed
 are bit-identical and checkpoints can be validated by name and shape.
 The fcn / spatial_kernel naming lines up on purpose: a spatial_kernel
@@ -30,7 +38,7 @@ checkable with shared parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,6 +113,9 @@ class ModelConfig:
             raise ParameterError(f"unknown activation {self.activation!r}")
         if self.bandwidth is not None and not self.bandwidth > 0:
             raise ParameterError("bandwidth must be positive when given")
+        if any(width < 1 for width in self.kernel_net_hidden):
+            raise ParameterError(
+                f"kernel network widths must be >= 1, got {tuple(self.kernel_net_hidden)}")
 
     @property
     def kernel_net(self) -> KernelNetConfig:
@@ -259,10 +270,14 @@ def gcn_layer(tape: Tape, params: ModelParams, index: int,
     return _linear(tape, params, f"layer_{index}", apply_kernel(tape, norm, x))
 
 
+def _norm_weights_for(graph: RadiusGraph) -> KernelWeights:
+    return graph.cached("norm", lambda: symmetric_norm_weights(graph))
+
+
 def gcn_forward(tape: Tape, config: ModelConfig, params: ModelParams,
                 graph: RadiusGraph, features: Value) -> Value:
     act = ad.ACTIVATIONS[config.activation]
-    norm = symmetric_norm_weights(graph)
+    norm = _norm_weights_for(graph)
     x = features
     for i in range(config.num_layers):
         x = act(tape, gcn_layer(tape, params, i, norm, x))
@@ -271,17 +286,31 @@ def gcn_forward(tape: Tape, config: ModelConfig, params: ModelParams,
 
 def _gaussian_weights_for(config: ModelConfig, graph: RadiusGraph,
                           positions: np.ndarray) -> KernelWeights:
+    """Row-normalized Gaussian weights, cached on the graph per bandwidth
+    (rebuilt if called with other positions than the cached ones). They
+    live on the normalization weights' support (every edge in order, then
+    one self loop per node), so the cached copy shares its index arrays."""
     bandwidth = config.bandwidth if config.bandwidth is not None else graph.radius / 2.0
-    return gaussian_kernel_weights(positions, graph.edges, bandwidth,
-                                   include_self=True, row_normalize=True)
+    norm = _norm_weights_for(graph)
+
+    def build():
+        weights = gaussian_kernel_weights(positions, graph.edges, bandwidth,
+                                          include_self=True, row_normalize=True)
+        return (np.array(positions, dtype=np.float64),
+                replace(weights, src=norm.src, dst=norm.dst))
+
+    _held_positions, weights = graph.cached(
+        ("gaussian", bandwidth), build,
+        reuse=lambda held: np.array_equal(held[0], positions))
+    return weights
 
 
 def spatial_kernel_forward(tape: Tape, config: ModelConfig, params: ModelParams,
                            graph: RadiusGraph, positions: np.ndarray,
                            features: Value) -> Value:
     """Kernel-averaged linear stack: X <- act(L_i(K X)) with the final
-    linear un-activated. The Gaussian weights are computed once per call
-    and shared across all layers."""
+    linear un-activated. The Gaussian weights are cached on the graph and
+    shared across all layers."""
     if positions is None:
         raise ContractError("spatial_kernel requires node positions")
     act = ad.ACTIVATIONS[config.activation]
@@ -299,7 +328,7 @@ def spatial_gcn_forward(tape: Tape, config: ModelConfig, params: ModelParams,
         raise ContractError("spatial_gcn requires node positions")
     act = ad.ACTIVATIONS[config.activation]
     weights = _gaussian_weights_for(config, graph, positions)
-    norm = symmetric_norm_weights(graph)
+    norm = _norm_weights_for(graph)
     x = features
     for i in range(config.num_layers):
         x = apply_kernel(tape, weights, x)
@@ -309,52 +338,53 @@ def spatial_gcn_forward(tape: Tape, config: ModelConfig, params: ModelParams,
 
 def kernel_net_forward(tape: Tape, config: ModelConfig, params: ModelParams,
                        layer_index: int, edge_attr: Value) -> Value:
-    """Per-edge kernel matrices: an MLP from the 3 edge attributes to a
-    flattened hidden_dim x hidden_dim matrix per edge. Valid for zero
-    edges (empty output)."""
+    """The kernel network's last hidden activation z per row of edge
+    attributes: every layer of the MLP from the 3 attributes towards the
+    flattened hidden_dim x hidden_dim kernel except the final linear, which
+    :func:`graphpde_layer` folds into the mean message. With no hidden
+    layers z is the attributes themselves. Valid for zero rows."""
     if edge_attr.data.shape[1] != 3:
         raise DimensionError(
             f"edge attributes must have width 3, got {edge_attr.data.shape[1]}")
     act = ad.ACTIVATIONS[config.activation]
-    widths = config.kernel_net.widths
     x = edge_attr
-    for j in range(len(widths) - 1):
-        x = _linear(tape, params, f"layer_{layer_index}_kernel_{j}", x)
-        if j < len(widths) - 2:
-            x = act(tape, x)
+    for j in range(len(config.kernel_net.widths) - 2):
+        x = act(tape, _linear(tape, params, f"layer_{layer_index}_kernel_{j}", x))
     return x
 
 
 def graphpde_layer(tape: Tape, config: ModelConfig, params: ModelParams,
-                   layer_index: int, graph: RadiusGraph, kernels: Value,
+                   layer_index: int, graph: RadiusGraph, hidden: Value,
                    v: Value) -> Value:
     """v' = act(W v + b + mean over in-edges of K_e v_src).
 
-    ``kernels`` holds one flattened h x h matrix per edge (from
-    :func:`kernel_net_forward`). Nodes with no in-edges get a zero mean
-    term, so the update degenerates to act(W v + b).
+    ``hidden`` holds the kernel network's last hidden activation for every
+    slot of ``graph.layout`` (from :func:`kernel_net_forward` on the padded
+    edge attributes); the final kernel layer K_e = z_e W2 + b2 is applied
+    inside the mean, exactly. Nodes with no in-edges get a zero mean term,
+    so the update degenerates to act(W v + b).
     """
     if v.data.shape[1] != config.hidden_dim:
         raise DimensionError(
             f"node state must have width {config.hidden_dim}, got {v.data.shape[1]}")
     act = ad.ACTIVATIONS[config.activation]
-    src, dst = graph.edges[:, 0], graph.edges[:, 1]
-    messages = ad.edge_matvec(tape, kernels, ad.gather_rows(tape, v, src))
-    aggregated = ad.segment_mean(tape, messages, dst, graph.num_nodes)
+    last = f"layer_{layer_index}_kernel_{len(config.kernel_net.widths) - 2}"
+    aggregated = ad.kernel_message_mean(tape, hidden, params[f"{last}_w"],
+                                        params[f"{last}_b"], v, graph.layout)
     return act(tape, ad.add(tape, _linear(tape, params, f"layer_{layer_index}", v),
                             aggregated))
 
 
 def graphpde_forward(tape: Tape, config: ModelConfig, params: ModelParams,
                      graph: RadiusGraph, features: Value) -> Value:
-    # kernel-net inputs are scaled by the build radius so they sit at O(1)
-    # regardless of slide units; the first linear layer absorbs the factor
-    edge_attr = ad.constant(graph.edge_attr / graph.radius) if graph.num_edges \
-        else ad.Value(np.zeros((0, 3)))
+    # kernel-net inputs are the edge attributes scaled by the build radius
+    # (so they sit at O(1) regardless of slide units), one row per layout
+    # slot; the first linear layer absorbs the factor
+    edge_attr = ad.constant(graph.layout.edge_attr)
     x = _linear(tape, params, "lift", features)
     for i in range(config.num_layers):
-        kernels = kernel_net_forward(tape, config, params, i, edge_attr)
-        x = graphpde_layer(tape, config, params, i, graph, kernels, x)
+        hidden = kernel_net_forward(tape, config, params, i, edge_attr)
+        x = graphpde_layer(tape, config, params, i, graph, hidden, x)
     return _linear(tape, params, "readout", x)
 
 

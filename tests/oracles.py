@@ -105,6 +105,45 @@ def dense_graphpde_layer(W, b, kernel_rows, edges, v, activation):
     return np.tanh(pre)
 
 
+def _activation(name):
+    return (lambda a: np.maximum(a, 0.0)) if name == "relu" else np.tanh
+
+
+def kernel_net_reference(params, layer, edge_attr, activation):
+    """The full per-edge kernel MLP of graphpde layer ``layer``: m x 3
+    (radius-scaled) attributes -> m x h^2 flattened h x h kernels."""
+    act = _activation(activation)
+    x = np.asarray(edge_attr, dtype=np.float64)
+    j = 0
+    while f"layer_{layer}_kernel_{j + 1}_w" in params:
+        x = act(x @ params[f"layer_{layer}_kernel_{j}_w"].data
+                + params[f"layer_{layer}_kernel_{j}_b"].data)
+        j += 1
+    return (x @ params[f"layer_{layer}_kernel_{j}_w"].data
+            + params[f"layer_{layer}_kernel_{j}_b"].data)
+
+
+def reference_graphpde_forward(params, num_layers, activation, edges, edge_attr,
+                               radius, features):
+    """graphpde logits with every per-edge h x h kernel built explicitly:
+    lift, then per layer v <- act(v W + b + mean over in-edges of K_e v_src),
+    then the readout."""
+    act = _activation(activation)
+    v = features @ params["lift_w"].data + params["lift_b"].data
+    n, h = v.shape
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    for i in range(num_layers):
+        kernels = kernel_net_reference(params, i, edge_attr / radius, activation)
+        agg = np.zeros((n, h))
+        counts = np.zeros(n)
+        for e, (src, dst) in enumerate(edges):
+            agg[dst] += kernels[e].reshape(h, h) @ v[src]
+            counts[dst] += 1
+        agg /= np.maximum(counts, 1.0)[:, None]
+        v = act(v @ params[f"layer_{i}_w"].data + params[f"layer_{i}_b"].data + agg)
+    return v @ params["readout_w"].data + params["readout_b"].data
+
+
 def confusion_f1(confusion):
     """Hand computation of accuracy / per-class F1 / macro-F1."""
     conf = np.asarray(confusion, dtype=np.float64)

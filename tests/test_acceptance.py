@@ -145,6 +145,17 @@ def test_criterion_01_gradient_suite():
     for kind in ("lr", "fcn", "gcn", "spatial_kernel", "spatial_gcn", "graphpde"):
         worst = max(worst, _fd_model_check(kind, rng))
 
+    # the fused graphpde mean-message op; its draws come after the model
+    # checks so those keep their inputs
+    layout = _random_graph(5, radius=0.6, seed=3)[1].layout
+    slots = ad.Parameter("slots", away_from_zero((5 * layout.max_degree, 2)))
+    kw = ad.Parameter("kw", away_from_zero((2, 9)))
+    kb = ad.Parameter("kb", away_from_zero((1, 9)))
+    nodes = ad.Parameter("nodes", away_from_zero((5, 3)))
+    op_check(lambda t: ad.sum_all(t, ad.mul_const(
+        t, ad.kernel_message_mean(t, slots, kw, kb, nodes, layout), c53)),
+        [slots, kw, kb, nodes])
+
     elapsed = time.monotonic() - started
     gate("criterion 1: gradient suite (ops + all models)",
          worst < 1e-4 and elapsed < 60.0,
@@ -176,14 +187,19 @@ def test_criterion_03_sparse_vs_dense():
     for seed in range(5):
         n = int(rng.integers(3, 13))
         pts, graph = _random_graph(n, radius=0.5, seed=seed)
+        # an identity final kernel layer (16 -> 16) makes the hidden rows
+        # handed to the layer the explicit per-edge kernels
         cfg = make_config("graphpde", input_dim=4, hidden_dim=4,
-                          kernel_net_hidden=(8,), init_seed=seed)
+                          kernel_net_hidden=(16,), init_seed=seed)
         params = init_params(cfg)
+        params["layer_0_kernel_1_w"].data[:] = np.eye(16)
+        params["layer_0_kernel_1_b"].data[:] = 0.0
         v = rng.uniform(-1, 1, (n, 4))
         kernels = rng.uniform(-1, 1, (graph.num_edges, 16))
         from stgno.models import graphpde_layer
         got = graphpde_layer(ad.Tape(), cfg, params, 0, graph,
-                             ad.constant(kernels), ad.constant(v)).data
+                             ad.constant(graph.layout.pad_edge_rows(kernels)),
+                             ad.constant(v)).data
         want = dense_graphpde_layer(params["layer_0_w"].data,
                                     params["layer_0_b"].data,
                                     kernels, graph.edges, v, "relu")
@@ -301,6 +317,7 @@ def separation_experiment():
     return report, trained, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_07_synthetic_spatial_separation(separation_experiment):
     report, _trained, elapsed = separation_experiment
     by_kind = {row["kind"]: row for row in report.rows}
@@ -313,6 +330,7 @@ def test_criterion_07_synthetic_spatial_separation(separation_experiment):
              f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_discretization_robustness(separation_experiment):
     report, trained, _elapsed = separation_experiment
     by_kind = {row["kind"]: row for row in report.rows}

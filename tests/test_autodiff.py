@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stgno import autodiff as ad
 from stgno.errors import ContractError, DimensionError
+from stgno.geometry import RadiusGraph, build_radius_graph
 
 from oracles import finite_difference_grads, rel_err
 
@@ -251,6 +252,131 @@ def test_edge_matvec_gradients():
     check_op_gradient(
         lambda t: weighted_sum_loss(t, ad.edge_matvec(t, mats, vecs), coeffs),
         [mats, vecs])
+
+
+def _layout_graph(seed, n=9, radius=0.45, isolated=0):
+    """A random radius graph, with ``isolated`` far-away nodes appended."""
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([rng.uniform(size=(n, 2)),
+                     10.0 + 3.0 * np.arange(2 * isolated).reshape(-1, 2)])
+    return build_radius_graph(pts, radius)
+
+
+def _kernel_mean_loop(hidden, weight, bias, v, graph):
+    """Per-edge loop: K_e = reshape(z_e W + b), out[dst] = mean K_e v[src]."""
+    n, h = v.shape
+    layout = graph.layout
+    out = np.zeros((n, h))
+    counts = np.zeros(n)
+    for slot, e in enumerate(layout.slot_edge):
+        if e < 0:
+            continue
+        src, dst = graph.edges[e]
+        kernel = (hidden[slot] @ weight + bias[0]).reshape(h, h)
+        out[dst] += kernel @ v[src]
+        counts[dst] += 1
+    return out / np.maximum(counts, 1.0)[:, None]
+
+
+def _kernel_mean_inputs(graph, k, h, rng=RNG):
+    rows = graph.num_nodes * graph.layout.max_degree
+    return (ad.Parameter("hidden", safe_uniform((rows, k), rng)),
+            ad.Parameter("weight", safe_uniform((k, h * h), rng)),
+            ad.Parameter("bias", safe_uniform((1, h * h), rng)),
+            ad.Parameter("v", safe_uniform((graph.num_nodes, h), rng)))
+
+
+@pytest.mark.parametrize("isolated", [0, 2])
+def test_kernel_message_mean_matches_edge_loop(isolated):
+    graph = _layout_graph(1, isolated=isolated)
+    hidden, weight, bias, v = _kernel_mean_inputs(graph, 5, 3)
+    out = ad.kernel_message_mean(ad.Tape(), hidden, weight, bias, v, graph.layout)
+    want = _kernel_mean_loop(hidden.data, weight.data, bias.data, v.data, graph)
+    assert np.abs(out.data - want).max() < 1e-13
+    if isolated:
+        assert np.array_equal(out.data[-isolated:], np.zeros((isolated, 3)))
+
+
+@pytest.mark.parametrize("isolated", [0, 2])
+def test_kernel_message_mean_gradients(isolated):
+    graph = _layout_graph(2, n=6, radius=0.5, isolated=isolated)
+    inputs = _kernel_mean_inputs(graph, 4, 2)
+    coeffs = RNG.uniform(-1, 1, (graph.num_nodes, 2))
+    check_op_gradient(
+        lambda t: weighted_sum_loss(
+            t, ad.kernel_message_mean(t, *inputs, graph.layout), coeffs),
+        list(inputs))
+
+
+def test_kernel_message_mean_pad_slots_get_zero_gradient():
+    graph = _layout_graph(3, isolated=1)
+    layout = graph.layout
+    assert not layout.mask.all()
+    hidden, weight, bias, v = _kernel_mean_inputs(graph, 4, 3)
+    tape = ad.Tape()
+    out = ad.kernel_message_mean(tape, hidden, weight, bias, v, layout)
+    tape.backward(ad.sum_all(tape, out))
+    pads = ~layout.mask.ravel()
+    assert np.array_equal(hidden.grad[pads], np.zeros((pads.sum(), 4)))
+    assert np.abs(hidden.grad[~pads]).max() > 0.0
+
+
+def test_kernel_message_mean_without_edges_is_exactly_zero():
+    graph = RadiusGraph(num_nodes=4, edges=np.zeros((0, 2), dtype=np.int64),
+                        edge_attr=np.zeros((0, 3)), radius=1.0)
+    assert graph.layout.max_degree == 0
+    hidden, weight, bias, v = _kernel_mean_inputs(graph, 3, 2)
+    assert hidden.data.shape == (0, 3)
+    tape = ad.Tape()
+    out = ad.kernel_message_mean(tape, hidden, weight, bias, v, graph.layout)
+    assert np.array_equal(out.data, np.zeros((4, 2)))
+    tape.backward(ad.sum_all(tape, out))
+    for p in (weight, bias, v):
+        assert np.array_equal(p.grad, np.zeros_like(p.data))
+
+
+def test_kernel_message_mean_on_raw_attributes():
+    # kernel_net_hidden=(): the hidden rows are the (scaled) attributes, k = 3
+    graph = _layout_graph(4)
+    _hidden, weight, bias, v = _kernel_mean_inputs(graph, 3, 3)
+    attr = ad.constant(graph.layout.edge_attr)
+    out = ad.kernel_message_mean(ad.Tape(), attr, weight, bias, v, graph.layout)
+    want = _kernel_mean_loop(attr.data, weight.data, bias.data, v.data, graph)
+    assert np.abs(out.data - want).max() < 1e-13
+    coeffs = RNG.uniform(-1, 1, (graph.num_nodes, 3))
+    check_op_gradient(
+        lambda t: weighted_sum_loss(
+            t, ad.kernel_message_mean(t, attr, weight, bias, v, graph.layout),
+            coeffs),
+        [weight, bias, v])
+
+
+def test_kernel_message_mean_repeated_backward_accumulates():
+    graph = _layout_graph(5)
+    hidden, weight, bias, v = _kernel_mean_inputs(graph, 4, 2)
+    leaves = (ad.Value(hidden.data), weight, bias, v)  # a non-Parameter input too
+
+    def one_pass():
+        tape = ad.Tape()
+        out = ad.kernel_message_mean(tape, *leaves, graph.layout)
+        tape.backward(ad.sum_all(tape, ad.tanh(tape, out)))
+
+    one_pass()
+    once = [p.grad.copy() for p in leaves]
+    one_pass()
+    for p, first in zip(leaves, once):
+        assert np.array_equal(p.grad, 2.0 * first)
+
+
+def test_kernel_message_mean_shape_errors():
+    graph = _layout_graph(6)
+    hidden, weight, bias, v = _kernel_mean_inputs(graph, 4, 3)
+    with pytest.raises(DimensionError):
+        ad.kernel_message_mean(ad.Tape(), ad.constant(hidden.data[1:]), weight,
+                               bias, v, graph.layout)
+    with pytest.raises(DimensionError):
+        ad.kernel_message_mean(ad.Tape(), hidden, ad.constant(weight.data[:, 1:]),
+                               bias, v, graph.layout)
 
 
 def test_coo_matmul_matches_dense():

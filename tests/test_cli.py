@@ -166,6 +166,19 @@ def test_train_unknown_model_lists_valid_names(prepared_dir, tmp_path, capsys):
     assert "graphpde" in err
 
 
+@pytest.mark.parametrize("widths", ["-1", "0", "8,0"])
+def test_train_nonpositive_kernel_width_is_usage_error(prepared_dir, tmp_path,
+                                                      capsys, widths):
+    code = run_cli("train", "--data", str(prepared_dir), "--model", "graphpde",
+                   f"--kernel-hidden={widths}", "--epochs", "1", "--runs", "1",
+                   "--out", str(tmp_path / "x"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:usage:")
+    assert err.count("\n") == 1
+    assert "kernel network widths" in err
+
+
 def test_eval_deterministic_bytes(prepared_dir, trained_dir, capsys):
     args = ("eval", "--data", str(prepared_dir),
             "--checkpoint", str(trained_dir / "best.ckpt.json"))

@@ -194,3 +194,54 @@ def test_row_normalized_kernel_is_averaging(seed):
     for col in range(x.shape[1]):
         assert out[:, col].min() >= x[:, col].min() - 1e-12
         assert out[:, col].max() <= x[:, col].max() + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# padded in-neighbour layout and cached per-graph constants
+
+
+def test_layout_slots_hold_each_nodes_in_edges_in_order():
+    pts = RNG.uniform(size=(25, 2))
+    g = build_radius_graph(np.vstack([pts, [[5.0, 5.0]]]), 0.3)
+    layout = g.layout
+    n, width = layout.neighbours.shape
+    deg = np.bincount(g.edges[:, 1], minlength=n)
+    assert n == 26 and width == deg.max() and deg[-1] == 0
+    assert np.array_equal(layout.mask.sum(axis=1), deg)
+    assert np.array_equal(layout.inv_degree, 1.0 / np.maximum(deg, 1))
+    slot_edge = layout.slot_edge.reshape(n, width)
+    for i in range(n):
+        edges = slot_edge[i, :deg[i]]
+        assert np.array_equal(edges, np.nonzero(g.edges[:, 1] == i)[0])
+        assert np.array_equal(layout.neighbours[i, :deg[i]], g.edges[edges, 0])
+        assert (slot_edge[i, deg[i]:] == -1).all()
+        assert not layout.mask[i, deg[i]:].any()
+
+
+def test_layout_edge_attributes_are_scaled_and_zero_padded():
+    g = build_radius_graph(RNG.uniform(size=(30, 2)), 0.35)
+    layout = g.layout
+    valid = layout.mask.ravel()
+    assert layout.edge_attr.shape == (valid.size, 3)
+    assert np.array_equal(layout.edge_attr[valid],
+                          (g.edge_attr / g.radius)[layout.slot_edge[valid]])
+    assert np.array_equal(layout.edge_attr[~valid], np.zeros(((~valid).sum(), 3)))
+    assert np.array_equal(layout.pad_edge_rows(g.edge_attr / g.radius),
+                          layout.edge_attr)
+
+
+def test_layout_of_edgeless_graph_has_no_slots():
+    layout = build_radius_graph([(0.0, 0.0), (5.0, 5.0)], 1.0).layout
+    assert layout.neighbours.shape == (2, 0)
+    assert layout.edge_attr.shape == (0, 3)
+    assert np.array_equal(layout.inv_degree, np.ones(2))
+
+
+def test_graph_constants_are_built_once():
+    g = build_radius_graph(RNG.uniform(size=(10, 2)), 0.4)
+    assert g.layout is g.layout
+    calls = []
+    first = g.cached("k", lambda: calls.append(1) or "value")
+    assert g.cached("k", lambda: calls.append(1) or "other") == first == "value"
+    assert calls == [1]
+    assert g.cached("k", lambda: "rebuilt", reuse=lambda held: False) == "rebuilt"
