@@ -206,7 +206,6 @@ def _cmd_prepare(args, argv):
         for g in train_graphs])
     median_degree = float(np.median(degrees))
     manifest = {
-        "format_version": 1,
         "flags": {
             "spots": str(args.spots), "genes": str(args.genes),
             "labels": str(args.labels), "radius": radius,
@@ -236,14 +235,16 @@ def _cmd_prepare(args, argv):
     return 0
 
 
-def _model_config_from_args(args, input_dim: int, kind: str):
+def _model_config_from_args(args, manifest: dict, kind: str):
+    """Model flags plus the dataset's widths: one input per kept gene and
+    one output per coarse class."""
     overrides = dict(hidden_dim=args.hidden, activation=getattr(args, "activation", "relu"),
                      kernel_net_hidden=args.kernel_hidden, bandwidth=args.bandwidth,
-                     init_seed=args.seed)
+                     num_classes=len(manifest["class_names"]), init_seed=args.seed)
     layers = getattr(args, "layers", None)
     if layers is not None:
         overrides["num_layers"] = layers
-    return make_config(kind, input_dim, **overrides)
+    return make_config(kind, len(manifest["gene_names"]), **overrides)
 
 
 def _train_config_from_args(args) -> TrainConfig:
@@ -266,8 +267,7 @@ def _cmd_train(args, argv):
         raise ParameterError(
             f"unknown model {args.model!r}; valid: {', '.join(MODEL_KINDS)}")
     train_graphs, holdout_graphs, manifest = pl.load_prepared(args.data)
-    input_dim = len(manifest["gene_names"])
-    mc = _model_config_from_args(args, input_dim, args.model)
+    mc = _model_config_from_args(args, manifest, args.model)
     tc = _train_config_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -309,9 +309,8 @@ def _cmd_train(args, argv):
         print(f"run {r}: train macro-F1 {train_metrics.macro_f1:.4f}, "
               f"holdout macro-F1 {holdout_metrics.macro_f1:.4f}")
 
-    best_params, best_config, best_pre = load_checkpoint(out / f"run_{best_run}.ckpt.json")
-    save_checkpoint(out / "best.ckpt.json", best_params, best_config,
-                    preprocess=best_pre)
+    atomic_write_text(out / "best.ckpt.json",
+                      (out / f"run_{best_run}.ckpt.json").read_text(encoding="utf-8"))
     atomic_write_text(out / "train_summary.json", dump_json({
         "model": args.model, "best_run": best_run, "runs": summary_runs}))
     print(f"best run by train macro-F1: {best_run} -> {out / 'best.ckpt.json'}")
@@ -325,6 +324,10 @@ def _cmd_eval(args, argv):
     if config.input_dim != input_dim:
         raise ContractError(
             f"checkpoint expects {config.input_dim} features, dataset has {input_dim}")
+    num_classes = len(manifest["class_names"])
+    if config.num_classes != num_classes:
+        raise ContractError(
+            f"checkpoint predicts {config.num_classes} classes, dataset has {num_classes}")
     metrics = evaluate(params, config, holdout_graphs)
     print(dump_json(metrics.to_json_dict()), end="")
     return 0
@@ -337,8 +340,7 @@ def _cmd_report(args, argv):
             raise ParameterError(
                 f"unknown model {kind!r}; valid: {', '.join(MODEL_KINDS)}")
     train_graphs, holdout_graphs, manifest = pl.load_prepared(args.data)
-    input_dim = len(manifest["gene_names"])
-    configs = [_model_config_from_args(args, input_dim, kind) for kind in kinds]
+    configs = [_model_config_from_args(args, manifest, kind) for kind in kinds]
     tc = _train_config_from_args(args)
     report, _trained = run_experiment(configs, train_graphs, holdout_graphs, tc,
                                       f1_flavor=args.f1)
@@ -370,19 +372,13 @@ def _cmd_predict(args, argv):
         features = (features - np.array(scaler["mean"])) / np.array(scaler["std"])
     class_names = pre.get("class_names") or [str(i) for i in range(config.num_classes)]
 
-    from .geometry import build_radius_graph
-    from .train import forward_sample
-
     lines = ["sample_id,x,y,predicted_class"]
     for sid in table.sample_order():
         rows = table.rows_for(sid)
-        pos = table.positions[rows]
-        sample = pl.GraphSample(
-            sample_id=sid, node_features=features[rows], positions=pos,
-            graph=build_radius_graph(pos, radius),
-            labels=np.zeros(rows.size, dtype=np.int64))
+        sample = pl.graph_sample(sid, features[rows], table.positions[rows],
+                                 np.zeros(rows.size, dtype=np.int64), radius)
         tape = tr.Tape()
-        logits = forward_sample(tape, config, params, sample)
+        logits = tr.forward_sample(tape, config, params, sample)
         preds = logits.data.argmax(axis=1)
         for i, row in enumerate(rows):
             lines.append(f"{sid},{float(table.positions[row, 0])!r},"

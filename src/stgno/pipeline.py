@@ -7,9 +7,12 @@ File contracts:
 * Gene list: plain text, one gene name per line.
 * Label map: two-column TSV ``raw_label<TAB>coarse_class_name``; coarse
   class order is defined by first appearance.
-* Prepared dataset: a directory with ``manifest.json`` plus one
-  ``<sample_id>.graph.json`` per sample holding positions, features,
-  edges, edge attributes and labels as nested numeric arrays.
+* Prepared dataset (format version ``PREPARED_VERSION``): a directory
+  with ``manifest.json`` plus one ``<sample_id>.graph.json`` per sample
+  holding its id, positions, features and labels as nested numeric
+  arrays. No edges are stored: every graph is rebuilt on load from its
+  positions and the manifest's ``radius``. Directories written by an
+  earlier format version are refused; re-run ``stgno prepare``.
 
 The pipeline is deterministic: the same (file, flags, seed) produces a
 bit-identical prepared dataset.
@@ -28,6 +31,8 @@ import numpy as np
 from .errors import ContractError, DataError, ParameterError
 from .geometry import RadiusGraph, build_radius_graph
 from .ioutil import atomic_write_text, dump_json, read_json
+
+PREPARED_VERSION = 2
 
 _REQUIRED_COLUMNS = ("sample_id", "x", "y", "label")
 _SAMPLE_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
@@ -300,6 +305,20 @@ def fit_feature_scaler(table: SpotTable, train_sample_ids) -> tuple[np.ndarray, 
     return mean, std
 
 
+def graph_sample(sample_id: str, features, positions, labels,
+                 radius: float) -> GraphSample:
+    """One slide as a graph: copies of its arrays plus the radius graph of
+    its positions. Every GraphSample is built here."""
+    positions = np.array(positions, dtype=np.float64)
+    return GraphSample(
+        sample_id=sample_id,
+        node_features=np.array(features, dtype=np.float64),
+        positions=positions,
+        graph=build_radius_graph(positions, radius),
+        labels=np.array(labels, dtype=np.int64),
+    )
+
+
 def assemble_graphs(table: SpotTable, split: DatasetSplit, radius: float,
                     standardize: bool = False):
     """Build one GraphSample per sample id.
@@ -312,9 +331,6 @@ def assemble_graphs(table: SpotTable, split: DatasetSplit, radius: float,
     """
     if table.class_ids is None:
         raise ContractError("table must be binned before graph assembly")
-    if table.class_ids.size and table.class_ids.max() >= 3:
-        raise DataError("graph assembly expects 3 coarse classes; "
-                        f"saw class index {int(table.class_ids.max())}")
     all_ids = set(split.train_sample_ids) | set(split.holdout_sample_ids)
     present = set(table.sample_order())
     if all_ids != present:
@@ -334,14 +350,8 @@ def assemble_graphs(table: SpotTable, split: DatasetSplit, radius: float,
             if rows.size < 2:
                 warnings.warn(f"sample {sid!r} has {rows.size} spot(s); "
                               "kept as an edgeless graph", stacklevel=2)
-            pos = table.positions[rows]
-            out.append(GraphSample(
-                sample_id=sid,
-                node_features=features[rows].copy(),
-                positions=pos.copy(),
-                graph=build_radius_graph(pos, radius),
-                labels=table.class_ids[rows].copy(),
-            ))
+            out.append(graph_sample(sid, features[rows], table.positions[rows],
+                                    table.class_ids[rows], radius))
         return out
 
     return build(split.train_sample_ids), build(split.holdout_sample_ids), scaler
@@ -419,30 +429,8 @@ def _graph_sample_to_json(sample: GraphSample) -> dict:
         "sample_id": sample.sample_id,
         "positions": sample.positions.tolist(),
         "features": sample.node_features.tolist(),
-        "edges": sample.graph.edges.tolist(),
-        "edge_attr": sample.graph.edge_attr.tolist(),
         "labels": sample.labels.tolist(),
-        "radius": sample.graph.radius,
     }
-
-
-def _graph_sample_from_json(doc: dict) -> GraphSample:
-    edges = np.array(doc["edges"], dtype=np.int64).reshape(-1, 2)
-    features = np.array(doc["features"], dtype=np.float64)
-    n = features.shape[0]
-    graph = RadiusGraph(
-        num_nodes=n,
-        edges=edges,
-        edge_attr=np.array(doc["edge_attr"], dtype=np.float64).reshape(-1, 3),
-        radius=float(doc["radius"]),
-    )
-    return GraphSample(
-        sample_id=doc["sample_id"],
-        node_features=features,
-        positions=np.array(doc["positions"], dtype=np.float64).reshape(-1, 2),
-        graph=graph,
-        labels=np.array(doc["labels"], dtype=np.int64),
-    )
 
 
 def save_prepared(out_dir, train: list[GraphSample], holdout: list[GraphSample],
@@ -455,22 +443,31 @@ def save_prepared(out_dir, train: list[GraphSample], holdout: list[GraphSample],
                 f"sample id {sample.sample_id!r} is not filesystem-safe")
         atomic_write_text(out_dir / f"{sample.sample_id}.graph.json",
                           dump_json(_graph_sample_to_json(sample)))
-    atomic_write_text(out_dir / "manifest.json", dump_json(manifest))
+    atomic_write_text(out_dir / "manifest.json",
+                      dump_json({**manifest, "format_version": PREPARED_VERSION}))
 
 
 def load_prepared(data_dir):
-    """Read a prepared dataset directory -> (train, holdout, manifest)."""
+    """Read a prepared dataset directory -> (train, holdout, manifest),
+    rebuilding each slide's graph at the manifest radius."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"{data_dir}: not a prepared dataset (no manifest.json)")
     manifest = read_json(manifest_path)
+    version = manifest.get("format_version")
+    if version != PREPARED_VERSION:
+        raise DataError(
+            f"{data_dir}: prepared format version {version!r}, expected "
+            f"{PREPARED_VERSION}; re-run stgno prepare")
 
     def read_samples(ids) -> list[GraphSample]:
         out = []
         for sid in ids:
             doc = read_json(data_dir / f"{sid}.graph.json")
-            out.append(_graph_sample_from_json(doc))
+            out.append(graph_sample(doc["sample_id"], doc["features"],
+                                    doc["positions"], doc["labels"],
+                                    manifest["radius"]))
         return out
 
     split = manifest["split"]

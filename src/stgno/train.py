@@ -13,7 +13,7 @@ from .errors import (CheckpointError, ContractError, DataError,
                      DivergenceError, ParameterError)
 from .ioutil import atomic_write_text, dump_json, read_json
 from .models import (DISPLAY_NAMES, ModelConfig, ModelParams, init_params,
-                     model_forward)
+                     model_forward, parameter_shapes)
 from .pipeline import GraphSample
 
 CHECKPOINT_VERSION = 1
@@ -351,7 +351,6 @@ def load_checkpoint(path):
             f"unsupported checkpoint version {version!r} (expected {CHECKPOINT_VERSION})")
     config = _config_from_json(doc.get("config", {}))
     config.validate()
-    from .models import parameter_shapes  # local import to avoid cycle noise
     stored = doc.get("params", {})
     params = []
     expected = parameter_shapes(config)

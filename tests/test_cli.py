@@ -1,13 +1,14 @@
 import hashlib
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stgno.cli import build_parser, main
-from stgno.pipeline import load_spot_table
+from stgno.pipeline import PREPARED_VERSION, load_spot_table
 
 
 def run_cli(*args):
@@ -94,6 +95,15 @@ def test_prepare_manifest_records_flags(prepared_dir):
     assert not set(manifest["split"]["train"]) & set(manifest["split"]["holdout"])
 
 
+def test_prepare_writes_positions_not_edges(prepared_dir):
+    manifest = json.loads((prepared_dir / "manifest.json").read_text())
+    assert manifest["format_version"] == PREPARED_VERSION
+    ids = [*manifest["split"]["train"], *manifest["split"]["holdout"]]
+    for sid in ids:
+        doc = json.loads((prepared_dir / f"{sid}.graph.json").read_text())
+        assert set(doc) == {"sample_id", "positions", "features", "labels"}
+
+
 def test_prepare_defaults_match_documented_values():
     _parser, subparsers = build_parser()
     defaults = {a.dest: a.default for a in subparsers["prepare"]._actions}
@@ -155,6 +165,9 @@ def test_train_writes_checkpoints_and_logs(trained_dir):
     assert len(lines) == 3
     entry = json.loads(lines[0])
     assert set(entry) == {"epoch", "mean_loss", "elapsed"}
+    best = json.loads((trained_dir / "train_summary.json").read_text())["best_run"]
+    assert (trained_dir / "best.ckpt.json").read_bytes() == \
+        (trained_dir / f"run_{best}.ckpt.json").read_bytes()
 
 
 def test_train_unknown_model_lists_valid_names(prepared_dir, tmp_path, capsys):
@@ -223,6 +236,74 @@ def test_predict_row_count_matches_spots(synth_dir, trained_dir, tmp_path):
     first = lines[1].split(",")
     assert float(first[1]) == source.positions[0, 0]
     assert float(first[2]) == source.positions[0, 1]
+
+
+@pytest.mark.parametrize("version", [1, None])
+def test_old_prepared_format_is_data_error(prepared_dir, trained_dir, tmp_path,
+                                           capsys, version):
+    old = tmp_path / "old"
+    shutil.copytree(prepared_dir, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    if version is None:
+        del manifest["format_version"]
+    else:
+        manifest["format_version"] = version
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    for argv in (("train", "--data", str(old), "--model", "lr", "--epochs", "1",
+                  "--runs", "1", "--out", str(tmp_path / "t")),
+                 ("eval", "--data", str(old),
+                  "--checkpoint", str(trained_dir / "best.ckpt.json"))):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:data:")
+        assert err.count("\n") == 1
+        assert str(old) in err and "re-run stgno prepare" in err
+
+
+@pytest.mark.parametrize("num_classes", [2, 4])
+def test_any_class_count_runs_end_to_end(synth_dir, tmp_path, capsys, num_classes):
+    names = [f"class_{i}" for i in range(num_classes)]
+    raws = sorted({line.split("\t")[0] for line in
+                   (synth_dir / "labels.tsv").read_text().splitlines() if line})
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("".join(f"{raw}\t{names[i % num_classes]}\n"
+                              for i, raw in enumerate(raws)))
+    prep, run = tmp_path / "prep", tmp_path / "run"
+    assert run_cli("prepare", "--spots", str(synth_dir / "spots.csv"),
+                   "--genes", str(synth_dir / "genes.txt"), "--labels", str(labels),
+                   "--radius", "0.3", "--holdout-k", "2", "--min-classes", "3",
+                   "--seed", "0", "--out", str(prep)) == 0
+    assert run_cli("train", "--data", str(prep), "--model", "gcn", "--hidden", "4",
+                   "--epochs", "2", "--runs", "1", "--seed", "0",
+                   "--out", str(run)) == 0
+    capsys.readouterr()
+    assert run_cli("eval", "--data", str(prep),
+                   "--checkpoint", str(run / "best.ckpt.json")) == 0
+    confusion = np.array(json.loads(capsys.readouterr().out)["confusion"])
+    assert confusion.shape == (num_classes, num_classes)
+    preds = tmp_path / "preds.csv"
+    assert run_cli("predict", "--checkpoint", str(run / "best.ckpt.json"),
+                   "--spots", str(synth_dir / "spots.csv"), "--out", str(preds)) == 0
+    predicted = {line.rsplit(",", 1)[1]
+                 for line in preds.read_text().splitlines()[1:]}
+    assert predicted <= set(names)
+
+
+def test_eval_class_count_mismatch_is_data_error(synth_dir, trained_dir, tmp_path,
+                                                 capsys):
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("".join(f"site_{i:02d}\tclass_{i % 2}\n" for i in range(6)))
+    prep = tmp_path / "prep"
+    assert run_cli("prepare", "--spots", str(synth_dir / "spots.csv"),
+                   "--genes", str(synth_dir / "genes.txt"), "--labels", str(labels),
+                   "--radius", "0.3", "--holdout-k", "2", "--min-classes", "3",
+                   "--seed", "0", "--out", str(prep)) == 0
+    capsys.readouterr()
+    code = run_cli("eval", "--data", str(prep),
+                   "--checkpoint", str(trained_dir / "best.ckpt.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:data:") and "classes" in err
 
 
 def test_report_table_grammar_and_files(prepared_dir, tmp_path, capsys):

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stgno.errors import ContractError, DataError, ParameterError
-from stgno.pipeline import (DatasetSplit, LabelMap, SpotTable, SyntheticConfig,
-                            assemble_graphs, bin_labels, filter_genes,
-                            generate_synthetic, load_label_map, load_prepared,
-                            load_spot_table, save_prepared, select_holdout,
-                            write_label_map, write_spot_table)
+from stgno.geometry import build_radius_graph
+from stgno.pipeline import (PREPARED_VERSION, DatasetSplit, LabelMap, SpotTable,
+                            SyntheticConfig, assemble_graphs, bin_labels,
+                            filter_genes, generate_synthetic, graph_sample,
+                            load_label_map, load_prepared, load_spot_table,
+                            save_prepared, select_holdout, write_label_map,
+                            write_spot_table)
 
 RNG = np.random.default_rng(4242)
 
@@ -372,7 +374,7 @@ def test_label_map_class_order_by_first_appearance(tmp_path):
 
 def test_prepared_dataset_round_trip(tmp_path):
     _table, split, train, hold, _ = prepared_pair()
-    manifest = {"format_version": 1, "radius": 0.25, "seed": 0,
+    manifest = {"format_version": PREPARED_VERSION, "radius": 0.25, "seed": 0,
                 "split": {"train": list(split.train_sample_ids),
                           "holdout": list(split.holdout_sample_ids)},
                 "standardization": None, "class_names": ["a", "b", "c"],
@@ -387,6 +389,25 @@ def test_prepared_dataset_round_trip(tmp_path):
         assert np.array_equal(before.graph.edges, after.graph.edges)
         assert np.array_equal(before.graph.edge_attr, after.graph.edge_attr)
         assert np.array_equal(before.labels, after.labels)
+
+
+def test_graph_sample_copies_inputs_and_builds_the_radius_graph():
+    table, _ = synthetic_for_tests(num_samples=1, spots_per_sample=40)
+    features = table.expression.copy()
+    positions = table.positions.copy()
+    labels = np.arange(40) % 3
+    sample = graph_sample("s00", features, positions, labels, 0.3)
+    want = build_radius_graph(positions, 0.3)
+    assert np.array_equal(sample.graph.edges, want.edges)
+    assert np.array_equal(sample.graph.edge_attr, want.edge_attr)
+    assert sample.graph.radius == 0.3
+    assert sample.labels.dtype == np.int64
+    features[:] = 0.0
+    positions[:] = 0.0
+    labels[:] = 0
+    assert np.array_equal(sample.node_features, table.expression)
+    assert np.array_equal(sample.positions, table.positions)
+    assert np.array_equal(sample.labels, np.arange(40) % 3)
 
 
 def test_prepared_dataset_bytes_deterministic(tmp_path):
