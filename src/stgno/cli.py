@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shlex
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,23 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
+
+
+def _add_run_flags(p) -> None:
+    """The model, optimizer and seeded-run flags that train and report share."""
+    p.add_argument("--hidden", type=int, default=16, help="hidden width")
+    p.add_argument("--kernel-hidden", type=_parse_int_list, default=(64,),
+                   metavar="LIST", help="kernel network hidden widths (graphpde)")
+    p.add_argument("--bandwidth", type=float, default=None,
+                   help="Gaussian bandwidth (spatial models; default radius/2)")
+    p.add_argument("--epochs", type=int, default=100, help="training epochs")
+    p.add_argument("--lr", type=float, default=1e-3, help="learning rate")
+    p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam",
+                   help="optimizer")
+    p.add_argument("--runs", type=int, default=10, help="independent seeded runs")
+    p.add_argument("--class-weighting", type=_parse_bool, default=True,
+                   metavar="BOOL", help="balanced class weighting")
+    p.add_argument("--seed", type=int, default=0, help="base seed")
 
 
 def build_parser():
@@ -96,23 +113,11 @@ def build_parser():
     p = add("train", "train one model over repeated seeded runs")
     p.add_argument("--data", required=True, help="prepared dataset directory")
     p.add_argument("--model", required=True, help=f"one of {', '.join(MODEL_KINDS)}")
-    p.add_argument("--hidden", type=int, default=16, help="hidden width")
     p.add_argument("--layers", type=int, default=None,
                    help="depth (default per model; graphpde: 6)")
     p.add_argument("--activation", choices=["relu", "tanh"], default="relu",
                    help="activation function")
-    p.add_argument("--kernel-hidden", type=_parse_int_list, default=(64,),
-                   metavar="LIST", help="kernel network hidden widths (graphpde)")
-    p.add_argument("--bandwidth", type=float, default=None,
-                   help="Gaussian bandwidth (spatial models; default radius/2)")
-    p.add_argument("--epochs", type=int, default=100, help="training epochs")
-    p.add_argument("--lr", type=float, default=1e-3, help="learning rate")
-    p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam",
-                   help="optimizer")
-    p.add_argument("--runs", type=int, default=10, help="independent seeded runs")
-    p.add_argument("--class-weighting", type=_parse_bool, default=True,
-                   metavar="BOOL", help="balanced class weighting")
-    p.add_argument("--seed", type=int, default=0, help="base seed")
+    _add_run_flags(p)
     p.add_argument("--out", required=True, help="output directory")
 
     p = add("eval", "evaluate a checkpoint on the holdout slides")
@@ -123,21 +128,9 @@ def build_parser():
     p.add_argument("--data", required=True, help="prepared dataset directory")
     p.add_argument("--models", default=",".join(MODEL_KINDS),
                    help="comma-separated model kinds")
-    p.add_argument("--hidden", type=int, default=16, help="hidden width")
-    p.add_argument("--kernel-hidden", type=_parse_int_list, default=(64,),
-                   metavar="LIST", help="kernel network hidden widths (graphpde)")
-    p.add_argument("--bandwidth", type=float, default=None,
-                   help="Gaussian bandwidth (spatial models; default radius/2)")
-    p.add_argument("--epochs", type=int, default=100, help="training epochs")
-    p.add_argument("--lr", type=float, default=1e-3, help="learning rate")
-    p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam",
-                   help="optimizer")
-    p.add_argument("--runs", type=int, default=10, help="independent seeded runs")
-    p.add_argument("--class-weighting", type=_parse_bool, default=True,
-                   metavar="BOOL", help="balanced class weighting")
     p.add_argument("--f1", choices=["macro", "weighted"], default="macro",
                    help="F1 flavor for the table")
-    p.add_argument("--seed", type=int, default=0, help="base seed")
+    _add_run_flags(p)
     p.add_argument("--out", default=None, help="directory for report.txt/report.json")
 
     p = add("predict", "predict classes for new spots with a trained checkpoint")
@@ -200,10 +193,8 @@ def _cmd_prepare(args, argv):
     train_graphs, holdout_graphs, scaler = pl.assemble_graphs(
         table, split, radius, standardize=args.standardize)
 
-    degrees = np.concatenate([
-        np.bincount(g.graph.edges[:, 1], minlength=g.num_nodes)
-        if g.graph.num_edges else np.zeros(g.num_nodes, dtype=np.int64)
-        for g in train_graphs])
+    degrees = np.concatenate([np.bincount(g.graph.edges[:, 1], minlength=g.num_nodes)
+                              for g in train_graphs])
     median_degree = float(np.median(degrees))
     manifest = {
         "flags": {
@@ -235,13 +226,13 @@ def _cmd_prepare(args, argv):
     return 0
 
 
-def _model_config_from_args(args, manifest: dict, kind: str):
+def _model_config_from_args(args, manifest: dict, kind: str,
+                            layers: int | None = None, activation: str = "relu"):
     """Model flags plus the dataset's widths: one input per kept gene and
     one output per coarse class."""
-    overrides = dict(hidden_dim=args.hidden, activation=getattr(args, "activation", "relu"),
+    overrides = dict(hidden_dim=args.hidden, activation=activation,
                      kernel_net_hidden=args.kernel_hidden, bandwidth=args.bandwidth,
                      num_classes=len(manifest["class_names"]), init_seed=args.seed)
-    layers = getattr(args, "layers", None)
     if layers is not None:
         overrides["num_layers"] = layers
     return make_config(kind, len(manifest["gene_names"]), **overrides)
@@ -253,54 +244,34 @@ def _train_config_from_args(args) -> TrainConfig:
                        num_runs=args.runs, class_weighting=args.class_weighting)
 
 
-def _preprocess_block(manifest: dict) -> dict:
-    return {
-        "gene_names": manifest["gene_names"],
-        "radius": manifest["radius"],
-        "standardization": manifest.get("standardization"),
-        "class_names": manifest["class_names"],
-    }
-
-
 def _cmd_train(args, argv):
     if args.model not in MODEL_KINDS:
         raise ParameterError(
             f"unknown model {args.model!r}; valid: {', '.join(MODEL_KINDS)}")
     train_graphs, holdout_graphs, manifest = pl.load_prepared(args.data)
-    mc = _model_config_from_args(args, manifest, args.model)
-    tc = _train_config_from_args(args)
+    mc = _model_config_from_args(args, manifest, args.model, args.layers,
+                                 args.activation)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    preprocess = {key: manifest.get(key) for key in
+                  ("gene_names", "radius", "standardization", "class_names")}
+    log_lines: list[str] = []
+    summary_runs: list[dict] = []
+    started = time.monotonic()
 
-    best_f1, best_run = -1.0, 0
-    summary_runs = []
-    for r in range(tc.num_runs):
-        seed = tc.seed + r
-        mc_r = replace(mc, init_seed=seed)
-        tc_r = replace(tc, seed=seed, num_runs=1)
-        log_lines = []
-        started = time.monotonic()
+    def log_epoch(epoch, mean_loss):
+        log_lines.append(json.dumps(
+            {"epoch": epoch, "mean_loss": mean_loss,
+             "elapsed": time.monotonic() - started}, sort_keys=True))
 
-        def log_epoch(epoch, mean_loss):
-            log_lines.append(json.dumps(
-                {"epoch": epoch, "mean_loss": mean_loss,
-                 "elapsed": time.monotonic() - started}, sort_keys=True))
-
-        try:
-            params, history = tr.train(mc_r, train_graphs, tc_r,
-                                       epoch_callback=log_epoch)
-        except DivergenceError as exc:
-            raise DivergenceError(
-                f"{exc} (reproduce: stgno {' '.join(argv)})") from None
+    def finish_run(mc_r, r, params, history, holdout_metrics):
+        nonlocal started
         atomic_write_text(out / f"run_{r}.log.jsonl", "\n".join(log_lines) + "\n")
+        log_lines.clear()
         train_metrics = evaluate(params, mc_r, train_graphs)
-        holdout_metrics = evaluate(params, mc_r, holdout_graphs)
-        save_checkpoint(out / f"run_{r}.ckpt.json", params, mc_r,
-                        preprocess=_preprocess_block(manifest))
-        if train_metrics.macro_f1 > best_f1:
-            best_f1, best_run = train_metrics.macro_f1, r
+        save_checkpoint(out / f"run_{r}.ckpt.json", params, mc_r, preprocess=preprocess)
         summary_runs.append({
-            "run": r, "seed": seed,
+            "run": r, "seed": mc_r.init_seed,
             "train_macro_f1": train_metrics.macro_f1,
             "holdout_accuracy": holdout_metrics.accuracy,
             "holdout_macro_f1": holdout_metrics.macro_f1,
@@ -308,7 +279,12 @@ def _cmd_train(args, argv):
         })
         print(f"run {r}: train macro-F1 {train_metrics.macro_f1:.4f}, "
               f"holdout macro-F1 {holdout_metrics.macro_f1:.4f}")
+        started = time.monotonic()
 
+    run_experiment([mc], train_graphs, holdout_graphs, _train_config_from_args(args),
+                   epoch_hook=log_epoch, run_hook=finish_run)
+    # selection by train macro-F1 (first run on ties) never looks at the holdout
+    best_run = max(summary_runs, key=lambda run: run["train_macro_f1"])["run"]
     atomic_write_text(out / "best.ckpt.json",
                       (out / f"run_{best_run}.ckpt.json").read_text(encoding="utf-8"))
     atomic_write_text(out / "train_summary.json", dump_json({
@@ -446,7 +422,8 @@ def main(argv=None) -> int:
         print(f"error:data: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
-        print(f"error:divergence: {exc}", file=sys.stderr)
+        print(f"error:divergence: {exc} (reproduce: stgno {shlex.join(argv)})",
+              file=sys.stderr)
         return 3
 
 

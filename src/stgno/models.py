@@ -234,8 +234,7 @@ def _linear(tape: Tape, params: ModelParams, name: str, x: Value) -> Value:
 def symmetric_norm_weights(graph: RadiusGraph) -> KernelWeights:
     """Self-looped symmetric normalization D^-1/2 (A + I) D^-1/2 in sparse form."""
     n = graph.num_nodes
-    deg = (np.bincount(graph.edges[:, 1], minlength=n)
-           if graph.num_edges else np.zeros(n, dtype=np.int64))
+    deg = np.bincount(graph.edges[:, 1], minlength=n)
     inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
     src, dst = graph.edges[:, 0], graph.edges[:, 1]
     loop = np.arange(n, dtype=np.int64)

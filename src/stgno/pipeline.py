@@ -460,6 +460,11 @@ def load_prepared(data_dir):
         raise DataError(
             f"{data_dir}: prepared format version {version!r}, expected "
             f"{PREPARED_VERSION}; re-run stgno prepare")
+    missing = [key for key in ("radius", "split", "gene_names", "class_names")
+               if key not in manifest]
+    if missing:
+        raise DataError(f"{data_dir}: manifest.json has no {', '.join(missing)}; "
+                        "re-run stgno prepare")
 
     def read_samples(ids) -> list[GraphSample]:
         out = []

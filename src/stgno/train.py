@@ -161,13 +161,16 @@ def forward_sample(tape: Tape, config: ModelConfig, params: ModelParams,
                          graph=sample.graph, positions=sample.positions)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(model_config: ModelConfig, graphs: list[GraphSample],
           train_config: TrainConfig,
           epoch_callback=None) -> tuple[ModelParams, list[float]]:
     """Full-graph steps in a seeded shuffled order, one optimizer step per
     graph; returns the trained parameters and the mean-loss-per-epoch
     history. Deterministic per (configs, seed). ``epoch_callback``, when
-    given, is called with (epoch_index, mean_loss) after every epoch."""
+    given, is called with (epoch_index, mean_loss) after every epoch.
+    numpy's overflow warnings are off: a non-finite loss raises
+    DivergenceError naming the epoch and sample instead."""
     train_config.validate()
     model_config.validate()
     if not graphs:
@@ -260,10 +263,13 @@ def _sample_std(values: list[float]) -> float:
 
 def run_experiment(model_configs: list[ModelConfig], train_graphs,
                    holdout_graphs, train_config: TrainConfig,
-                   f1_flavor: str = "macro"):
+                   f1_flavor: str = "macro", epoch_hook=None, run_hook=None):
     """num_runs independent train+evaluate cycles per model on a fixed
     split (run r uses seed base + r for both init and shuffling). Returns
-    (RunReport, trained params per model per run)."""
+    (RunReport, trained params per model per run). ``epoch_hook`` is every
+    run's ``train`` epoch_callback; ``run_hook`` gets (run config, run index,
+    params, loss history, holdout Metrics) after each run. A divergence is
+    re-raised prefixed with the model kind, run index and seed."""
     train_config.validate()
     if f1_flavor not in ("macro", "weighted"):
         raise ParameterError(f"unknown f1 flavor {f1_flavor!r}")
@@ -276,8 +282,14 @@ def run_experiment(model_configs: list[ModelConfig], train_graphs,
             seed = train_config.seed + r
             mc_r = replace(mc, init_seed=seed)
             tc_r = replace(train_config, seed=seed, num_runs=1)
-            params, history = train(mc_r, train_graphs, tc_r)
+            try:
+                params, history = train(mc_r, train_graphs, tc_r, epoch_hook)
+            except DivergenceError as exc:
+                raise DivergenceError(
+                    f"{mc.kind} run {r} (seed {seed}): {exc}") from None
             metrics = evaluate(params, mc_r, holdout_graphs)
+            if run_hook is not None:
+                run_hook(mc_r, r, params, history, metrics)
             params_per_run.append(params)
             runs.append({
                 "seed": seed,

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import re
+import shlex
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +262,27 @@ def test_old_prepared_format_is_data_error(prepared_dir, trained_dir, tmp_path,
         assert str(old) in err and "re-run stgno prepare" in err
 
 
+@pytest.mark.parametrize("key", ["radius", "split", "gene_names", "class_names"])
+def test_missing_manifest_key_is_data_error(prepared_dir, trained_dir, tmp_path,
+                                            capsys, key):
+    broken = tmp_path / "broken"
+    shutil.copytree(prepared_dir, broken)
+    manifest = json.loads((broken / "manifest.json").read_text())
+    del manifest[key]
+    (broken / "manifest.json").write_text(json.dumps(manifest))
+    for argv in (("train", "--data", str(broken), "--model", "lr", "--epochs", "1",
+                  "--runs", "1", "--out", str(tmp_path / "t")),
+                 ("report", "--data", str(broken), "--models", "lr", "--epochs", "1",
+                  "--runs", "1"),
+                 ("eval", "--data", str(broken),
+                  "--checkpoint", str(trained_dir / "best.ckpt.json"))):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:data:")
+        assert err.count("\n") == 1
+        assert str(broken) in err and key in err
+
+
 @pytest.mark.parametrize("num_classes", [2, 4])
 def test_any_class_count_runs_end_to_end(synth_dir, tmp_path, capsys, num_classes):
     names = [f"class_{i}" for i in range(num_classes)]
@@ -328,6 +351,40 @@ def test_report_table_grammar_and_files(prepared_dir, tmp_path, capsys):
         f1s = [r["macro_f1"] for r in row["runs"]]
         assert row["mean_accuracy"] == pytest.approx(np.mean(accs), abs=1e-15)
         assert row["mean_f1"] == pytest.approx(np.mean(f1s), abs=1e-15)
+
+
+def test_train_and_report_share_one_runner(prepared_dir, tmp_path):
+    flags = ("--hidden", "4", "--epochs", "2", "--lr", "0.01", "--runs", "2",
+             "--seed", "3")
+    assert run_cli("train", "--data", str(prepared_dir), "--model", "lr", *flags,
+                   "--out", str(tmp_path / "t")) == 0
+    assert run_cli("report", "--data", str(prepared_dir), "--models", "lr", *flags,
+                   "--out", str(tmp_path / "r")) == 0
+    trained = json.loads((tmp_path / "t" / "train_summary.json").read_text())["runs"]
+    reported = json.loads((tmp_path / "r" / "report.json").read_text())["models"][0]["runs"]
+    assert len(trained) == len(reported) == 2
+    for t, r in zip(trained, reported):
+        assert (t["seed"], t["holdout_accuracy"], t["holdout_macro_f1"]) == \
+            (r["seed"], r["accuracy"], r["macro_f1"])
+
+
+@pytest.mark.parametrize("command", ["train", "report"])
+def test_divergence_names_model_run_seed_and_reproduce_hint(prepared_dir, tmp_path,
+                                                           capsys, command):
+    argv = (("train", "--model", "lr", "--out", str(tmp_path / "t"))
+            if command == "train" else ("report", "--models", "lr"))
+    data = tmp_path / "prepared dir"  # the hint quotes it
+    shutil.copytree(prepared_dir, data)
+    argv = (*argv, "--data", str(data), "--optimizer", "sgd", "--lr", "1e308",
+            "--epochs", "2", "--runs", "2", "--seed", "4")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(r"error:divergence: lr run 0 \(seed 4\): non-finite loss at "
+                        r"epoch \d+, sample '[\w.-]+' \(reproduce: stgno (.*)\)\n",
+                        err).group(1) == shlex.join(argv)
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,35 @@ def test_run_experiment_means_match_per_run_logs():
     assert [r["seed"] for r in row["runs"]] == [5, 6, 7]
 
 
+def test_run_experiment_hooks_see_every_epoch_and_run():
+    train_g, hold_g = tiny_dataset()
+    epochs, runs = [], []
+    report, trained = run_experiment(
+        [make_config("lr", input_dim=6)], train_g, hold_g,
+        TrainConfig(epochs=3, num_runs=2, seed=5),
+        epoch_hook=lambda epoch, loss: epochs.append((epoch, loss)),
+        run_hook=lambda *args: runs.append(args))
+    rows = report.rows[0]["runs"]
+    assert [e for e, _loss in epochs] == [0, 1, 2, 0, 1, 2]
+    assert [loss for _e, loss in epochs] == [v for row in rows for v in row["loss_history"]]
+    assert [r for _mc, r, *_rest in runs] == [0, 1]
+    for (mc, r, params, history, metrics), row in zip(runs, rows):
+        assert mc.init_seed == row["seed"] == 5 + r
+        assert params is trained["lr"][r]
+        assert history == row["loss_history"]
+        assert (metrics.accuracy, metrics.macro_f1) == (row["accuracy"], row["macro_f1"])
+
+
+def test_run_experiment_divergence_names_model_run_and_seed():
+    train_g, hold_g = tiny_dataset()
+    tc = TrainConfig(epochs=2, learning_rate=1e200, optimizer="sgd", num_runs=2,
+                     seed=7)
+    with pytest.raises(DivergenceError, match=r"^fcn run 0 \(seed 7\): non-finite "
+                                              r"loss at epoch \d+, sample "):
+        run_experiment([make_config("fcn", input_dim=6, hidden_dim=4)],
+                       train_g, hold_g, tc)
+
+
 def test_run_experiment_deterministic_report_bytes():
     from stgno.ioutil import dump_json
     train_g, hold_g = tiny_dataset()
