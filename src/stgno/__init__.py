@@ -2,7 +2,7 @@
 classification on spatially resolved expression data."""
 
 from .errors import (CheckpointError, ContractError, DataError, DimensionError,
-                     DivergenceError, NormalizationError, ParameterError)
+                     DivergenceError, ParameterError)
 
 __all__ = [
     "CheckpointError",
@@ -10,7 +10,6 @@ __all__ = [
     "DataError",
     "DimensionError",
     "DivergenceError",
-    "NormalizationError",
     "ParameterError",
 ]
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import pipeline as pl
 from . import train as tr
 from .errors import (CheckpointError, ContractError, DataError, DimensionError,
-                     DivergenceError, NormalizationError, ParameterError)
+                     DivergenceError, ParameterError)
 from .ioutil import atomic_write_text, dump_json, read_json
 from .models import MODEL_KINDS, make_config
 from .train import TrainConfig, evaluate, load_checkpoint, run_experiment, save_checkpoint
@@ -387,18 +387,33 @@ def _apply_config_file(argv, args):
         raise DataError(f"config file {cfg_path} must hold a JSON object")
     parser, subparsers = build_parser()
     sub = subparsers[args.command]
-    valid = {a.dest for a in sub._actions}
-    unknown = set(cfg) - valid
+    actions = {a.dest: a for a in sub._actions}
+    unknown = set(cfg) - set(actions)
     if unknown:
         raise UsageError(f"unknown config key(s) {sorted(unknown)} for "
                          f"'{args.command}'")
-    converted = {}
-    for key, value in cfg.items():
-        if key == "kernel_hidden" and isinstance(value, list):
-            value = tuple(int(v) for v in value)
-        converted[key] = value
-    sub.set_defaults(**converted)
+    sub.set_defaults(**{key: _config_value(actions[key], key, value)
+                        for key, value in cfg.items()})
     return parser.parse_args(argv)
+
+
+def _config_value(action, key: str, value):
+    """A config-file value read as its flag reads the command line: through
+    the flag's ``type`` and ``choices``, lists comma-joined; null only where
+    the flag's default is None."""
+    if value is None:
+        if action.default is None:
+            return None
+        raise UsageError(f"config key {key!r} cannot be null")
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    try:
+        converted = action.type(text) if action.type else text
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise UsageError(f"config key {key!r}: invalid value {value!r} ({exc})") from None
+    if action.choices is not None and converted not in action.choices:
+        raise UsageError(f"config key {key!r}: invalid choice {value!r} "
+                         f"(choose from {', '.join(map(str, action.choices))})")
+    return converted
 
 
 def main(argv=None) -> int:
@@ -415,7 +430,7 @@ def main(argv=None) -> int:
         print(f"error:usage: {exc}", file=sys.stderr)
         return 1
     except (DataError, CheckpointError, ContractError, DimensionError,
-            NormalizationError, IndexError) as exc:
+            IndexError) as exc:
         print(f"error:data: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

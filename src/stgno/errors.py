@@ -22,10 +22,6 @@ class DataError(ValueError):
     threshold, degenerate-label problems)."""
 
 
-class NormalizationError(ValueError):
-    """A weight row sums to zero and cannot be normalized."""
-
-
 class CheckpointError(ValueError):
     """A checkpoint file is malformed or inconsistent with its config."""
 

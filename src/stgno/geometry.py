@@ -8,9 +8,10 @@ squared-distance comparison d2 <= radius**2.
 
 Edges are directed and stored both ways, sorted by (src, dst), with no
 self loops and no duplicates. Edge attributes are (dx, dy, distance)
-taken dst minus src. A built graph is immutable by convention. Constants
-derived from it (the padded in-neighbour layout, normalization and
-kernel weights) are computed on first use and cached on the instance;
+taken dst minus src. A graph owns a copy of the positions it was built
+from. A built graph is immutable by convention. Constants derived from
+it (the padded in-neighbour layout, normalization weights, Gaussian
+weights per bandwidth) are computed on first use and cached on the instance;
 concurrent first uses may compute one twice, with identical results.
 """
 
@@ -22,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DimensionError, NormalizationError, ParameterError
+from .errors import DimensionError, ParameterError
 
 
 def as_positions(obj) -> np.ndarray:
@@ -38,22 +39,24 @@ def as_positions(obj) -> np.ndarray:
 class RadiusGraph:
     """All ordered point pairs within ``radius``, plus their geometry."""
 
-    num_nodes: int
+    positions: np.ndarray  # (n, 2) float64, the graph's own copy
     edges: np.ndarray      # (m, 2) int64, directed both ways, sorted
     edge_attr: np.ndarray  # (m, 3) float64: dx, dy, euclidean distance
     radius: float
     _constants: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
+    def num_nodes(self) -> int:
+        return self.positions.shape[0]
+
+    @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
 
-    def cached(self, key, build: Callable[[], object],
-               reuse: Callable[[object], bool] | None = None):
-        """The per-graph constant ``key``: ``build()`` makes it on first use,
-        and again whenever ``reuse(held)`` says the held one is stale."""
+    def cached(self, key, build: Callable[[], object]):
+        """The per-graph constant ``key``, made by ``build()`` on first use."""
         held = self._constants.get(key)
-        if held is None or (reuse is not None and not reuse(held)):
+        if held is None:
             held = self._constants[key] = build()
         return held
 
@@ -117,8 +120,9 @@ def neighbour_layout(graph: RadiusGraph) -> NeighbourLayout:
 
 
 def build_radius_graph(points, radius: float) -> RadiusGraph:
-    """Connect every ordered pair (i, j), i != j, with ||p_i - p_j|| <= radius."""
-    pos = as_positions(points)
+    """Connect every ordered pair (i, j), i != j, with ||p_i - p_j|| <= radius;
+    the graph keeps its own copy of ``points``."""
+    pos = as_positions(np.array(points, dtype=np.float64))
     if not radius > 0:
         raise ParameterError(f"radius must be positive, got {radius}")
     n = pos.shape[0]
@@ -148,7 +152,7 @@ def build_radius_graph(points, radius: float) -> RadiusGraph:
         edges = np.stack([np.concatenate(srcs), np.concatenate(dsts)], axis=1)
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
-    return RadiusGraph(num_nodes=n, edges=edges,
+    return RadiusGraph(positions=pos, edges=edges,
                        edge_attr=edge_attributes(pos, edges), radius=float(radius))
 
 
@@ -173,37 +177,23 @@ class KernelWeights:
     weights: np.ndarray
 
 
-def gaussian_kernel_weights(points, edges, bandwidth: float, *,
-                            include_self: bool = True,
-                            row_normalize: bool = True) -> KernelWeights:
-    """Positional weights w(i, j) = exp(-d(i, j)^2 / (2 bandwidth^2)).
-
-    Weights live on the given edge support; with ``include_self`` each
-    node also gets w(i, i) = 1. With ``row_normalize`` every node's
-    incoming weights are divided by their sum, which is guaranteed
-    positive when the self weight is present.
-    """
+def gaussian_kernel_weights(points, edges, bandwidth: float) -> KernelWeights:
+    """Row-normalized positional weights on the edge support plus one self
+    loop per node: w(i, j) = exp(-d(i, j)^2 / (2 bandwidth^2)), w(i, i) = 1,
+    then every node's incoming weights divided by their sum (>= 1, from the
+    self weight)."""
     pos = as_positions(points)
     if not bandwidth > 0:
         raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     n = pos.shape[0]
     attr = edge_attributes(pos, edges)
-    w = np.exp(-(attr[:, 2] ** 2) / (2.0 * bandwidth * bandwidth))
-    src, dst = edges[:, 0], edges[:, 1]
-    if include_self:
-        loop = np.arange(n, dtype=np.int64)
-        src = np.concatenate([src, loop])
-        dst = np.concatenate([dst, loop])
-        w = np.concatenate([w, np.ones(n)])
-    if row_normalize:
-        sums = np.bincount(dst, weights=w, minlength=n)
-        if (sums <= 0.0).any():
-            bad = int(np.nonzero(sums <= 0.0)[0][0])
-            raise NormalizationError(
-                f"node {bad} has zero total kernel weight; "
-                "enable include_self or drop row_normalize")
-        w = w / sums[dst]
+    loop = np.arange(n, dtype=np.int64)
+    src = np.concatenate([edges[:, 0], loop])
+    dst = np.concatenate([edges[:, 1], loop])
+    w = np.concatenate([np.exp(-(attr[:, 2] ** 2) / (2.0 * bandwidth * bandwidth)),
+                        np.ones(n)])
+    w = w / np.bincount(dst, weights=w, minlength=n)[dst]
     return KernelWeights(num_nodes=n, src=src, dst=dst, weights=w)
 
 

@@ -26,6 +26,9 @@ and no per-edge h x h matrix is ever built. The hidden kernel layers run
 on the graph's padded in-neighbour layout (``RadiusGraph.layout``: every
 node's in-edges in D = max in-degree slots), built on first use and
 cached on the graph like the normalization and Gaussian weights.
+The spatial models read the spot coordinates from ``graph.positions``
+(the graph owns them) and cache their Gaussian weights on the graph,
+keyed by bandwidth alone.
 
 Parameter names are stable per config, so two inits with the same seed
 are bit-identical and checkpoints can be validated by name and shape.
@@ -68,7 +71,6 @@ _DEFAULT_LAYERS = {
 }
 
 _GRAPH_KINDS = ("gcn", "spatial_kernel", "spatial_gcn", "graphpde")
-_POSITIONAL_KINDS = ("spatial_kernel", "spatial_gcn")
 
 
 @dataclass(frozen=True)
@@ -125,10 +127,6 @@ class ModelConfig:
     @property
     def needs_graph(self) -> bool:
         return self.kind in _GRAPH_KINDS
-
-    @property
-    def needs_positions(self) -> bool:
-        return self.kind in _POSITIONAL_KINDS
 
 
 def make_config(kind: str, input_dim: int, **overrides) -> ModelConfig:
@@ -283,37 +281,28 @@ def gcn_forward(tape: Tape, config: ModelConfig, params: ModelParams,
     return _linear(tape, params, "readout", x)
 
 
-def _gaussian_weights_for(config: ModelConfig, graph: RadiusGraph,
-                          positions: np.ndarray) -> KernelWeights:
-    """Row-normalized Gaussian weights, cached on the graph per bandwidth
-    (rebuilt if called with other positions than the cached ones). They
-    live on the normalization weights' support (every edge in order, then
-    one self loop per node), so the cached copy shares its index arrays."""
+def _gaussian_weights_for(config: ModelConfig, graph: RadiusGraph) -> KernelWeights:
+    """Row-normalized Gaussian weights over the graph's own positions,
+    cached on the graph per bandwidth. They live on the normalization
+    weights' support (every edge in order, then one self loop per node),
+    so the cached copy shares its index arrays."""
     bandwidth = config.bandwidth if config.bandwidth is not None else graph.radius / 2.0
     norm = _norm_weights_for(graph)
 
     def build():
-        weights = gaussian_kernel_weights(positions, graph.edges, bandwidth,
-                                          include_self=True, row_normalize=True)
-        return (np.array(positions, dtype=np.float64),
-                replace(weights, src=norm.src, dst=norm.dst))
+        weights = gaussian_kernel_weights(graph.positions, graph.edges, bandwidth)
+        return replace(weights, src=norm.src, dst=norm.dst)
 
-    _held_positions, weights = graph.cached(
-        ("gaussian", bandwidth), build,
-        reuse=lambda held: np.array_equal(held[0], positions))
-    return weights
+    return graph.cached(("gaussian", bandwidth), build)
 
 
 def spatial_kernel_forward(tape: Tape, config: ModelConfig, params: ModelParams,
-                           graph: RadiusGraph, positions: np.ndarray,
-                           features: Value) -> Value:
+                           graph: RadiusGraph, features: Value) -> Value:
     """Kernel-averaged linear stack: X <- act(L_i(K X)) with the final
     linear un-activated. The Gaussian weights are cached on the graph and
     shared across all layers."""
-    if positions is None:
-        raise ContractError("spatial_kernel requires node positions")
     act = ad.ACTIVATIONS[config.activation]
-    weights = _gaussian_weights_for(config, graph, positions)
+    weights = _gaussian_weights_for(config, graph)
     x = features
     for i in range(config.num_layers - 1):
         x = act(tape, _linear(tape, params, f"layer_{i}", apply_kernel(tape, weights, x)))
@@ -321,12 +310,9 @@ def spatial_kernel_forward(tape: Tape, config: ModelConfig, params: ModelParams,
 
 
 def spatial_gcn_forward(tape: Tape, config: ModelConfig, params: ModelParams,
-                        graph: RadiusGraph, positions: np.ndarray,
-                        features: Value) -> Value:
-    if positions is None:
-        raise ContractError("spatial_gcn requires node positions")
+                        graph: RadiusGraph, features: Value) -> Value:
     act = ad.ACTIVATIONS[config.activation]
-    weights = _gaussian_weights_for(config, graph, positions)
+    weights = _gaussian_weights_for(config, graph)
     norm = _norm_weights_for(graph)
     x = features
     for i in range(config.num_layers):
@@ -388,8 +374,7 @@ def graphpde_forward(tape: Tape, config: ModelConfig, params: ModelParams,
 
 
 def model_forward(tape: Tape, config: ModelConfig, params: ModelParams,
-                  features, graph: RadiusGraph | None = None,
-                  positions=None) -> Value:
+                  features, graph: RadiusGraph | None = None) -> Value:
     """Dispatch one forward pass; returns n x num_classes logits."""
     x = features if isinstance(features, Value) else ad.constant(features)
     if x.data.shape[1] != config.input_dim:
@@ -404,9 +389,9 @@ def model_forward(tape: Tape, config: ModelConfig, params: ModelParams,
     if config.kind == "gcn":
         return gcn_forward(tape, config, params, graph, x)
     if config.kind == "spatial_kernel":
-        return spatial_kernel_forward(tape, config, params, graph, positions, x)
+        return spatial_kernel_forward(tape, config, params, graph, x)
     if config.kind == "spatial_gcn":
-        return spatial_gcn_forward(tape, config, params, graph, positions, x)
+        return spatial_gcn_forward(tape, config, params, graph, x)
     if config.kind == "graphpde":
         return graphpde_forward(tape, config, params, graph, x)
     raise ParameterError(f"unknown model kind {config.kind!r}")

@@ -11,8 +11,9 @@ File contracts:
   with ``manifest.json`` plus one ``<sample_id>.graph.json`` per sample
   holding its id, positions, features and labels as nested numeric
   arrays. No edges are stored: every graph is rebuilt on load from its
-  positions and the manifest's ``radius``. Directories written by an
-  earlier format version are refused; re-run ``stgno prepare``.
+  positions and the manifest's ``radius``, which then owns them
+  (``sample.graph.positions``). Directories written by an earlier format
+  version are refused; re-run ``stgno prepare``.
 
 The pipeline is deterministic: the same (file, flags, seed) produces a
 bit-identical prepared dataset.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import csv
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,8 @@ _SAMPLE_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 @dataclass
 class SpotTable:
-    """Raw ingested spots; ``class_ids`` is populated by :func:`bin_labels`."""
+    """Raw ingested spots; ``class_ids`` is populated by :func:`bin_labels`.
+    Rows are grouped by sample id once, on first use."""
 
     sample_ids: list[str]
     positions: np.ndarray        # (n, 2)
@@ -48,21 +50,29 @@ class SpotTable:
     raw_labels: list[str]
     gene_names: list[str]
     class_ids: np.ndarray | None = None
+    _groups: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_spots(self) -> int:
         return len(self.sample_ids)
 
+    def _grouped(self) -> dict[str, np.ndarray]:
+        """Sample id -> its read-only row indices, both in file order."""
+        if self._groups is None:
+            rows: dict[str, list[int]] = {}
+            for i, sid in enumerate(self.sample_ids):
+                rows.setdefault(sid, []).append(i)
+            self._groups = {sid: np.array(r, dtype=np.int64) for sid, r in rows.items()}
+            for r in self._groups.values():
+                r.flags.writeable = False
+        return self._groups
+
     def sample_order(self) -> list[str]:
         """Distinct sample ids in first-appearance order."""
-        seen: dict[str, None] = {}
-        for sid in self.sample_ids:
-            seen.setdefault(sid)
-        return list(seen)
+        return list(self._grouped())
 
     def rows_for(self, sample_id: str) -> np.ndarray:
-        return np.array([i for i, sid in enumerate(self.sample_ids)
-                         if sid == sample_id], dtype=np.int64)
+        return self._grouped().get(sample_id, np.zeros(0, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -91,8 +101,7 @@ class GraphSample:
 
     sample_id: str
     node_features: np.ndarray    # (n, d)
-    positions: np.ndarray        # (n, 2)
-    graph: RadiusGraph
+    graph: RadiusGraph           # owns the (n, 2) spot positions
     labels: np.ndarray           # (n,) class indices
 
     @property
@@ -293,9 +302,10 @@ def select_holdout(table: SpotTable, k: int, min_classes: int, seed: int) -> Dat
 
 def fit_feature_scaler(table: SpotTable, train_sample_ids) -> tuple[np.ndarray, np.ndarray]:
     """Per-gene mean/std over training spots; zero-variance genes keep std 1."""
-    train_set = set(train_sample_ids)
-    rows = np.array([i for i, sid in enumerate(table.sample_ids) if sid in train_set],
-                    dtype=np.int64)
+    train = np.zeros(table.num_spots, dtype=bool)
+    for sid in set(train_sample_ids):
+        train[table.rows_for(sid)] = True
+    rows = np.flatnonzero(train)
     if rows.size == 0:
         raise DataError("no training spots to fit the feature scaler on")
     sub = table.expression[rows]
@@ -308,12 +318,11 @@ def fit_feature_scaler(table: SpotTable, train_sample_ids) -> tuple[np.ndarray, 
 def graph_sample(sample_id: str, features, positions, labels,
                  radius: float) -> GraphSample:
     """One slide as a graph: copies of its arrays plus the radius graph of
-    its positions. Every GraphSample is built here."""
-    positions = np.array(positions, dtype=np.float64)
+    its positions, which keeps its own copy of them. Every GraphSample is
+    built here."""
     return GraphSample(
         sample_id=sample_id,
         node_features=np.array(features, dtype=np.float64),
-        positions=positions,
         graph=build_radius_graph(positions, radius),
         labels=np.array(labels, dtype=np.int64),
     )
@@ -427,7 +436,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[SpotTable, LabelMap]:
 def _graph_sample_to_json(sample: GraphSample) -> dict:
     return {
         "sample_id": sample.sample_id,
-        "positions": sample.positions.tolist(),
+        "positions": sample.graph.positions.tolist(),
         "features": sample.node_features.tolist(),
         "labels": sample.labels.tolist(),
     }

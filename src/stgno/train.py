@@ -158,7 +158,7 @@ def make_optimizer(config: TrainConfig, params: ModelParams):
 def forward_sample(tape: Tape, config: ModelConfig, params: ModelParams,
                    sample: GraphSample) -> ad.Value:
     return model_forward(tape, config, params, sample.node_features,
-                         graph=sample.graph, positions=sample.positions)
+                         graph=sample.graph)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -63,13 +63,13 @@ def _fd_model_check(kind, rng, tol=1e-4):
 
     def loss_value():
         tape = ad.Tape()
-        logits = model_forward(tape, cfg, params, x, graph=graph, positions=pts)
+        logits = model_forward(tape, cfg, params, x, graph=graph)
         return float(weighted_cross_entropy(tape, logits, labels,
                                             weights).data[0, 0])
 
     params.zero_grads()
     tape = ad.Tape()
-    logits = model_forward(tape, cfg, params, x, graph=graph, positions=pts)
+    logits = model_forward(tape, cfg, params, x, graph=graph)
     tape.backward(weighted_cross_entropy(tape, logits, labels, weights))
     worst = 0.0
     for name in params.names():
@@ -224,13 +224,11 @@ def test_criterion_04_equivariance_suite():
         cfg = make_config(kind, input_dim=4, hidden_dim=4, kernel_net_hidden=(8,),
                           init_seed=29)
         params = init_params(cfg)
-        base = model_forward(ad.Tape(), cfg, params, x, graph=graph,
-                             positions=pts).data
+        base = model_forward(ad.Tape(), cfg, params, x, graph=graph).data
         for trial in range(20):
             perm = np.random.default_rng(trial).permutation(11)
             p_graph = build_radius_graph(pts[perm], graph.radius)
-            out = model_forward(ad.Tape(), cfg, params, x[perm], graph=p_graph,
-                                positions=pts[perm]).data
+            out = model_forward(ad.Tape(), cfg, params, x[perm], graph=p_graph).data
             worst = max(worst, np.abs(base[perm] - out).max())
     gate("criterion 4: permutation equivariance, 20 permutations x 4 graph models",
          worst < 1e-9, f"worst abs err {worst:.2e}")
@@ -258,7 +256,7 @@ def test_criterion_05_degeneracy_identities():
                      init_seed=3)
     fcn2 = make_config("fcn", input_dim=5, hidden_dim=4, num_layers=2, init_seed=3)
     shared = init_params(fcn2)
-    out_sk = model_forward(ad.Tape(), sk, shared, x, graph=graph, positions=pts).data
+    out_sk = model_forward(ad.Tape(), sk, shared, x, graph=graph).data
     out_fcn = model_forward(ad.Tape(), fcn2, shared, x).data
     bandwidth_err = np.abs(out_sk - out_fcn).max()
 

@@ -322,7 +322,8 @@ def test_kernel_message_mean_pad_slots_get_zero_gradient():
 
 
 def test_kernel_message_mean_without_edges_is_exactly_zero():
-    graph = RadiusGraph(num_nodes=4, edges=np.zeros((0, 2), dtype=np.int64),
+    graph = RadiusGraph(positions=np.zeros((4, 2)),
+                        edges=np.zeros((0, 2), dtype=np.int64),
                         edge_attr=np.zeros((0, 3)), radius=1.0)
     assert graph.layout.max_degree == 0
     hidden, weight, bias, v = _kernel_mean_inputs(graph, 3, 2)

@@ -443,3 +443,29 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code = run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == 1
     assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", [{"epochs": 1.5}, {"kernel_hidden": [8, "x"]},
+                                    {"runs": None}])
+def test_config_file_wrong_type_is_usage_error(prepared_dir, tmp_path, capsys, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    code = run_cli("train", "--data", str(prepared_dir), "--model", "lr",
+                   "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:usage:")
+    assert err.count("\n") == 1
+    assert next(iter(values)) in err
+
+
+def test_config_file_values_read_like_flags(prepared_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel_hidden": [4, 2], "bandwidth": None,
+                               "class_weighting": False, "lr": 0.01, "epochs": 1}))
+    common = ("train", "--data", str(prepared_dir), "--model", "lr", "--runs", "1")
+    assert run_cli(*common, "--config", str(cfg), "--out", str(tmp_path / "cfg")) == 0
+    assert run_cli(*common, "--kernel-hidden", "4,2", "--class-weighting", "false",
+                   "--lr", "0.01", "--epochs", "1", "--out", str(tmp_path / "flags")) == 0
+    assert ((tmp_path / "cfg" / "run_0.ckpt.json").read_bytes()
+            == (tmp_path / "flags" / "run_0.ckpt.json").read_bytes())

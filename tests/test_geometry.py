@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stgno import autodiff as ad
-from stgno.errors import DimensionError, NormalizationError, ParameterError
+from stgno.errors import DimensionError, ParameterError
 from stgno.geometry import (KernelWeights, apply_kernel, build_radius_graph,
                             edge_attributes, gaussian_kernel_weights)
 
@@ -99,10 +99,12 @@ def test_edge_attribute_distance_column_exact():
 
 
 def test_zero_distance_weight_is_one():
+    # a coincident neighbour weighs exactly as much as the node itself
     pts = [(0.0, 0.0), (0.0, 0.0)]
-    kw = gaussian_kernel_weights(pts, [(0, 1), (1, 0)], bandwidth=0.5,
-                                 include_self=False, row_normalize=False)
-    assert np.array_equal(kw.weights, [1.0, 1.0])
+    kw = gaussian_kernel_weights(pts, [(0, 1), (1, 0)], bandwidth=0.5)
+    assert np.array_equal(kw.weights, [0.5, 0.5, 0.5, 0.5])
+    assert np.array_equal(dense_weight_matrix(kw),
+                          dense_gaussian_weights(pts, 1.0, 0.5))
 
 
 def test_one_neighbor_normalization_sums_to_one():
@@ -123,19 +125,24 @@ def test_kernel_weights_match_dense_formula():
 
 
 def test_kernel_symmetry_before_normalization():
+    # undoing the row normalization with the oracle's row sums leaves the
+    # symmetric Gaussian matrix
     pts = RNG.uniform(size=(25, 2))
     g = build_radius_graph(pts, 0.35)
-    kw = gaussian_kernel_weights(pts, g.edges, 0.2, include_self=False,
-                                 row_normalize=False)
-    lut = {(s, d): w for s, d, w in zip(kw.src, kw.dst, kw.weights)}
-    assert all(lut[(s, d)] == lut[(d, s)] for s, d in lut)
+    kw = gaussian_kernel_weights(pts, g.edges, 0.2)
+    raw = dense_gaussian_weights(pts, 0.35, 0.2, row_normalize=False)
+    assert np.array_equal(raw, raw.T)
+    unnormalized = dense_weight_matrix(kw) * raw.sum(axis=1, keepdims=True)
+    assert np.abs(unnormalized - unnormalized.T).max() < 1e-12
 
 
-def test_isolated_node_normalization_error():
-    pts = [(0.0, 0.0), (5.0, 5.0)]
-    with pytest.raises(NormalizationError):
-        gaussian_kernel_weights(pts, np.zeros((0, 2)), 0.5,
-                                include_self=False, row_normalize=True)
+def test_isolated_node_keeps_only_its_self_weight():
+    pts = [(0.0, 0.0), (0.1, 0.0), (5.0, 5.0)]
+    g = build_radius_graph(pts, 0.5)
+    kw = gaussian_kernel_weights(pts, g.edges, 0.5)
+    K = dense_weight_matrix(kw)
+    assert np.array_equal(K[2], [0.0, 0.0, 1.0])
+    assert np.abs(K - dense_gaussian_weights(pts, 0.5, 0.5)).max() < 1e-15
 
 
 def test_bad_bandwidth():
@@ -244,4 +251,3 @@ def test_graph_constants_are_built_once():
     first = g.cached("k", lambda: calls.append(1) or "value")
     assert g.cached("k", lambda: calls.append(1) or "other") == first == "value"
     assert calls == [1]
-    assert g.cached("k", lambda: "rebuilt", reuse=lambda held: False) == "rebuilt"

@@ -26,12 +26,13 @@ def random_graph(n, radius=0.5, seed=0):
 def two_node_graph(dist=0.5):
     pts = np.array([[0.0, 0.0], [dist, 0.0]])
     edges = np.array([[0, 1], [1, 0]])
-    return pts, RadiusGraph(num_nodes=2, edges=edges,
+    return pts, RadiusGraph(positions=pts, edges=edges,
                             edge_attr=edge_attributes(pts, edges), radius=1.0)
 
 
-def edgeless_graph(n):
-    return RadiusGraph(num_nodes=n, edges=np.zeros((0, 2), dtype=np.int64),
+def edgeless_graph(n, positions=None):
+    positions = np.zeros((n, 2)) if positions is None else positions
+    return RadiusGraph(positions=positions, edges=np.zeros((0, 2), dtype=np.int64),
                        edge_attr=np.zeros((0, 3)), radius=1.0)
 
 
@@ -206,12 +207,11 @@ def test_graph_model_permutation_equivariance(kind):
                       init_seed=7)
     params = init_params(cfg)
     x = RNG.uniform(-1, 1, (12, 4))
-    base = model_forward(ad.Tape(), cfg, params, x, graph=graph, positions=pts).data
+    base = model_forward(ad.Tape(), cfg, params, x, graph=graph).data
     for seed in range(3):
         perm = np.random.default_rng(seed).permutation(12)
         p_pts, p_graph, p_x, _inv = _permute_sample(pts, graph, x, perm)
-        out = model_forward(ad.Tape(), cfg, params, p_x, graph=p_graph,
-                            positions=p_pts).data
+        out = model_forward(ad.Tape(), cfg, params, p_x, graph=p_graph).data
         assert np.abs(base[perm] - out).max() < 1e-9
 
 
@@ -220,7 +220,7 @@ def test_graph_model_permutation_equivariance(kind):
 
 
 def test_spatial_kernel_tiny_bandwidth_equals_fcn_with_shared_params():
-    pts, graph = random_graph(10, radius=0.5, seed=9)
+    _pts, graph = random_graph(10, radius=0.5, seed=9)
     sk = make_config("spatial_kernel", input_dim=4, hidden_dim=5,
                      bandwidth=1e-8, init_seed=4)
     fcn = make_config("fcn", input_dim=4, hidden_dim=5, num_layers=2, init_seed=4)
@@ -228,7 +228,7 @@ def test_spatial_kernel_tiny_bandwidth_equals_fcn_with_shared_params():
     assert [name for name, _ in parameter_shapes(sk)] == \
         [name for name, _ in parameter_shapes(fcn)]
     x = RNG.uniform(-1, 1, (10, 4))
-    out_sk = model_forward(ad.Tape(), sk, params, x, graph=graph, positions=pts).data
+    out_sk = model_forward(ad.Tape(), sk, params, x, graph=graph).data
     out_fcn = model_forward(ad.Tape(), fcn, params, x).data
     assert np.abs(out_sk - out_fcn).max() < 1e-9
 
@@ -240,21 +240,19 @@ def test_spatial_kernel_single_node_equals_fcn():
     fcn = make_config("fcn", input_dim=3, hidden_dim=4, num_layers=2, init_seed=6)
     params = init_params(fcn)
     x = RNG.uniform(-1, 1, (1, 3))
-    out_sk = model_forward(ad.Tape(), sk, params, x, graph=graph, positions=pts).data
+    out_sk = model_forward(ad.Tape(), sk, params, x, graph=graph).data
     out_fcn = model_forward(ad.Tape(), fcn, params, x).data
     assert np.abs(out_sk - out_fcn).max() < 1e-12
 
 
 def test_spatial_gcn_double_degeneracy_reduces_to_fcn():
     # edgeless graph: S-hat = I and the self-only kernel weight is 1
-    graph = edgeless_graph(6)
-    pts = RNG.uniform(size=(6, 2))
+    graph = edgeless_graph(6, RNG.uniform(size=(6, 2)))
     sgcn = make_config("spatial_gcn", input_dim=4, hidden_dim=5, init_seed=8)
     fcn = make_config("fcn", input_dim=4, hidden_dim=5, init_seed=8)
     params = init_params(fcn)
     x = RNG.uniform(-1, 1, (6, 4))
-    out_sgcn = model_forward(ad.Tape(), sgcn, params, x, graph=graph,
-                             positions=pts).data
+    out_sgcn = model_forward(ad.Tape(), sgcn, params, x, graph=graph).data
     out_fcn = model_forward(ad.Tape(), fcn, params, x).data
     assert np.array_equal(out_sgcn, out_fcn)
 
@@ -265,34 +263,39 @@ def test_row_mixing_weights_cached_on_graph_give_identical_outputs():
     params = init_params(cfg)
     x = RNG.uniform(-1, 1, (10, 4))
 
-    def run(g, positions):
-        return model_forward(ad.Tape(), cfg, params, x, graph=g,
-                             positions=positions).data
+    def run(g):
+        return model_forward(ad.Tape(), cfg, params, x, graph=g).data
 
-    first = run(graph, pts)
-    assert np.array_equal(run(graph, pts), first)
-    assert np.array_equal(run(build_radius_graph(pts, 0.5), pts), first)
-    # other positions on the same graph: the Gaussian weights are rebuilt
-    moved = pts + RNG.uniform(-0.01, 0.01, pts.shape)
-    assert np.array_equal(run(graph, moved), run(build_radius_graph(pts, 0.5), moved))
+    first = run(graph)
+    assert np.array_equal(run(graph), first)
+    assert np.array_equal(run(build_radius_graph(pts, 0.5)), first)
+
+
+@pytest.mark.parametrize("kind", ["spatial_kernel", "spatial_gcn"])
+def test_graph_keeps_its_positions_when_the_input_array_changes(kind):
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(size=(10, 2))
+    graph = build_radius_graph(pts, 0.5)
+    cfg = make_config(kind, input_dim=4, hidden_dim=5, init_seed=4)
+    params = init_params(cfg)
+    x = rng.uniform(-1, 1, (10, 4))
+    want = model_forward(ad.Tape(), cfg, params, x,
+                         graph=build_radius_graph(pts.copy(), 0.5)).data
+    original = pts.copy()
+    pts += rng.uniform(-0.2, 0.2, pts.shape)
+    assert np.array_equal(graph.positions, original)
+    assert np.array_equal(model_forward(ad.Tape(), cfg, params, x, graph=graph).data,
+                          want)
 
 
 def test_gaussian_and_norm_weights_share_one_support():
     # the cached Gaussian weights reuse the normalization weights' index arrays
-    for pts, graph in (random_graph(12, radius=0.4, seed=2),
-                       (RNG.uniform(size=(3, 2)), edgeless_graph(3))):
-        gauss = gaussian_kernel_weights(pts, graph.edges, 0.1)
+    for graph in (random_graph(12, radius=0.4, seed=2)[1],
+                  edgeless_graph(3, RNG.uniform(size=(3, 2)))):
+        gauss = gaussian_kernel_weights(graph.positions, graph.edges, 0.1)
         norm = symmetric_norm_weights(graph)
         assert np.array_equal(gauss.src, norm.src)
         assert np.array_equal(gauss.dst, norm.dst)
-
-
-def test_spatial_models_need_positions():
-    _pts, graph = random_graph(5, seed=2)
-    cfg = make_config("spatial_kernel", input_dim=3, init_seed=0)
-    with pytest.raises(ContractError):
-        model_forward(ad.Tape(), cfg, init_params(cfg), np.zeros((5, 3)),
-                      graph=graph, positions=None)
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +432,11 @@ def test_graphpde_forward_with_isolated_nodes_matches_reference():
 
 def test_graphpde_shape_contract():
     for n in (1, 2, 9):
-        pts, graph = random_graph(n, radius=0.6, seed=n)
+        _pts, graph = random_graph(n, radius=0.6, seed=n)
         cfg = make_config("graphpde", input_dim=3, hidden_dim=4,
                           kernel_net_hidden=(8,), init_seed=0)
         out = model_forward(ad.Tape(), cfg, init_params(cfg),
-                            RNG.uniform(-1, 1, (n, 3)), graph=graph, positions=pts)
+                            RNG.uniform(-1, 1, (n, 3)), graph=graph)
         assert out.data.shape == (n, 3)
 
 
@@ -478,6 +481,5 @@ def test_all_forwards_finite_on_finite_inputs(seed):
     for kind in ("lr", "fcn", "gcn", "spatial_kernel", "spatial_gcn", "graphpde"):
         cfg = make_config(kind, input_dim=4, hidden_dim=4, kernel_net_hidden=(8,),
                           init_seed=seed % 1000)
-        out = model_forward(ad.Tape(), cfg, init_params(cfg), x, graph=graph,
-                            positions=pts)
+        out = model_forward(ad.Tape(), cfg, init_params(cfg), x, graph=graph)
         assert np.isfinite(out.data).all()

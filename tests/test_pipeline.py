@@ -7,7 +7,8 @@ from stgno.errors import ContractError, DataError, ParameterError
 from stgno.geometry import build_radius_graph
 from stgno.pipeline import (PREPARED_VERSION, DatasetSplit, LabelMap, SpotTable,
                             SyntheticConfig, assemble_graphs, bin_labels,
-                            filter_genes, generate_synthetic, graph_sample,
+                            filter_genes, fit_feature_scaler,
+                            generate_synthetic, graph_sample,
                             load_label_map, load_prepared, load_spot_table,
                             save_prepared, select_holdout, write_label_map,
                             write_spot_table)
@@ -352,6 +353,24 @@ def test_synthetic_config_validation():
         SyntheticConfig(num_samples=0).validate()
 
 
+def test_spot_table_groups_rows_once_in_file_order():
+    table = SpotTable(sample_ids=["b", "a", "b", "c", "a", "b"],
+                      positions=np.zeros((6, 2)),
+                      expression=np.arange(12.0).reshape(6, 2),
+                      raw_labels=["x"] * 6, gene_names=["g1", "g2"])
+    assert table.sample_order() == ["b", "a", "c"]
+    for sid in ("a", "b", "c", "missing"):
+        want = [i for i, s in enumerate(table.sample_ids) if s == sid]
+        assert table.rows_for(sid).tolist() == want
+        assert table.rows_for(sid).dtype == np.int64
+    assert table.rows_for("b") is table.rows_for("b")
+    assert not table.rows_for("b").flags.writeable
+    mean, std = fit_feature_scaler(table, ["c", "b", "missing"])
+    rows = [0, 2, 3, 5]
+    assert np.array_equal(mean, table.expression[rows].mean(axis=0))
+    assert np.array_equal(std, table.expression[rows].std(axis=0))
+
+
 # ---------------------------------------------------------------------------
 # label map I/O and prepared dataset
 
@@ -385,7 +404,7 @@ def test_prepared_dataset_round_trip(tmp_path):
     for before, after in zip([*train, *hold], [*train2, *hold2]):
         assert before.sample_id == after.sample_id
         assert np.array_equal(before.node_features, after.node_features)
-        assert np.array_equal(before.positions, after.positions)
+        assert np.array_equal(before.graph.positions, after.graph.positions)
         assert np.array_equal(before.graph.edges, after.graph.edges)
         assert np.array_equal(before.graph.edge_attr, after.graph.edge_attr)
         assert np.array_equal(before.labels, after.labels)
@@ -406,7 +425,7 @@ def test_graph_sample_copies_inputs_and_builds_the_radius_graph():
     positions[:] = 0.0
     labels[:] = 0
     assert np.array_equal(sample.node_features, table.expression)
-    assert np.array_equal(sample.positions, table.positions)
+    assert np.array_equal(sample.graph.positions, table.positions)
     assert np.array_equal(sample.labels, np.arange(40) % 3)
 
 
