@@ -5,13 +5,24 @@ Differentiable primitives take an explicit :class:`Tape` and append one
 entry per executed op, so the tape is topologically ordered by
 construction; :meth:`Tape.backward` replays it in reverse, seeding the loss
 gradient with 1.0 and accumulating into each touched value's ``grad``
-slot. :class:`Parameter` grads are zero-initialized and persist across
+slot; an op output's slot is cleared again once its backward rule has run.
+:class:`Parameter` grads are zero-initialized and persist across
 backward calls (repeated backward without zeroing doubles them); the
-optimizer owns zeroing.
+optimizer owns zeroing. :func:`constant` makes a :class:`Constant` leaf
+(inputs such as node features and edge attributes); :func:`dense` skips
+its gradient instead of computing one nobody reads, while plain
+:class:`Value` and :class:`Parameter` inputs always get theirs.
 
-No broadcasting beyond the explicit row-bias op: every other shape
-mismatch raises, to catch model-wiring bugs early. All ops are
-deterministic and keep finite inputs finite.
+:func:`dense` is the one op behind every linear layer: ``act(x W + b)``
+in one output buffer and one tape entry, with the bits of the unfused
+``matmul`` -> ``add_row_broadcast`` -> ``relu`` / ``tanh`` chain.
+``Tape(record=False)`` runs ops without keeping anything for the
+backward pass (inference): each intermediate is freed as soon as the
+forward no longer holds it, and ``backward`` on such a tape raises.
+
+No broadcasting beyond the explicit row bias (``add_row_broadcast`` and
+``dense``): every other shape mismatch raises, to catch model-wiring
+bugs early. All ops are deterministic and keep finite inputs finite.
 """
 
 from __future__ import annotations
@@ -45,6 +56,13 @@ class Value:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
+
+
+class Constant(Value):
+    """A leaf that no op produced and nothing differentiates with respect
+    to; ops may skip computing its gradient."""
+
+    __slots__ = ()
 
 
 class Parameter(Value):
@@ -90,15 +108,19 @@ class Tape:
     Each entry stores the op name, its input values, the output value and
     a closure holding whatever the backward rule saved. Inputs of any
     entry were produced by earlier entries or are leaves, so a single
-    reverse sweep visits every entry exactly once.
+    reverse sweep visits every entry exactly once. A tape made with
+    ``record=False`` stores nothing and cannot run backward; ops compute
+    the same outputs on it.
     """
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
+        self.recording = record
         self._entries: list[tuple[str, tuple[Value, ...], Value, Callable[[], None]]] = []
 
     def record(self, op: str, inputs: tuple[Value, ...], output: Value,
                backward_fn: Callable[[], None]) -> None:
-        self._entries.append((op, inputs, output, backward_fn))
+        if self.recording:
+            self._entries.append((op, inputs, output, backward_fn))
 
     @property
     def entries(self):
@@ -112,21 +134,27 @@ class Tape:
 
         The loss must be a 1x1 value; its seed gradient is 1.0. Entries
         whose output never received a gradient are skipped (not reachable
-        from the loss). A tape is replayed once per forward pass; running
-        another pass on a fresh tape accumulates further into any shared
-        Parameter grads (they persist until explicitly zeroed).
+        from the loss). Each op output's gradient is released once its
+        entry's backward rule has used it, so intermediate gradients do not
+        pile up over the sweep; afterwards only leaves (values no entry
+        produced) hold gradients. A tape is replayed once per forward pass;
+        running another pass on a fresh tape accumulates further into any
+        shared Parameter grads (they persist until explicitly zeroed).
         """
+        if not self.recording:
+            raise ContractError("backward needs a recording tape")
         if loss.data.shape != (1, 1):
             raise ContractError(f"loss must be 1x1, got {loss.data.shape}")
         _accumulate(loss, np.ones((1, 1)))
         for _op, _inputs, output, backward_fn in reversed(self._entries):
             if output.grad is not None:
                 backward_fn()
+                output.grad = None
 
 
-def constant(data) -> Value:
+def constant(data) -> Constant:
     """A leaf value that is not recorded anywhere (no inputs to reach)."""
-    return Value(data)
+    return Constant(data)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +174,47 @@ def matmul(tape: Tape, a: Value, b: Value) -> Value:
         _accumulate(b, a.data.T @ g)
 
     tape.record("matmul", (a, b), out, bwd)
+    return out
+
+
+def dense(tape: Tape, x: Value, weight: Value, bias: Value,
+          activation: str | None = None) -> Value:
+    """One linear layer as one tape entry: act(x W + b), with the bias
+    added and the activation (None, "relu" or "tanh") applied in place in
+    the product's buffer. Bit-identical to matmul -> add_row_broadcast ->
+    relu/tanh. Backward masks the upstream gradient once (y > 0, or
+    1 - y^2 for tanh), then db = column sums, dW = x^T g and, unless x is
+    a :class:`Constant`, dx = g W^T."""
+    if x.data.shape[1] != weight.data.shape[0]:
+        raise DimensionError(
+            f"dense shape mismatch: {x.data.shape} x {weight.data.shape}")
+    if bias.data.shape != (1, weight.data.shape[1]):
+        raise DimensionError(
+            f"bias must be 1x{weight.data.shape[1]}, got {bias.data.shape}")
+    if activation is not None and activation not in ACTIVATIONS:
+        raise ContractError(f"unknown activation {activation!r}")
+    y = x.data @ weight.data
+    y += bias.data
+    if activation == "relu":
+        np.maximum(y, 0.0, out=y)
+    elif activation == "tanh":
+        np.tanh(y, out=y)
+    out = Value(y)
+
+    def bwd():
+        # the output's grad is dead once this runs (Tape.backward releases
+        # it), so the mask goes in place
+        g = out.grad
+        if activation == "relu":
+            g *= y > 0.0
+        elif activation == "tanh":
+            g *= 1.0 - y * y
+        _accumulate(bias, g.sum(axis=0, keepdims=True))
+        if not isinstance(x, Constant):
+            _accumulate(x, g @ weight.data.T)
+        _accumulate(weight, x.data.T @ g)
+
+    tape.record("dense", (x, weight, bias), out, bwd)
     return out
 
 

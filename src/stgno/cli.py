@@ -353,8 +353,7 @@ def _cmd_predict(args, argv):
         rows = table.rows_for(sid)
         sample = pl.graph_sample(sid, features[rows], table.positions[rows],
                                  np.zeros(rows.size, dtype=np.int64), radius)
-        tape = tr.Tape()
-        logits = tr.forward_sample(tape, config, params, sample)
+        logits = tr.forward_sample(tr.Tape(record=False), config, params, sample)
         preds = logits.data.argmax(axis=1)
         for i, row in enumerate(rows):
             lines.append(f"{sid},{float(table.positions[row, 0])!r},"

@@ -25,7 +25,10 @@ W~2 . mean_e(z_e outer v_e) + B2 . mean_e v_e (:func:`ad.kernel_message_mean`)
 and no per-edge h x h matrix is ever built. The hidden kernel layers run
 on the graph's padded in-neighbour layout (``RadiusGraph.layout``: every
 node's in-edges in D = max in-degree slots), built on first use and
-cached on the graph like the normalization and Gaussian weights.
+cached on the graph like the normalization and Gaussian weights. Each
+hidden kernel layer, like every linear+activation pair of every kind, is
+a single fused :func:`ad.dense` tape entry; the constant edge attributes
+and node features get no gradient.
 The spatial models read the spot coordinates from ``graph.positions``
 (the graph owns them) and cache their Gaussian weights on the graph,
 keyed by bandwidth alone.
@@ -224,9 +227,9 @@ def init_params(config: ModelConfig) -> ModelParams:
     return ModelParams(params)
 
 
-def _linear(tape: Tape, params: ModelParams, name: str, x: Value) -> Value:
-    return ad.add_row_broadcast(tape, ad.matmul(tape, x, params[f"{name}_w"]),
-                                params[f"{name}_b"])
+def _linear(tape: Tape, params: ModelParams, name: str, x: Value,
+            activation: str | None = None) -> Value:
+    return ad.dense(tape, x, params[f"{name}_w"], params[f"{name}_b"], activation)
 
 
 def symmetric_norm_weights(graph: RadiusGraph) -> KernelWeights:
@@ -252,19 +255,20 @@ def lr_forward(tape: Tape, config: ModelConfig, params: ModelParams,
 
 def fcn_forward(tape: Tape, config: ModelConfig, params: ModelParams,
                 features: Value) -> Value:
-    act = ad.ACTIVATIONS[config.activation]
     x = features
     for i in range(config.num_layers):
-        x = act(tape, _linear(tape, params, f"layer_{i}", x))
+        x = _linear(tape, params, f"layer_{i}", x, config.activation)
     return _linear(tape, params, "readout", x)
 
 
 def gcn_layer(tape: Tape, params: ModelParams, index: int,
-              norm: KernelWeights, x: Value) -> Value:
+              norm: KernelWeights, x: Value, activation: str | None = None) -> Value:
     """One convolution block: propagate with the normalized adjacency, then
-    a linear transform. An edgeless graph reduces this to a plain linear
-    layer (the self-loop weight is exactly 1)."""
-    return _linear(tape, params, f"layer_{index}", apply_kernel(tape, norm, x))
+    a linear transform and the activation, if any. An edgeless graph
+    reduces this to a plain linear layer (the self-loop weight is exactly
+    1)."""
+    return _linear(tape, params, f"layer_{index}", apply_kernel(tape, norm, x),
+                   activation)
 
 
 def _norm_weights_for(graph: RadiusGraph) -> KernelWeights:
@@ -273,11 +277,10 @@ def _norm_weights_for(graph: RadiusGraph) -> KernelWeights:
 
 def gcn_forward(tape: Tape, config: ModelConfig, params: ModelParams,
                 graph: RadiusGraph, features: Value) -> Value:
-    act = ad.ACTIVATIONS[config.activation]
     norm = _norm_weights_for(graph)
     x = features
     for i in range(config.num_layers):
-        x = act(tape, gcn_layer(tape, params, i, norm, x))
+        x = gcn_layer(tape, params, i, norm, x, config.activation)
     return _linear(tape, params, "readout", x)
 
 
@@ -301,23 +304,22 @@ def spatial_kernel_forward(tape: Tape, config: ModelConfig, params: ModelParams,
     """Kernel-averaged linear stack: X <- act(L_i(K X)) with the final
     linear un-activated. The Gaussian weights are cached on the graph and
     shared across all layers."""
-    act = ad.ACTIVATIONS[config.activation]
     weights = _gaussian_weights_for(config, graph)
     x = features
     for i in range(config.num_layers - 1):
-        x = act(tape, _linear(tape, params, f"layer_{i}", apply_kernel(tape, weights, x)))
+        x = _linear(tape, params, f"layer_{i}", apply_kernel(tape, weights, x),
+                    config.activation)
     return _linear(tape, params, "readout", apply_kernel(tape, weights, x))
 
 
 def spatial_gcn_forward(tape: Tape, config: ModelConfig, params: ModelParams,
                         graph: RadiusGraph, features: Value) -> Value:
-    act = ad.ACTIVATIONS[config.activation]
     weights = _gaussian_weights_for(config, graph)
     norm = _norm_weights_for(graph)
     x = features
     for i in range(config.num_layers):
         x = apply_kernel(tape, weights, x)
-        x = act(tape, gcn_layer(tape, params, i, norm, x))
+        x = gcn_layer(tape, params, i, norm, x, config.activation)
     return _linear(tape, params, "readout", x)
 
 
@@ -331,10 +333,10 @@ def kernel_net_forward(tape: Tape, config: ModelConfig, params: ModelParams,
     if edge_attr.data.shape[1] != 3:
         raise DimensionError(
             f"edge attributes must have width 3, got {edge_attr.data.shape[1]}")
-    act = ad.ACTIVATIONS[config.activation]
     x = edge_attr
     for j in range(len(config.kernel_net.widths) - 2):
-        x = act(tape, _linear(tape, params, f"layer_{layer_index}_kernel_{j}", x))
+        x = _linear(tape, params, f"layer_{layer_index}_kernel_{j}", x,
+                    config.activation)
     return x
 
 

@@ -208,14 +208,14 @@ def train(model_config: ModelConfig, graphs: list[GraphSample],
 def evaluate(params: ModelParams, config: ModelConfig,
              graphs: list[GraphSample]) -> Metrics:
     """Argmax predictions per spot (ties go to the lowest class index),
-    aggregated into one confusion matrix over all graphs."""
+    aggregated into one confusion matrix over all graphs. Forward only, on
+    a non-recording tape."""
     if not graphs:
         raise ContractError("evaluate requires a non-empty graph list")
     c = config.num_classes
     confusion = np.zeros((c, c), dtype=np.int64)
     for sample in graphs:
-        tape = Tape()
-        logits = forward_sample(tape, config, params, sample)
+        logits = forward_sample(Tape(record=False), config, params, sample)
         pred = logits.data.argmax(axis=1)
         np.add.at(confusion, (sample.labels, pred), 1)
     return metrics_from_confusion(confusion)

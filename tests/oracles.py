@@ -1,10 +1,13 @@
 """Independent reference implementations the tests check the library against.
 
 Everything here is deliberately naive (dense, quadratic, loop-based) and
-shares no code with the library paths under test.
+shares no code with the library paths under test; :func:`unfused_dense`
+chains the separate autodiff primitives that ``ad.dense`` fuses.
 """
 
 import numpy as np
+
+from stgno import autodiff as ad
 
 
 def finite_difference_grads(loss_fn, arrays, step=1e-6):
@@ -33,6 +36,13 @@ def rel_err(approx, exact):
     exact = np.asarray(exact, dtype=np.float64)
     denom = max(np.linalg.norm(exact), np.linalg.norm(approx), 1e-12)
     return np.linalg.norm(approx - exact) / denom
+
+
+def unfused_dense(tape, x, weight, bias, activation=None):
+    """``ad.dense`` as separate tape entries: matmul, then the row bias,
+    then the activation, if any."""
+    out = ad.add_row_broadcast(tape, ad.matmul(tape, x, weight), bias)
+    return out if activation is None else ad.ACTIVATIONS[activation](tape, out)
 
 
 def brute_force_radius_edges(points, radius):

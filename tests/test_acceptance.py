@@ -156,10 +156,25 @@ def test_criterion_01_gradient_suite():
         t, ad.kernel_message_mean(t, slots, kw, kb, nodes, layout), c53)),
         [slots, kw, kb, nodes])
 
+    # the fused linear layer, for every activation; drawn after the checks
+    # above so they keep their inputs. A constant input gets no gradient.
+    dx = ad.Parameter("dx", away_from_zero((4, 3)))
+    dw = ad.Parameter("dw", away_from_zero((3, 2)))
+    db = ad.Parameter("db", away_from_zero((1, 2)))
+    c42 = rng.uniform(-1, 1, (4, 2))
+    for activation in (None, "relu", "tanh"):
+        op_check(lambda t: ad.sum_all(t, ad.mul_const(
+            t, ad.dense(t, dx, dw, db, activation), c42)), [dx, dw, db])
+    const_x = ad.constant(dx.data.copy())
+    for activation in (None, "relu", "tanh"):
+        op_check(lambda t: ad.sum_all(t, ad.mul_const(
+            t, ad.dense(t, const_x, dw, db, activation), c42)), [dw, db])
+
     elapsed = time.monotonic() - started
     gate("criterion 1: gradient suite (ops + all models)",
-         worst < 1e-4 and elapsed < 60.0,
-         f"worst rel err {worst:.2e}, {elapsed:.1f}s")
+         worst < 1e-4 and elapsed < 60.0 and const_x.grad is None,
+         f"worst rel err {worst:.2e}, {elapsed:.1f}s, constant input grad "
+         f"{'none' if const_x.grad is None else 'set'}")
 
 
 def test_criterion_02_radius_graph_oracle():

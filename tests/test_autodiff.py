@@ -9,7 +9,7 @@ from stgno import autodiff as ad
 from stgno.errors import ContractError, DimensionError
 from stgno.geometry import RadiusGraph, build_radius_graph
 
-from oracles import finite_difference_grads, rel_err
+from oracles import finite_difference_grads, rel_err, unfused_dense
 
 RNG = np.random.default_rng(12345)
 
@@ -113,6 +113,90 @@ def test_add_gradient():
     coeffs = RNG.uniform(-1, 1, (4, 3))
     check_op_gradient(
         lambda t: weighted_sum_loss(t, ad.add(t, a, b), coeffs), [a, b])
+
+
+# ---------------------------------------------------------------------------
+# dense (fused linear layer)
+
+
+def _dense_pass(op, x, weight, bias, activation, coeffs):
+    tape = ad.Tape()
+    out = op(tape, x, weight, bias, activation)
+    tape.backward(weighted_sum_loss(tape, out, coeffs))
+    return tape, out
+
+
+@pytest.mark.parametrize("constant_x", [False, True])
+@pytest.mark.parametrize("activation", [None, "relu", "tanh"])
+def test_dense_is_bit_identical_to_unfused_chain(activation, constant_x):
+    rng = np.random.default_rng(7)
+    x_data = rng.uniform(-1, 1, (37, 5))
+    w_data = rng.uniform(-1, 1, (5, 6))
+    b_data = rng.uniform(-1, 1, (1, 6))
+    coeffs = rng.uniform(-1, 1, (37, 6))
+    runs = []
+    for op in (ad.dense, unfused_dense):
+        x = ad.constant(x_data) if constant_x else ad.Value(x_data)
+        weight, bias = ad.Parameter("w", w_data), ad.Parameter("b", b_data)
+        tape, out = _dense_pass(op, x, weight, bias, activation, coeffs)
+        runs.append((tape, out, x, weight, bias))
+    (tape, out, x, weight, bias), (_t, want, x_ref, weight_ref, bias_ref) = runs
+    assert [entry[0] for entry in tape.entries] == ["dense", "mul_const", "sum_all"]
+    if activation == "relu":
+        assert 0 < (out.data > 0).sum() < out.data.size
+    assert np.array_equal(out.data, want.data)
+    assert np.array_equal(weight.grad, weight_ref.grad)
+    assert np.array_equal(bias.grad, bias_ref.grad)
+    if constant_x:
+        assert isinstance(x, ad.Constant) and x.grad is None
+    else:
+        assert np.array_equal(x.grad, x_ref.grad)
+
+
+def test_dense_shape_errors():
+    x, weight, bias = (ad.constant(np.zeros(shape)) for shape in ((4, 3), (3, 2), (1, 2)))
+    with pytest.raises(DimensionError, match=r"\(4, 3\).*\(2, 2\)"):
+        ad.dense(ad.Tape(), x, ad.constant(np.zeros((2, 2))), bias)
+    with pytest.raises(DimensionError, match="bias must be 1x2"):
+        ad.dense(ad.Tape(), x, weight, ad.constant(np.zeros((1, 3))))
+    with pytest.raises(DimensionError):
+        ad.dense(ad.Tape(), x, weight, ad.constant(np.zeros((2, 2))))
+    with pytest.raises(ContractError, match="softplus"):
+        ad.dense(ad.Tape(), x, weight, bias, "softplus")
+
+
+def test_dense_on_zero_rows():
+    weight = ad.Parameter("w", np.ones((3, 4)))
+    bias = ad.Parameter("b", np.ones((1, 4)))
+    tape = ad.Tape()
+    out = ad.dense(tape, ad.constant(np.zeros((0, 3))), weight, bias, "relu")
+    assert out.data.shape == (0, 4)
+    tape.backward(ad.sum_all(tape, out))
+    assert np.array_equal(weight.grad, np.zeros((3, 4)))
+    assert np.array_equal(bias.grad, np.zeros((1, 4)))
+
+
+# ---------------------------------------------------------------------------
+# non-recording tape
+
+
+def test_non_recording_tape_keeps_nothing_and_computes_the_same():
+    rng = np.random.default_rng(8)
+    x = safe_uniform((6, 3), rng)
+    weight = ad.Parameter("w", safe_uniform((3, 4), rng))
+    bias = ad.Parameter("b", safe_uniform((1, 4), rng))
+
+    def forward(tape):
+        hidden = ad.dense(tape, ad.constant(x), weight, bias, "tanh")
+        return ad.log_softmax_rows(tape, ad.relu(tape, hidden))
+
+    tape = ad.Tape(record=False)
+    out = forward(tape)
+    assert len(tape) == 0 and tape.entries == ()
+    assert np.array_equal(out.data, forward(ad.Tape()).data)
+    with pytest.raises(ContractError, match="recording"):
+        tape.backward(ad.sum_all(tape, out))
+    assert np.array_equal(weight.grad, np.zeros((3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +532,18 @@ def test_repeated_backward_without_zeroing_doubles_grads():
     assert np.array_equal(w.grad, 2.0 * once)
     w.zero_grad()
     assert np.array_equal(w.grad, np.zeros((2, 2)))
+
+
+def test_backward_releases_intermediate_grads_and_keeps_leaf_grads():
+    rng = np.random.default_rng(9)
+    w = ad.Parameter("w", safe_uniform((3, 3), rng))
+    x = ad.Value(safe_uniform((3, 3), rng))
+    tape = ad.Tape()
+    hidden = ad.dense(tape, x, w, ad.constant(np.zeros((1, 3))), "tanh")
+    loss = ad.sum_all(tape, ad.relu(tape, hidden))
+    tape.backward(loss)
+    assert hidden.grad is None and loss.grad is None
+    assert np.abs(w.grad).max() > 0.0 and np.abs(x.grad).max() > 0.0
 
 
 def test_backward_requires_scalar_loss():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stgno import autodiff as ad
 from stgno.cli import build_parser, main
 from stgno.pipeline import PREPARED_VERSION, load_spot_table
 
@@ -238,6 +239,23 @@ def test_predict_row_count_matches_spots(synth_dir, trained_dir, tmp_path):
     first = lines[1].split(",")
     assert float(first[1]) == source.positions[0, 0]
     assert float(first[2]) == source.positions[0, 1]
+
+
+def test_predict_runs_on_non_recording_tapes(synth_dir, trained_dir, tmp_path,
+                                            monkeypatch):
+    tapes = []
+    init = ad.Tape.__init__
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tapes.append(self)
+
+    monkeypatch.setattr(ad.Tape, "__init__", recorded_init)
+    assert run_cli("predict", "--checkpoint", str(trained_dir / "best.ckpt.json"),
+                   "--spots", str(synth_dir / "spots.csv"),
+                   "--out", str(tmp_path / "preds.csv")) == 0
+    assert len(tapes) == 6
+    assert all(not tape.recording and len(tape) == 0 for tape in tapes)
 
 
 @pytest.mark.parametrize("version", [1, None])

@@ -12,8 +12,11 @@ from stgno.models import (ModelParams, gcn_layer, graphpde_forward,
                           make_config, model_forward, parameter_shapes,
                           symmetric_norm_weights)
 
+from stgno.train import class_weights, weighted_cross_entropy
+
 from oracles import (dense_graphpde_layer, finite_difference_grads,
-                     kernel_net_reference, reference_graphpde_forward, rel_err)
+                     kernel_net_reference, reference_graphpde_forward, rel_err,
+                     unfused_dense)
 
 RNG = np.random.default_rng(99)
 
@@ -469,6 +472,41 @@ def test_kernel_net_gradient_matches_finite_differences():
     fd = finite_difference_grads(loss_value, [p.data for p in phi])
     for p, want in zip(phi, fd):
         assert rel_err(p.grad, want) < 1e-4
+
+
+def _training_step(cfg, params, graph, x, labels):
+    params.zero_grads()
+    tape = ad.Tape()
+    logits = model_forward(tape, cfg, params, x, graph=graph)
+    loss = weighted_cross_entropy(tape, logits, labels, class_weights(labels))
+    tape.backward(loss)
+    return len(tape), loss.data.copy(), {n: p.grad.copy() for n, p in params.items()}
+
+
+@pytest.mark.parametrize("kind,activation", [
+    ("graphpde", "relu"), ("graphpde", "tanh"), ("fcn", "relu"), ("fcn", "tanh"),
+    ("lr", "relu"), ("gcn", "relu"), ("spatial_kernel", "relu"),
+    ("spatial_gcn", "relu")])
+def test_fused_step_is_bit_identical_to_unfused(monkeypatch, kind, activation):
+    # the criterion-7 widths (h = 8, k = 32, r = 0.25) on a smaller slide;
+    # the reference step runs every linear layer as matmul -> row bias ->
+    # activation
+    rng = np.random.default_rng(41)
+    _pts, graph = random_graph(120, radius=0.25, seed=41)
+    cfg = make_config(kind, input_dim=6, hidden_dim=8, kernel_net_hidden=(32,),
+                      activation=activation, init_seed=2)
+    params = init_params(cfg)
+    _randomize_biases(params, rng)
+    x = rng.uniform(-1, 1, (120, 6))
+    labels = rng.integers(0, 3, 120)
+    fused_entries, fused_loss, fused_grads = _training_step(cfg, params, graph, x, labels)
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "dense", unfused_dense)
+        entries, loss, grads = _training_step(cfg, params, graph, x, labels)
+    assert fused_entries < entries
+    assert np.array_equal(fused_loss, loss)
+    for name in params.names():
+        assert np.array_equal(fused_grads[name], grads[name]), name
 
 
 @given(st.integers(0, 2 ** 31 - 1))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from stgno import autodiff as ad
 from stgno.errors import (CheckpointError, ContractError, DataError,
                           DivergenceError)
-from stgno.models import init_params, make_config
+from stgno.models import init_params, make_config, model_forward
 from stgno.pipeline import (SyntheticConfig, bin_labels, generate_synthetic,
                             select_holdout, assemble_graphs)
 from stgno.train import (Adam, TrainConfig, class_weights, evaluate,
@@ -285,6 +285,30 @@ def test_evaluate_ties_break_to_lowest_class():
         labels=np.array([0, 1, 2, 0]))
     m = evaluate(params, cfg, [sample])
     assert m.confusion[:, 0].sum() == 4  # all ties -> class 0
+
+
+def test_evaluate_runs_on_non_recording_tapes(monkeypatch):
+    train_g, hold_g = tiny_dataset()
+    cfg = make_config("graphpde", input_dim=6, hidden_dim=4,
+                      kernel_net_hidden=(8,), init_seed=0)
+    params = init_params(cfg)
+    want = np.zeros((3, 3), dtype=np.int64)
+    for sample in hold_g:
+        logits = model_forward(ad.Tape(), cfg, params, sample.node_features,
+                               graph=sample.graph)
+        np.add.at(want, (sample.labels, logits.data.argmax(axis=1)), 1)
+    tapes = []
+    init = ad.Tape.__init__
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tapes.append(self)
+
+    monkeypatch.setattr(ad.Tape, "__init__", recorded_init)
+    got = evaluate(params, cfg, hold_g)
+    assert np.array_equal(got.confusion, want)
+    assert len(tapes) == len(hold_g)
+    assert all(not tape.recording and len(tape) == 0 for tape in tapes)
 
 
 def test_evaluate_empty_list():
