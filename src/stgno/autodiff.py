@@ -10,7 +10,8 @@ slot; an op output's slot is cleared again once its backward rule has run.
 backward calls (repeated backward without zeroing doubles them); the
 optimizer owns zeroing. :func:`constant` makes a :class:`Constant` leaf
 (inputs such as node features and edge attributes); :func:`dense` skips
-its gradient instead of computing one nobody reads, while plain
+its gradient instead of computing one nobody reads, as do
+:func:`coo_matmul` and :func:`kernel_message_mean`, while plain
 :class:`Value` and :class:`Parameter` inputs always get theirs.
 
 :func:`dense` is the one op behind every linear layer: ``act(x W + b)``
@@ -359,39 +360,48 @@ def kernel_message_mean(tape: Tape, hidden: Value, weight: Value, bias: Value,
     """Mean over each node's in-edges of K_e v_src, where the flattened
     h x h edge kernel is K_e = z_e W + b, without building any K_e.
 
-    ``layout`` is a padded in-neighbour layout (``neighbours`` and ``mask``,
-    n x D, and ``inv_degree``, n); ``hidden`` holds one row z_e per slot,
-    (n*D) x k node-major, with any values in pad slots; ``weight`` is
-    k x h^2, ``bias`` 1 x h^2 and ``v`` n x h. The last kernel layer is
-    linear, so the mean reorders exactly into
+    ``layout`` is a degree-blocked in-neighbour layout (``order``,
+    ``blocks``, per-slot ``neighbours`` with id n in pads, and
+    ``inv_degree``; see ``geometry.NeighbourLayout``); ``hidden`` holds one
+    row z_e per slot, num_slots x k in the layout's slot order, with any
+    values in pad slots; ``weight`` is k x h^2, ``bias`` 1 x h^2 and ``v``
+    n x h. The last kernel layer is linear, so the mean reorders exactly
+    into
 
         S_x   = sum_s z_(x,s) outer v_nbr(x,s)         (k x h per node)
         out_x = (vec(S_x) W~ + (sum_s v_nbr(x,s)) B^T) / deg(x)
 
     with W~[c*h + j, i] = W[c, i*h + j] and B[i, j] = b[i*h + j]: per-slot
-    work is k*h multiply-adds instead of k*h^2. Pad slots take a zero v
-    row, so they add nothing and their z gradient is exactly 0. Nodes
-    without in-edges get a zero row.
+    work is k*h multiply-adds instead of k*h^2. S and the neighbour sums
+    are computed one degree block at a time, each block padded only to
+    its own width, and written back in node order, so everything after
+    them runs on node-ordered rows. Pad slots take a zero v row, so they
+    add nothing and their z gradient is exactly 0. Nodes without in-edges
+    get a zero row.
     """
-    nbr, mask = layout.neighbours, layout.mask
-    (n, width), (rows, k) = nbr.shape, hidden.data.shape
-    h = v.data.shape[1]
-    if v.data.shape[0] != n or rows != n * width:
+    n, (rows, k), h = layout.num_nodes, hidden.data.shape, v.data.shape[1]
+    if v.data.shape[0] != n or rows != layout.num_slots:
         raise DimensionError(
             f"{v.data.shape[0]} node rows and {rows} slot rows for a layout "
-            f"of {n} nodes x {width} slots")
+            f"of {n} nodes and {layout.num_slots} slots")
     if weight.data.shape != (k, h * h) or bias.data.shape != (1, h * h):
         raise DimensionError(
             f"kernel weight/bias must be {k}x{h * h} and 1x{h * h}, got "
             f"{weight.data.shape} and {bias.data.shape}")
-    z = hidden.data.reshape(n, width, k)
-    vs = v.data[nbr]
-    vs *= mask[:, :, None]
+    # per block: its nodes, its slot rows, and its slots' neighbour states;
+    # pad slots point one past the last node, at an appended zero row
+    v_pad = np.concatenate([v.data, np.zeros((1, h))])
+    blocks = [(layout.order[blk.lo:blk.hi], slice(blk.start, blk.stop),
+               (blk.size, blk.width)) for blk in layout.blocks if blk.width]
+    s, vsum = np.zeros((n, k * h)), np.zeros((n, h))
+    for nodes, rows_of, (b, w) in blocks:
+        vb = v_pad[layout.neighbours[rows_of]].reshape(b, w, h)
+        s[nodes] = np.matmul(hidden.data[rows_of].reshape(b, w, k).transpose(0, 2, 1),
+                             vb).reshape(b, k * h)
+        vsum[nodes] = vb.sum(axis=1)
     w_t = weight.data.reshape(k, h, h).transpose(0, 2, 1).reshape(k * h, h)
     b_mat = bias.data.reshape(h, h)
     inv = layout.inv_degree[:, None]
-    s = np.matmul(z.transpose(0, 2, 1), vs).reshape(n, k * h)
-    vsum = vs.sum(axis=1)
     out = Value(inv * (s @ w_t + vsum @ b_mat.T))
 
     def bwd():
@@ -399,12 +409,23 @@ def kernel_message_mean(tape: Tape, hidden: Value, weight: Value, bias: Value,
         _accumulate(weight, (s.T @ g).reshape(k, h, h).transpose(0, 2, 1)
                     .reshape(k, h * h))
         _accumulate(bias, (g.T @ vsum).reshape(1, h * h))
-        ds = (g @ w_t.T).reshape(n, k, h)
-        _accumulate(hidden, np.matmul(vs, ds.transpose(0, 2, 1)).reshape(rows, k))
-        dvs = np.matmul(z, ds)
-        dvs += (g @ b_mat)[:, None, :]
-        dvs *= mask[:, :, None]
-        _accumulate(v, _scatter_rows(nbr.ravel(), dvs.reshape(-1, h), n))
+        want_hidden = not isinstance(hidden, Constant)
+        # every slot row lies in exactly one block of nonzero width
+        dz = np.empty((rows, k)) if want_hidden else None
+        dvs = np.empty((rows, h))
+        for nodes, rows_of, (b, w) in blocks:
+            g_b = g[nodes]
+            ds = (g_b @ w_t.T).reshape(b, k, h)
+            if want_hidden:
+                vb = v_pad[layout.neighbours[rows_of]].reshape(b, w, h)
+                np.matmul(vb, ds.transpose(0, 2, 1), out=dz[rows_of].reshape(b, w, k))
+            dvb = np.matmul(hidden.data[rows_of].reshape(b, w, k), ds,
+                            out=dvs[rows_of].reshape(b, w, h))
+            dvb += (g_b @ b_mat)[:, None, :]
+        if want_hidden:
+            _accumulate(hidden, dz)
+        # pad rows land in the extra bucket n, which is dropped
+        _accumulate(v, _scatter_rows(layout.neighbours, dvs, n + 1)[:n])
 
     tape.record("kernel_message_mean", (hidden, weight, bias, v), out, bwd)
     return out
@@ -414,7 +435,8 @@ def coo_matmul(tape: Tape, features: Value, src, dst, weights, num_rows: int) ->
     """Apply a sparse row-mixing operator: out[dst[e]] += w[e] * x[src[e]].
 
     The weights are constants (not differentiated); gradients flow only to
-    ``features`` via the transposed pattern.
+    ``features`` via the transposed pattern, and not even there when it is
+    a :class:`Constant`.
     """
     src = _check_ids(src, features.data.shape[0], "source id")
     dst = _check_ids(dst, num_rows, "destination id")
@@ -424,8 +446,9 @@ def coo_matmul(tape: Tape, features: Value, src, dst, weights, num_rows: int) ->
     out = Value(_scatter_rows(dst, w[:, None] * features.data[src], num_rows))
 
     def bwd():
-        _accumulate(features, _scatter_rows(src, w[:, None] * out.grad[dst],
-                                            features.data.shape[0]))
+        if not isinstance(features, Constant):
+            _accumulate(features, _scatter_rows(src, w[:, None] * out.grad[dst],
+                                                features.data.shape[0]))
 
     tape.record("coo_matmul", (features,), out, bwd)
     return out

@@ -23,8 +23,9 @@ The graphpde kernel network's last layer is linear, K_e = z_e W2 + b2 with
 z_e its last hidden activation, so the mean message is evaluated exactly as
 W~2 . mean_e(z_e outer v_e) + B2 . mean_e v_e (:func:`ad.kernel_message_mean`)
 and no per-edge h x h matrix is ever built. The hidden kernel layers run
-on the graph's padded in-neighbour layout (``RadiusGraph.layout``: every
-node's in-edges in D = max in-degree slots), built on first use and
+on the graph's degree-blocked in-neighbour layout (``RadiusGraph.layout``:
+nodes sorted by in-degree and cut into runs, each node's in-edges in as
+many slots as its run's largest in-degree), built on first use and
 cached on the graph like the normalization and Gaussian weights. Each
 hidden kernel layer, like every linear+activation pair of every kind, is
 a single fused :func:`ad.dense` tape entry; the constant edge attributes
@@ -77,26 +78,6 @@ _GRAPH_KINDS = ("gcn", "spatial_kernel", "spatial_gcn", "graphpde")
 
 
 @dataclass(frozen=True)
-class KernelNetConfig:
-    """Shape of the per-edge kernel network: 3 -> hidden -> hidden_dim^2."""
-
-    hidden: tuple[int, ...]
-    hidden_dim: int
-
-    @property
-    def input_dim(self) -> int:
-        return 3
-
-    @property
-    def output_dim(self) -> int:
-        return self.hidden_dim * self.hidden_dim
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden, self.output_dim)
-
-
-@dataclass(frozen=True)
 class ModelConfig:
     kind: str
     input_dim: int
@@ -121,11 +102,6 @@ class ModelConfig:
         if any(width < 1 for width in self.kernel_net_hidden):
             raise ParameterError(
                 f"kernel network widths must be >= 1, got {tuple(self.kernel_net_hidden)}")
-
-    @property
-    def kernel_net(self) -> KernelNetConfig:
-        return KernelNetConfig(hidden=tuple(self.kernel_net_hidden),
-                               hidden_dim=self.hidden_dim)
 
     @property
     def needs_graph(self) -> bool:
@@ -204,7 +180,7 @@ def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, int]]]:
         block("readout", d if hidden_blocks == 0 else h, c)
     elif config.kind == "graphpde":
         block("lift", d, h)
-        widths = config.kernel_net.widths
+        widths = (3, *config.kernel_net_hidden, h * h)
         for i in range(layers):
             block(f"layer_{i}", h, h)
             for j in range(len(widths) - 1):
@@ -334,7 +310,7 @@ def kernel_net_forward(tape: Tape, config: ModelConfig, params: ModelParams,
         raise DimensionError(
             f"edge attributes must have width 3, got {edge_attr.data.shape[1]}")
     x = edge_attr
-    for j in range(len(config.kernel_net.widths) - 2):
+    for j in range(len(config.kernel_net_hidden)):
         x = _linear(tape, params, f"layer_{layer_index}_kernel_{j}", x,
                     config.activation)
     return x
@@ -346,16 +322,17 @@ def graphpde_layer(tape: Tape, config: ModelConfig, params: ModelParams,
     """v' = act(W v + b + mean over in-edges of K_e v_src).
 
     ``hidden`` holds the kernel network's last hidden activation for every
-    slot of ``graph.layout`` (from :func:`kernel_net_forward` on the padded
-    edge attributes); the final kernel layer K_e = z_e W2 + b2 is applied
-    inside the mean, exactly. Nodes with no in-edges get a zero mean term,
-    so the update degenerates to act(W v + b).
+    slot of ``graph.layout`` (from :func:`kernel_net_forward` on the
+    layout's per-slot edge attributes); the final kernel layer
+    K_e = z_e W2 + b2 is applied inside the mean, exactly. Nodes with no
+    in-edges get a zero mean term, so the update degenerates to
+    act(W v + b).
     """
     if v.data.shape[1] != config.hidden_dim:
         raise DimensionError(
             f"node state must have width {config.hidden_dim}, got {v.data.shape[1]}")
     act = ad.ACTIVATIONS[config.activation]
-    last = f"layer_{layer_index}_kernel_{len(config.kernel_net.widths) - 2}"
+    last = f"layer_{layer_index}_kernel_{len(config.kernel_net_hidden)}"
     aggregated = ad.kernel_message_mean(tape, hidden, params[f"{last}_w"],
                                         params[f"{last}_b"], v, graph.layout)
     return act(tape, ad.add(tape, _linear(tape, params, f"layer_{layer_index}", v),

@@ -84,7 +84,7 @@ def metrics_from_confusion(confusion) -> Metrics:
                    macro_f1=float(np.mean(f1s)), weighted_f1=weighted)
 
 
-def class_weights(labels, num_classes: int = 3) -> np.ndarray:
+def class_weights(labels, num_classes: int) -> np.ndarray:
     """Balanced weights w_c = N / (K * N_c); every class must be present."""
     labels = np.asarray(labels, dtype=np.int64)
     counts = np.bincount(labels, minlength=num_classes)

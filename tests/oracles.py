@@ -8,6 +8,7 @@ chains the separate autodiff primitives that ``ad.dense`` fuses.
 import numpy as np
 
 from stgno import autodiff as ad
+from stgno.geometry import DegreeBlock, NeighbourLayout
 
 
 def finite_difference_grads(loss_fn, arrays, step=1e-6):
@@ -43,6 +44,30 @@ def unfused_dense(tape, x, weight, bias, activation=None):
     then the activation, if any."""
     out = ad.add_row_broadcast(tape, ad.matmul(tape, x, weight), bias)
     return out if activation is None else ad.ACTIVATIONS[activation](tape, out)
+
+
+def single_block_layout(graph):
+    """The in-neighbour layout as one padded block: every node, in node
+    order, gets D = max in-degree slots, filled by a loop over the edge
+    list. The library's degree blocks must give the same results."""
+    n, m = graph.num_nodes, graph.num_edges
+    deg = np.bincount(graph.edges[:, 1], minlength=n)
+    width = int(deg.max()) if m else 0
+    slot_edge = np.full(n * width, -1, dtype=np.int64)
+    neighbours = np.full(n * width, n, dtype=np.int64)
+    filled = np.zeros(n, dtype=np.int64)
+    for e, (src, dst) in enumerate(graph.edges):
+        slot = dst * width + filled[dst]
+        filled[dst] += 1
+        slot_edge[slot], neighbours[slot] = e, src
+    edge_attr = np.zeros((n * width, 3))
+    for slot, e in enumerate(slot_edge):
+        if e >= 0:
+            edge_attr[slot] = graph.edge_attr[e] / graph.radius
+    return NeighbourLayout(
+        order=np.arange(n), blocks=(DegreeBlock(lo=0, hi=n, start=0, width=width),),
+        neighbours=neighbours, slot_edge=slot_edge,
+        inv_degree=1.0 / np.maximum(deg, 1), edge_attr=edge_attr)
 
 
 def brute_force_radius_edges(points, radius):

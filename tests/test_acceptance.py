@@ -59,7 +59,7 @@ def _fd_model_check(kind, rng, tol=1e-4):
     params = init_params(cfg)
     x = rng.uniform(-1, 1, (6, 3))
     labels = np.array([0, 1, 2, 0, 1, 2])
-    weights = class_weights(labels)
+    weights = class_weights(labels, 3)
 
     def loss_value():
         tape = ad.Tape()
@@ -148,7 +148,7 @@ def test_criterion_01_gradient_suite():
     # the fused graphpde mean-message op; its draws come after the model
     # checks so those keep their inputs
     layout = _random_graph(5, radius=0.6, seed=3)[1].layout
-    slots = ad.Parameter("slots", away_from_zero((5 * layout.max_degree, 2)))
+    slots = ad.Parameter("slots", away_from_zero((layout.num_slots, 2)))
     kw = ad.Parameter("kw", away_from_zero((2, 9)))
     kb = ad.Parameter("kb", away_from_zero((1, 9)))
     nodes = ad.Parameter("nodes", away_from_zero((5, 3)))
@@ -289,7 +289,7 @@ def test_criterion_06_metrics_oracle():
                   and abs(m.per_class_f1[2] - 1.0) < 1e-12
                   and abs(m.macro_f1 - expected_macro) < 1e-12
                   and round(m.macro_f1, 4) == 0.8222)
-    w = class_weights([0] * 60 + [1] * 30 + [2] * 10)
+    w = class_weights([0] * 60 + [1] * 30 + [2] * 10, 3)
     weights_ok = np.allclose(w, [100 / 180, 100 / 90, 100 / 30], atol=1e-12)
     gate("criterion 6: metrics and class-weight oracles", metrics_ok and weights_ok)
 

@@ -9,7 +9,7 @@ from stgno import autodiff as ad
 from stgno.errors import ContractError, DimensionError
 from stgno.geometry import RadiusGraph, build_radius_graph
 
-from oracles import finite_difference_grads, rel_err, unfused_dense
+from oracles import finite_difference_grads, rel_err, single_block_layout, unfused_dense
 
 RNG = np.random.default_rng(12345)
 
@@ -338,7 +338,7 @@ def test_edge_matvec_gradients():
         [mats, vecs])
 
 
-def _layout_graph(seed, n=9, radius=0.45, isolated=0):
+def _layout_graph(seed, n=40, radius=0.45, isolated=0):
     """A random radius graph, with ``isolated`` far-away nodes appended."""
     rng = np.random.default_rng(seed)
     pts = np.vstack([rng.uniform(size=(n, 2)),
@@ -363,7 +363,7 @@ def _kernel_mean_loop(hidden, weight, bias, v, graph):
 
 
 def _kernel_mean_inputs(graph, k, h, rng=RNG):
-    rows = graph.num_nodes * graph.layout.max_degree
+    rows = graph.layout.num_slots
     return (ad.Parameter("hidden", safe_uniform((rows, k), rng)),
             ad.Parameter("weight", safe_uniform((k, h * h), rng)),
             ad.Parameter("bias", safe_uniform((1, h * h), rng)),
@@ -400,16 +400,52 @@ def test_kernel_message_mean_pad_slots_get_zero_gradient():
     tape = ad.Tape()
     out = ad.kernel_message_mean(tape, hidden, weight, bias, v, layout)
     tape.backward(ad.sum_all(tape, out))
-    pads = ~layout.mask.ravel()
+    pads = ~layout.mask
     assert np.array_equal(hidden.grad[pads], np.zeros((pads.sum(), 4)))
     assert np.abs(hidden.grad[~pads]).max() > 0.0
+
+
+@pytest.mark.parametrize("n, isolated", [(40, 0), (40, 3), (0, 4)])
+def test_kernel_message_mean_matches_single_block_oracle(n, isolated):
+    # (0, 4): four isolated nodes and no edge at all, so D = 0
+    graph = _layout_graph(7, n=n, isolated=isolated)
+    k, h, m = 5, 3, graph.num_edges
+    rng = np.random.default_rng(8)
+    edge_rows = safe_uniform((m, k), rng)
+    weight, bias = safe_uniform((k, h * h), rng), safe_uniform((1, h * h), rng)
+    v = safe_uniform((graph.num_nodes, h), rng)
+    coeffs = safe_uniform((graph.num_nodes, h), rng)
+
+    def run(layout):
+        slot_rows = layout.pad_edge_rows(edge_rows)
+        slot_rows[~layout.mask] = 7.0  # what pad slots hold must not matter
+        leaves = [ad.Parameter(name, data.copy()) for name, data in
+                  (("hidden", slot_rows), ("weight", weight), ("bias", bias), ("v", v))]
+        tape = ad.Tape()
+        out = ad.kernel_message_mean(tape, *leaves, layout)
+        tape.backward(ad.sum_all(tape, ad.mul_const(tape, out, coeffs)))
+        hidden_grad = leaves[0].grad
+        assert not hidden_grad[~layout.mask].any()
+        per_edge = np.zeros((m, k))
+        per_edge[layout.slot_edge[layout.mask]] = hidden_grad[layout.mask]
+        return out.data, [per_edge] + [p.grad for p in leaves[1:]]
+
+    blocked, single = graph.layout, single_block_layout(graph)
+    if n:
+        assert len(blocked.blocks) == 16 and blocked.num_slots < single.num_slots
+    out, grads = run(blocked)
+    want, want_grads = run(single)
+    assert np.array_equal(out, want)
+    for got, exact in zip(grads, want_grads):
+        assert rel_err(got, exact) <= 1e-12
 
 
 def test_kernel_message_mean_without_edges_is_exactly_zero():
     graph = RadiusGraph(positions=np.zeros((4, 2)),
                         edges=np.zeros((0, 2), dtype=np.int64),
                         edge_attr=np.zeros((0, 3)), radius=1.0)
-    assert graph.layout.max_degree == 0
+    assert graph.layout.num_slots == 0
+    assert all(blk.width == 0 for blk in graph.layout.blocks)
     hidden, weight, bias, v = _kernel_mean_inputs(graph, 3, 2)
     assert hidden.data.shape == (0, 3)
     tape = ad.Tape()
@@ -434,6 +470,7 @@ def test_kernel_message_mean_on_raw_attributes():
             t, ad.kernel_message_mean(t, attr, weight, bias, v, graph.layout),
             coeffs),
         [weight, bias, v])
+    assert attr.grad is None  # a Constant gets no gradient
 
 
 def test_kernel_message_mean_repeated_backward_accumulates():

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stgno import autodiff as ad
+from stgno.cli import _auto_radius
 from stgno.errors import DimensionError, ParameterError
 from stgno.geometry import (KernelWeights, apply_kernel, build_radius_graph,
                             edge_attributes, gaussian_kernel_weights)
+from stgno.pipeline import SyntheticConfig, generate_synthetic
 
 from oracles import (brute_force_radius_edges, dense_gaussian_weights,
                      dense_weight_matrix)
@@ -204,32 +206,65 @@ def test_row_normalized_kernel_is_averaging(seed):
 
 
 # ---------------------------------------------------------------------------
-# padded in-neighbour layout and cached per-graph constants
+# degree-blocked in-neighbour layout and cached per-graph constants
+
+
+def _node_slots(layout):
+    """Slot rows owned by every node: node -> range of rows in its block."""
+    slots = {}
+    for blk in layout.blocks:
+        for j, node in enumerate(layout.order[blk.lo:blk.hi]):
+            first = blk.start + j * blk.width
+            slots[int(node)] = np.arange(first, first + blk.width)
+    return slots
 
 
 def test_layout_slots_hold_each_nodes_in_edges_in_order():
     pts = RNG.uniform(size=(25, 2))
     g = build_radius_graph(np.vstack([pts, [[5.0, 5.0]]]), 0.3)
     layout = g.layout
-    n, width = layout.neighbours.shape
+    n = layout.num_nodes
     deg = np.bincount(g.edges[:, 1], minlength=n)
-    assert n == 26 and width == deg.max() and deg[-1] == 0
-    assert np.array_equal(layout.mask.sum(axis=1), deg)
+    assert n == 26 and deg[-1] == 0
+    assert np.array_equal(np.bincount(g.edges[layout.slot_edge[layout.mask], 1],
+                                      minlength=n), deg)
     assert np.array_equal(layout.inv_degree, 1.0 / np.maximum(deg, 1))
-    slot_edge = layout.slot_edge.reshape(n, width)
+    slots = _node_slots(layout)
+    assert sorted(slots) == list(range(n))
     for i in range(n):
-        edges = slot_edge[i, :deg[i]]
+        own = layout.slot_edge[slots[i]]
+        edges = own[:deg[i]]
         assert np.array_equal(edges, np.nonzero(g.edges[:, 1] == i)[0])
-        assert np.array_equal(layout.neighbours[i, :deg[i]], g.edges[edges, 0])
-        assert (slot_edge[i, deg[i]:] == -1).all()
-        assert not layout.mask[i, deg[i]:].any()
+        assert np.array_equal(layout.neighbours[slots[i][:deg[i]]], g.edges[edges, 0])
+        assert (own[deg[i]:] == -1).all()
+        assert (layout.neighbours[slots[i][deg[i]:]] == n).all()
+        assert not layout.mask[slots[i][deg[i]:]].any()
+
+
+@pytest.mark.parametrize("n", [5, 16, 26, 300])
+def test_layout_blocks_cut_the_degree_order_into_near_equal_runs(n):
+    g = build_radius_graph(np.random.default_rng(n).uniform(size=(n, 2)), 0.3)
+    layout = g.layout
+    deg = np.bincount(g.edges[:, 1], minlength=n)
+    assert np.array_equal(layout.order, np.argsort(deg, kind="stable"))
+    blocks = layout.blocks
+    assert len(blocks) == min(16, n)
+    sizes = [blk.size for blk in blocks]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    assert blocks[0].lo == 0 and blocks[-1].hi == n
+    assert blocks[0].start == 0 and blocks[-1].stop == layout.num_slots
+    for prev, blk in zip(blocks, blocks[1:]):
+        assert (blk.lo, blk.start) == (prev.hi, prev.stop)
+    for blk in blocks:
+        assert blk.width == deg[layout.order[blk.lo:blk.hi]].max()
+    assert layout.mask.sum() == g.num_edges
 
 
 def test_layout_edge_attributes_are_scaled_and_zero_padded():
     g = build_radius_graph(RNG.uniform(size=(30, 2)), 0.35)
     layout = g.layout
-    valid = layout.mask.ravel()
-    assert layout.edge_attr.shape == (valid.size, 3)
+    valid = layout.mask
+    assert layout.edge_attr.shape == (layout.num_slots, 3)
     assert np.array_equal(layout.edge_attr[valid],
                           (g.edge_attr / g.radius)[layout.slot_edge[valid]])
     assert np.array_equal(layout.edge_attr[~valid], np.zeros(((~valid).sum(), 3)))
@@ -239,9 +274,22 @@ def test_layout_edge_attributes_are_scaled_and_zero_padded():
 
 def test_layout_of_edgeless_graph_has_no_slots():
     layout = build_radius_graph([(0.0, 0.0), (5.0, 5.0)], 1.0).layout
-    assert layout.neighbours.shape == (2, 0)
+    assert layout.num_slots == 0
+    assert [blk.width for blk in layout.blocks] == [0, 0]
+    assert sorted(layout.order) == [0, 1]
     assert layout.edge_attr.shape == (0, 3)
     assert np.array_equal(layout.inv_degree, np.ones(2))
+
+
+@pytest.mark.parametrize("radius", [0.25, None])
+def test_layout_pads_at_most_a_quarter_over_the_edge_count(radius):
+    # a 300-spot synthetic slide at the acceptance radius and at the CLI's
+    # degree-6 auto radius, where a single padded block needs 1.5x and 2.5x m
+    table, _ = generate_synthetic(SyntheticConfig(num_samples=1, num_genes=4))
+    radius = radius if radius is not None else _auto_radius(table)
+    g = build_radius_graph(table.positions, radius)
+    assert g.num_nodes == 300
+    assert g.layout.num_slots <= 1.25 * g.num_edges
 
 
 def test_graph_constants_are_built_once():

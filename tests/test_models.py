@@ -16,7 +16,7 @@ from stgno.train import class_weights, weighted_cross_entropy
 
 from oracles import (dense_graphpde_layer, finite_difference_grads,
                      kernel_net_reference, reference_graphpde_forward, rel_err,
-                     unfused_dense)
+                     single_block_layout, unfused_dense)
 
 RNG = np.random.default_rng(99)
 
@@ -52,7 +52,7 @@ def explicit_kernel_model(h, **overrides):
 
 
 def explicit_kernels(graph, kernel_rows):
-    """Per-edge kernel rows spread over the graph's padded layout slots."""
+    """Per-edge kernel rows spread over the graph's layout slots."""
     return ad.constant(graph.layout.pad_edge_rows(kernel_rows))
 
 
@@ -73,7 +73,10 @@ def test_nonpositive_kernel_widths_rejected(widths):
 
 def test_empty_kernel_hidden_is_valid():
     cfg = make_config("graphpde", input_dim=4, kernel_net_hidden=())
-    assert cfg.kernel_net.widths == (3, cfg.hidden_dim ** 2)
+    kernel = [(name, shape) for name, shape in parameter_shapes(cfg)
+              if name.startswith("layer_0_kernel_")]
+    assert kernel == [("layer_0_kernel_0_w", (3, cfg.hidden_dim ** 2)),
+                      ("layer_0_kernel_0_b", (1, cfg.hidden_dim ** 2))]
 
 
 def test_default_depths():
@@ -478,7 +481,7 @@ def _training_step(cfg, params, graph, x, labels):
     params.zero_grads()
     tape = ad.Tape()
     logits = model_forward(tape, cfg, params, x, graph=graph)
-    loss = weighted_cross_entropy(tape, logits, labels, class_weights(labels))
+    loss = weighted_cross_entropy(tape, logits, labels, class_weights(labels, 3))
     tape.backward(loss)
     return len(tape), loss.data.copy(), {n: p.grad.copy() for n, p in params.items()}
 
@@ -507,6 +510,64 @@ def test_fused_step_is_bit_identical_to_unfused(monkeypatch, kind, activation):
     assert np.array_equal(fused_loss, loss)
     for name in params.names():
         assert np.array_equal(fused_grads[name], grads[name]), name
+
+
+@pytest.mark.parametrize("kind", ["gcn", "spatial_kernel", "spatial_gcn"])
+def test_constant_features_get_no_gradient_and_change_no_bits(kind):
+    # the first row mixing of these kinds takes the node features; as a
+    # Constant they get no gradient, and the loss and every parameter
+    # gradient keep the bits of a step that computes one
+    rng = np.random.default_rng(43)
+    _pts, graph = random_graph(120, radius=0.25, seed=43)
+    cfg = make_config(kind, input_dim=6, hidden_dim=8, init_seed=2)
+    params = init_params(cfg)
+    _randomize_biases(params, rng)
+    x = rng.uniform(-1, 1, (120, 6))
+    labels = rng.integers(0, 3, 120)
+    skipped, computed = ad.constant(x), ad.Value(x)
+    _, loss, grads = _training_step(cfg, params, graph, skipped, labels)
+    _, want_loss, want_grads = _training_step(cfg, params, graph, computed, labels)
+    assert skipped.grad is None and computed.grad is not None
+    assert np.array_equal(loss, want_loss)
+    for name in params.names():
+        assert np.array_equal(grads[name], want_grads[name]), name
+
+
+def _single_block_twin(graph):
+    """A copy of ``graph`` whose cached layout is the one-block oracle."""
+    twin = RadiusGraph(positions=graph.positions, edges=graph.edges,
+                       edge_attr=graph.edge_attr, radius=graph.radius)
+    twin.cached("layout", lambda: single_block_layout(twin))
+    return twin
+
+
+@pytest.mark.parametrize("radius", [0.25, 1e-4])
+@pytest.mark.parametrize("kernel_hidden,activation", [
+    ((32,), "relu"), ((), "relu"), ((16, 16), "tanh")])
+def test_graphpde_step_on_degree_blocks_matches_single_block_oracle(
+        radius, kernel_hidden, activation):
+    # 120 spots plus 3 isolated ones; at r = 1e-4 no spot has a neighbour,
+    # so the one-block layout has D = 0
+    rng = np.random.default_rng(47)
+    pts = np.vstack([rng.uniform(size=(120, 2)), [[5.0, 5.0], [7.0, 5.0], [5.0, 7.0]]])
+    graph = build_radius_graph(pts, radius)
+    twin = _single_block_twin(graph)
+    assert (twin.layout.num_slots == 0) == (radius < 0.1)
+    cfg = make_config("graphpde", input_dim=6, hidden_dim=8,
+                      kernel_net_hidden=kernel_hidden, activation=activation,
+                      init_seed=2)
+    params = init_params(cfg)
+    _randomize_biases(params, rng)
+    x = rng.uniform(-1, 1, (123, 6))
+    labels = rng.integers(0, 3, 123)
+    logits = graphpde_forward(ad.Tape(), cfg, params, graph, ad.constant(x)).data
+    want = graphpde_forward(ad.Tape(), cfg, params, twin, ad.constant(x)).data
+    assert np.array_equal(logits, want)
+    _, loss, grads = _training_step(cfg, params, graph, x, labels)
+    _, want_loss, want_grads = _training_step(cfg, params, twin, x, labels)
+    assert np.array_equal(loss, want_loss)
+    for name in params.names():
+        assert rel_err(grads[name], want_grads[name]) <= 1e-12, name
 
 
 @given(st.integers(0, 2 ** 31 - 1))

@@ -40,25 +40,25 @@ def tiny_dataset(mode="informative", **over):
 
 def test_class_weights_balanced_counts():
     labels = [0] * 10 + [1] * 10 + [2] * 10
-    assert np.array_equal(class_weights(labels), [1.0, 1.0, 1.0])
+    assert np.array_equal(class_weights(labels, 3), [1.0, 1.0, 1.0])
 
 
 def test_class_weights_formula_to_4dp():
     labels = [0] * 60 + [1] * 30 + [2] * 10
-    w = class_weights(labels)
+    w = class_weights(labels, 3)
     assert np.round(w, 4).tolist() == [0.5556, 1.1111, 3.3333]
 
 
 def test_class_weights_identity():
     labels = RNG.integers(0, 3, 200)
     counts = np.bincount(labels, minlength=3)
-    w = class_weights(labels)
+    w = class_weights(labels, 3)
     assert (w * counts).sum() == pytest.approx(len(labels), abs=1e-9)
 
 
 def test_class_weights_absent_class():
     with pytest.raises(DataError, match=r"\[2\]"):
-        class_weights([0, 0, 1])
+        class_weights([0, 0, 1], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_sharp_correct_logits_drive_loss_down():
 def test_weighted_ce_gradient_matches_finite_differences():
     logits = ad.Parameter("logits", RNG.uniform(-1, 1, (6, 3)))
     labels = RNG.integers(0, 3, 6)
-    weights = class_weights(np.concatenate([labels, np.arange(3)]))
+    weights = class_weights(np.concatenate([labels, np.arange(3)]), 3)
 
     def loss_value():
         tape = ad.Tape()
@@ -107,7 +107,7 @@ def test_weighted_ce_oracle_and_reweighting_ratio():
     shifted = logits_data - logits_data.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     picked = logp[np.arange(30), labels]
-    w = class_weights(labels)
+    w = class_weights(labels, 3)
 
     weighted_oracle = -(w[labels] * picked).sum() / w[labels].sum()
     mean_oracle = -picked.mean()
