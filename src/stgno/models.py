@@ -1,23 +1,25 @@
 """Model definitions: baselines and the spatial / graph operator networks.
 
-Six kinds share one config and parameter scheme:
+Six kinds share one config and parameter scheme. Five of them are one
+linear stack (:func:`stack_forward`): blocks of row mixing, then a linear
+layer and the activation, then a linear readout. They differ only in the
+mixers each block applies, in this order:
 
-* ``lr``             logits = X W + b, graph-free.
-* ``fcn``            num_layers linear+activation blocks, linear readout.
-* ``gcn``            blocks are symmetric degree-normalized convolutions
-                     (self loops included), linear readout.
-* ``spatial_kernel`` num_layers linear layers, each preceded by one
-                     application of the row-normalized Gaussian positional
-                     kernel; the last linear is the readout (un-activated),
-                     so num_layers counts every linear layer (default 3).
-* ``spatial_gcn``    like gcn with the Gaussian kernel applied before
-                     every convolution block.
-* ``graphpde``       linear lift to the hidden width, num_layers (default
-                     6) message-passing updates
-                         v' = act(W v + b + mean_{y in N(x)} K(e(x, y)) v_y)
-                     where K is a per-layer edge-conditioned kernel
-                     network mapping the 3 edge attributes to an h x h
-                     matrix, then a linear readout.
+* ``lr``             none, and no blocks: logits = X W + b, graph-free.
+* ``fcn``            none.
+* ``gcn``            the symmetric degree-normalized adjacency (self loops
+                     included).
+* ``spatial_kernel`` the row-normalized Gaussian positional kernel, once
+                     more before the readout; num_layers counts every
+                     linear layer (default 3), so it has num_layers - 1
+                     blocks where the others have num_layers.
+* ``spatial_gcn``    the Gaussian kernel, then the normalized adjacency.
+
+The sixth, ``graphpde``, is a linear lift to the hidden width, num_layers
+(default 6) message-passing updates
+    v' = act(W v + b + mean_{y in N(x)} K(e(x, y)) v_y)
+where K is a per-layer edge-conditioned kernel network mapping the 3 edge
+attributes to an h x h matrix, then a linear readout.
 
 The graphpde kernel network's last layer is linear, K_e = z_e W2 + b2 with
 z_e its last hidden activation, so the mean message is evaluated exactly as
@@ -74,7 +76,9 @@ _DEFAULT_LAYERS = {
     "graphpde": 6,
 }
 
-_GRAPH_KINDS = ("gcn", "spatial_kernel", "spatial_gcn", "graphpde")
+# the row mixers each block of a stack kind applies, in order, before its linear
+_STACK_MIXERS = {"lr": (), "fcn": (), "gcn": ("norm",), "spatial_kernel": ("gaussian",),
+                 "spatial_gcn": ("gaussian", "norm")}
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,7 @@ class ModelConfig:
 
     @property
     def needs_graph(self) -> bool:
-        return self.kind in _GRAPH_KINDS
+        return self.kind == "graphpde" or bool(_STACK_MIXERS.get(self.kind))
 
 
 def make_config(kind: str, input_dim: int, **overrides) -> ModelConfig:
@@ -167,18 +171,7 @@ def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, int]]]:
         shapes.append((f"{name}_w", (rows, cols)))
         shapes.append((f"{name}_b", (1, cols)))
 
-    if config.kind == "lr":
-        block("readout", d, c)
-    elif config.kind in ("fcn", "gcn", "spatial_gcn"):
-        for i in range(layers):
-            block(f"layer_{i}", d if i == 0 else h, h)
-        block("readout", h, c)
-    elif config.kind == "spatial_kernel":
-        hidden_blocks = layers - 1
-        for i in range(hidden_blocks):
-            block(f"layer_{i}", d if i == 0 else h, h)
-        block("readout", d if hidden_blocks == 0 else h, c)
-    elif config.kind == "graphpde":
+    if config.kind == "graphpde":
         block("lift", d, h)
         widths = (3, *config.kernel_net_hidden, h * h)
         for i in range(layers):
@@ -186,6 +179,11 @@ def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, int]]]:
             for j in range(len(widths) - 1):
                 block(f"layer_{i}_kernel_{j}", widths[j], widths[j + 1])
         block("readout", h, c)
+    else:
+        blocks = _stack_blocks(config)
+        for i in range(blocks):
+            block(f"layer_{i}", d if i == 0 else h, h)
+        block("readout", d if blocks == 0 else h, c)
     return shapes
 
 
@@ -224,40 +222,8 @@ def symmetric_norm_weights(graph: RadiusGraph) -> KernelWeights:
     )
 
 
-def lr_forward(tape: Tape, config: ModelConfig, params: ModelParams,
-               features: Value) -> Value:
-    return _linear(tape, params, "readout", features)
-
-
-def fcn_forward(tape: Tape, config: ModelConfig, params: ModelParams,
-                features: Value) -> Value:
-    x = features
-    for i in range(config.num_layers):
-        x = _linear(tape, params, f"layer_{i}", x, config.activation)
-    return _linear(tape, params, "readout", x)
-
-
-def gcn_layer(tape: Tape, params: ModelParams, index: int,
-              norm: KernelWeights, x: Value, activation: str | None = None) -> Value:
-    """One convolution block: propagate with the normalized adjacency, then
-    a linear transform and the activation, if any. An edgeless graph
-    reduces this to a plain linear layer (the self-loop weight is exactly
-    1)."""
-    return _linear(tape, params, f"layer_{index}", apply_kernel(tape, norm, x),
-                   activation)
-
-
 def _norm_weights_for(graph: RadiusGraph) -> KernelWeights:
     return graph.cached("norm", lambda: symmetric_norm_weights(graph))
-
-
-def gcn_forward(tape: Tape, config: ModelConfig, params: ModelParams,
-                graph: RadiusGraph, features: Value) -> Value:
-    norm = _norm_weights_for(graph)
-    x = features
-    for i in range(config.num_layers):
-        x = gcn_layer(tape, params, i, norm, x, config.activation)
-    return _linear(tape, params, "readout", x)
 
 
 def _gaussian_weights_for(config: ModelConfig, graph: RadiusGraph) -> KernelWeights:
@@ -275,27 +241,29 @@ def _gaussian_weights_for(config: ModelConfig, graph: RadiusGraph) -> KernelWeig
     return graph.cached(("gaussian", bandwidth), build)
 
 
-def spatial_kernel_forward(tape: Tape, config: ModelConfig, params: ModelParams,
-                           graph: RadiusGraph, features: Value) -> Value:
-    """Kernel-averaged linear stack: X <- act(L_i(K X)) with the final
-    linear un-activated. The Gaussian weights are cached on the graph and
-    shared across all layers."""
-    weights = _gaussian_weights_for(config, graph)
-    x = features
-    for i in range(config.num_layers - 1):
-        x = _linear(tape, params, f"layer_{i}", apply_kernel(tape, weights, x),
-                    config.activation)
-    return _linear(tape, params, "readout", apply_kernel(tape, weights, x))
+def _stack_blocks(config: ModelConfig) -> int:
+    """Linear+activation blocks before the readout: none for lr, and
+    num_layers - 1 for spatial_kernel, whose num_layers counts the readout."""
+    if config.kind == "lr":
+        return 0
+    return config.num_layers - 1 if config.kind == "spatial_kernel" else config.num_layers
 
 
-def spatial_gcn_forward(tape: Tape, config: ModelConfig, params: ModelParams,
-                        graph: RadiusGraph, features: Value) -> Value:
-    weights = _gaussian_weights_for(config, graph)
-    norm = _norm_weights_for(graph)
+def stack_forward(tape: Tape, config: ModelConfig, params: ModelParams,
+                  graph: RadiusGraph | None, features: Value) -> Value:
+    """Every kind but graphpde: each block applies the kind's row mixers
+    in order, then a linear layer and the activation; the readout is
+    linear, and spatial_kernel mixes once more before it. The mixer
+    weights are cached on the graph and shared by every block."""
+    mixers = [_gaussian_weights_for(config, graph) if name == "gaussian"
+              else _norm_weights_for(graph) for name in _STACK_MIXERS[config.kind]]
     x = features
-    for i in range(config.num_layers):
-        x = apply_kernel(tape, weights, x)
-        x = gcn_layer(tape, params, i, norm, x, config.activation)
+    for i in range(_stack_blocks(config)):
+        for weights in mixers:
+            x = apply_kernel(tape, weights, x)
+        x = _linear(tape, params, f"layer_{i}", x, config.activation)
+    if config.kind == "spatial_kernel":
+        x = apply_kernel(tape, mixers[0], x)
     return _linear(tape, params, "readout", x)
 
 
@@ -361,16 +329,8 @@ def model_forward(tape: Tape, config: ModelConfig, params: ModelParams,
             f"features have width {x.data.shape[1]}, config expects {config.input_dim}")
     if config.needs_graph and graph is None:
         raise ContractError(f"{config.kind} requires a graph")
-    if config.kind == "lr":
-        return lr_forward(tape, config, params, x)
-    if config.kind == "fcn":
-        return fcn_forward(tape, config, params, x)
-    if config.kind == "gcn":
-        return gcn_forward(tape, config, params, graph, x)
-    if config.kind == "spatial_kernel":
-        return spatial_kernel_forward(tape, config, params, graph, x)
-    if config.kind == "spatial_gcn":
-        return spatial_gcn_forward(tape, config, params, graph, x)
     if config.kind == "graphpde":
         return graphpde_forward(tape, config, params, graph, x)
-    raise ParameterError(f"unknown model kind {config.kind!r}")
+    if config.kind not in _STACK_MIXERS:
+        raise ParameterError(f"unknown model kind {config.kind!r}")
+    return stack_forward(tape, config, params, graph, x)

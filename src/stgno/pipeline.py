@@ -3,10 +3,12 @@
 File contracts:
 
 * Spot CSV: header ``sample_id,x,y,label,<gene1>,<gene2>,...``, UTF-8,
-  ``.`` decimal, one spot per row.
+  ``.`` decimal, one spot per row; x, y and expression values must be
+  finite (``nan`` and ``inf`` are rejected with their line number).
 * Gene list: plain text, one gene name per line.
-* Label map: two-column TSV ``raw_label<TAB>coarse_class_name``; coarse
-  class order is defined by first appearance.
+* Label map: two-column TSV ``raw_label<TAB>coarse_class_name`` with at
+  least 2 coarse classes; coarse class order is defined by first
+  appearance.
 * Prepared dataset (format version ``PREPARED_VERSION``): a directory
   with ``manifest.json`` plus one ``<sample_id>.graph.json`` per sample
   holding its id, positions, features and labels as nested numeric
@@ -125,8 +127,10 @@ class SyntheticConfig:
         if min(self.num_samples, self.spots_per_sample, self.num_genes,
                self.region_seeds_per_class) < 1:
             raise ParameterError("all synthetic counts must be positive")
-        if self.num_classes != 3:
-            raise ParameterError("synthetic generator is fixed at 3 classes")
+        if not 2 <= self.num_classes <= 26:
+            raise ParameterError(
+                f"synthetic class count must be 2 to 26 (one letter each), "
+                f"got {self.num_classes}")
         if self.expression_mode not in ("informative", "noise_only"):
             raise ParameterError(
                 f"expression_mode must be 'informative' or 'noise_only', "
@@ -170,13 +174,14 @@ def load_spot_table(path) -> SpotTable:
                 raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from None
             sample_ids.append(row[0])
             raw_labels.append(row[3])
-    return SpotTable(
-        sample_ids=sample_ids,
-        positions=np.array(positions, dtype=np.float64).reshape(-1, 2),
-        expression=np.array(expression, dtype=np.float64).reshape(-1, len(gene_names)),
-        raw_labels=raw_labels,
-        gene_names=gene_names,
-    )
+    positions = np.array(positions, dtype=np.float64).reshape(-1, 2)
+    expression = np.array(expression, dtype=np.float64).reshape(-1, len(gene_names))
+    finite = np.isfinite(positions).all(axis=1) & np.isfinite(expression).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite value "
+                        "(nan or inf) in x, y or expression")
+    return SpotTable(sample_ids=sample_ids, positions=positions, expression=expression,
+                     raw_labels=raw_labels, gene_names=gene_names)
 
 
 def write_spot_table(path, table: SpotTable) -> None:
@@ -215,6 +220,9 @@ def load_label_map(path) -> LabelMap:
         if raw in mapping:
             raise DataError(f"{path}:{lineno}: duplicate raw label {raw!r}")
         mapping[raw] = class_names.index(cls)
+    if len(class_names) < 2:
+        raise DataError(f"{path}: label map needs at least 2 coarse classes, "
+                        f"got {len(class_names)}")
     lm = LabelMap(mapping=mapping, class_names=tuple(class_names))
     lm.validate()
     return lm

@@ -347,6 +347,44 @@ def test_eval_class_count_mismatch_is_data_error(synth_dir, trained_dir, tmp_pat
     assert err.startswith("error:data:") and "classes" in err
 
 
+@pytest.mark.parametrize("field,value", [(1, "nan"), (5, "inf")])
+def test_non_finite_spot_value_is_data_error(synth_dir, trained_dir, tmp_path, capsys,
+                                             field, value):
+    lines = (synth_dir / "spots.csv").read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[field] = value
+    lines[4] = ",".join(cells)
+    spots = tmp_path / "spots.csv"
+    spots.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("prepare", "--spots", str(spots),
+                   "--genes", str(synth_dir / "genes.txt"),
+                   "--labels", str(synth_dir / "labels.tsv"), "--radius", "0.3",
+                   "--holdout-k", "2", "--min-classes", "3",
+                   "--out", str(tmp_path / "prep")) == 2
+    assert run_cli("predict", "--checkpoint", str(trained_dir / "best.ckpt.json"),
+                   "--spots", str(spots), "--out", str(tmp_path / "preds.csv")) == 2
+    errs = capsys.readouterr().err.splitlines()
+    assert len(errs) == 2
+    assert all(e.startswith("error:data:") and "spots.csv:5: non-finite" in e
+               for e in errs)
+    assert not (tmp_path / "preds.csv").exists()
+
+
+def test_single_class_label_map_is_data_error(synth_dir, tmp_path, capsys):
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("".join(f"site_{i:02d}\tonly\n" for i in range(6)))
+    capsys.readouterr()
+    assert run_cli("prepare", "--spots", str(synth_dir / "spots.csv"),
+                   "--genes", str(synth_dir / "genes.txt"), "--labels", str(labels),
+                   "--radius", "0.3", "--holdout-k", "2", "--min-classes", "1",
+                   "--out", str(tmp_path / "prep")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:data:")
+    assert "labels.tsv" in err[0] and "at least 2 coarse classes" in err[0]
+    assert not (tmp_path / "prep").exists()
+
+
 def test_report_table_grammar_and_files(prepared_dir, tmp_path, capsys):
     out = tmp_path / "rep"
     code = run_cli("report", "--data", str(prepared_dir), "--models", "lr,fcn",

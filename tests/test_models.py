@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from stgno import autodiff as ad
 from stgno.errors import ContractError, DimensionError, ParameterError
-from stgno.geometry import (RadiusGraph, build_radius_graph, edge_attributes,
-                            gaussian_kernel_weights)
-from stgno.models import (ModelParams, gcn_layer, graphpde_forward,
+from stgno.geometry import (RadiusGraph, apply_kernel, build_radius_graph,
+                            edge_attributes, gaussian_kernel_weights)
+from stgno.models import (ModelParams, graphpde_forward,
                           graphpde_layer, init_params, kernel_net_forward,
                           make_config, model_forward, parameter_shapes,
                           symmetric_norm_weights)
@@ -113,19 +113,24 @@ def test_weight_sample_mean_near_zero():
 
 
 @pytest.mark.parametrize("kind,expected", [
-    ("lr", lambda d, h, c: d * c + c),
-    ("fcn", lambda d, h, c: (d * h + h) + (h * h + h) + (h * c + c)),
-    ("gcn", lambda d, h, c: (d * h + h) + (h * h + h) + (h * c + c)),
-    ("spatial_kernel", lambda d, h, c: (d * h + h) + (h * h + h) + (h * c + c)),
-    ("spatial_gcn", lambda d, h, c: (d * h + h) + (h * h + h) + (h * c + c)),
-    ("graphpde", lambda d, h, c: (d * h + h)
-        + 6 * ((h * h + h) + (3 * 8 + 8) + (8 * h * h + h * h))
+    ("lr", lambda d, h, c, L: d * c + c),
+    ("fcn", lambda d, h, c, L: (d * h + h) + (L - 1) * (h * h + h) + (h * c + c)),
+    ("gcn", lambda d, h, c, L: (d * h + h) + (L - 1) * (h * h + h) + (h * c + c)),
+    ("spatial_kernel", lambda d, h, c, L: d * c + c if L == 1
+        else (d * h + h) + (L - 2) * (h * h + h) + (h * c + c)),
+    ("spatial_gcn", lambda d, h, c, L: (d * h + h) + (L - 1) * (h * h + h) + (h * c + c)),
+    ("graphpde", lambda d, h, c, L: (d * h + h)
+        + L * ((h * h + h) + (3 * 8 + 8) + (8 * h * h + h * h))
         + (h * c + c)),
 ])
 def test_param_count_matches_analytic_formula(kind, expected):
+    # the kind's default depth, then 1 and 3: lr ignores num_layers, and a
+    # 1-layer spatial_kernel is its readout alone
     d, h, c = 5, 4, 3
-    cfg = make_config(kind, input_dim=d, hidden_dim=h, kernel_net_hidden=(8,))
-    assert init_params(cfg).count() == expected(d, h, c)
+    for layers in ({}, {"num_layers": 1}, {"num_layers": 3}):
+        cfg = make_config(kind, input_dim=d, hidden_dim=h, kernel_net_hidden=(8,),
+                          **layers)
+        assert init_params(cfg).count() == expected(d, h, c, cfg.num_layers)
 
 
 # ---------------------------------------------------------------------------
@@ -179,24 +184,22 @@ def test_graph_models_require_graph():
 
 
 def test_gcn_layer_edgeless_is_linear():
+    # the self-loop weight of an edgeless graph is exactly 1, so every
+    # convolution block reduces to the fcn block with the same parameters
     cfg = make_config("gcn", input_dim=4, hidden_dim=4, init_seed=2)
     params = init_params(cfg)
-    graph = edgeless_graph(5)
     x = RNG.uniform(-1, 1, (5, 4))
-    out = gcn_layer(ad.Tape(), params, 0, symmetric_norm_weights(graph),
-                    ad.constant(x))
-    want = x @ params["layer_0_w"].data + params["layer_0_b"].data
-    assert np.array_equal(out.data, want)
+    out = model_forward(ad.Tape(), cfg, params, x, graph=edgeless_graph(5))
+    fcn = make_config("fcn", input_dim=4, hidden_dim=4, init_seed=2)
+    assert parameter_shapes(fcn) == parameter_shapes(cfg)
+    assert np.array_equal(out.data, model_forward(ad.Tape(), fcn, params, x).data)
 
 
 def test_gcn_two_node_normalization():
     # one edge, self loops: every entry of S-hat is 1/2
     _pts, graph = two_node_graph()
-    params = ModelParams([ad.Parameter("layer_0_w", np.eye(2)),
-                          ad.Parameter("layer_0_b", np.zeros((1, 2)))])
     v = np.array([[2.0, 0.0], [0.0, 4.0]])
-    out = gcn_layer(ad.Tape(), params, 0, symmetric_norm_weights(graph),
-                    ad.constant(v))
+    out = apply_kernel(ad.Tape(), symmetric_norm_weights(graph), ad.constant(v))
     assert np.allclose(out.data, [[1.0, 2.0], [1.0, 2.0]], atol=1e-15)
 
 

@@ -71,6 +71,15 @@ def test_csv_non_numeric_reports_line(tmp_path):
         load_spot_table(path)
 
 
+@pytest.mark.parametrize("row", ["a,nan,0,x,1", "a,0,-inf,x,1", "a,0,0,x,inf",
+                                 "a,0,0,x,NaN"])
+def test_csv_non_finite_value_reports_line(tmp_path, row):
+    path = tmp_path / "spots.csv"
+    path.write_text(f"sample_id,x,y,label,g1\na,0,0,x,1\n{row}\na,1,1,x,2\n")
+    with pytest.raises(DataError, match=r"spots\.csv:3: non-finite"):
+        load_spot_table(path)
+
+
 def test_csv_empty_sample_id_rejected(tmp_path):
     path = tmp_path / "spots.csv"
     path.write_text("sample_id,x,y,label,g1\n,0,0,x,1\n")
@@ -353,6 +362,21 @@ def test_synthetic_config_validation():
         SyntheticConfig(num_samples=0).validate()
 
 
+@pytest.mark.parametrize("num_classes", [2, 4])
+def test_synthetic_class_count_covers_every_class(num_classes):
+    table, lm = synthetic_for_tests(num_classes=num_classes)
+    assert lm.class_names == tuple(f"region_{c}" for c in "abcd"[:num_classes])
+    table = bin_labels(table, lm)
+    for sid in table.sample_order():
+        assert set(table.class_ids[table.rows_for(sid)].tolist()) == set(range(num_classes))
+
+
+@pytest.mark.parametrize("num_classes", [1, 27])
+def test_synthetic_class_count_outside_2_to_26_rejected(num_classes):
+    with pytest.raises(ParameterError, match="2 to 26"):
+        SyntheticConfig(num_classes=num_classes).validate()
+
+
 def test_spot_table_groups_rows_once_in_file_order():
     table = SpotTable(sample_ids=["b", "a", "b", "c", "a", "b"],
                       positions=np.zeros((6, 2)),
@@ -389,6 +413,13 @@ def test_label_map_class_order_by_first_appearance(tmp_path):
     lm = load_label_map(path)
     assert lm.class_names == ("beta", "alpha")
     assert lm.mapping == {"r1": 0, "r2": 1, "r3": 0}
+
+
+def test_label_map_with_one_class_rejected(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_text("r1\tbeta\nr2\tbeta\n")
+    with pytest.raises(DataError, match=r"labels\.tsv: .*at least 2 coarse classes"):
+        load_label_map(path)
 
 
 def test_prepared_dataset_round_trip(tmp_path):
