@@ -336,8 +336,17 @@ def _cmd_predict(args, argv):
     gene_names = pre.get("gene_names")
     radius = pre.get("radius")
     if not gene_names or radius is None:
+        raise CheckpointError(f"{args.checkpoint}: checkpoint has no preprocess "
+                              "block; re-train with this version")
+    if (isinstance(radius, bool) or not isinstance(radius, (int, float))
+            or not (math.isfinite(radius) and radius > 0)):
+        raise CheckpointError(f"{args.checkpoint}: preprocess.radius must be a "
+                              f"positive number, got {radius!r}")
+    class_names = pre.get("class_names") or [str(i) for i in range(config.num_classes)]
+    if len(class_names) != config.num_classes:
         raise CheckpointError(
-            "checkpoint has no preprocess block; re-train with this version")
+            f"{args.checkpoint}: preprocess.class_names has {len(class_names)} "
+            f"name(s) for {config.num_classes} classes")
     table = pl.load_spot_table(args.spots)
     table = pl.filter_genes(table, gene_names)
     if table.gene_names != list(gene_names):
@@ -346,7 +355,6 @@ def _cmd_predict(args, argv):
     scaler = pre.get("standardization")
     if scaler:
         features = (features - np.array(scaler["mean"])) / np.array(scaler["std"])
-    class_names = pre.get("class_names") or [str(i) for i in range(config.num_classes)]
 
     lines = ["sample_id,x,y,predicted_class"]
     for sid in table.sample_order():

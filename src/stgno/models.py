@@ -23,15 +23,19 @@ attributes to an h x h matrix, then a linear readout.
 
 The graphpde kernel network's last layer is linear, K_e = z_e W2 + b2 with
 z_e its last hidden activation, so the mean message is evaluated exactly as
-W~2 . mean_e(z_e outer v_e) + B2 . mean_e v_e (:func:`ad.kernel_message_mean`)
-and no per-edge h x h matrix is ever built. The hidden kernel layers run
-on the graph's degree-blocked in-neighbour layout (``RadiusGraph.layout``:
-nodes sorted by in-degree and cut into runs, each node's in-edges in as
-many slots as its run's largest in-degree), built on first use and
-cached on the graph like the normalization and Gaussian weights. Each
-hidden kernel layer, like every linear+activation pair of every kind, is
-a single fused :func:`ad.dense` tape entry; the constant edge attributes
-and node features get no gradient.
+W~2 . mean_e(z_e outer v_e) + B2 . mean_e v_e and no per-edge h x h matrix
+is ever built. The whole kernel network and that contraction are one
+tape entry, :func:`ad.kernel_message_mean`, which runs on the graph's
+degree-blocked in-neighbour layout (``RadiusGraph.layout``: nodes sorted
+by in-degree and cut into runs, each node's in-edges in as many slots as
+its run's largest in-degree), built on first use and cached on the graph
+like the normalization and Gaussian weights. It evaluates the hidden
+kernel layers (:func:`kernel_net_forward` names their parameters) one
+degree block at a time and recomputes them in the backward pass, so no
+per-slot array of the whole layout is kept or built. Every other
+linear+activation pair of every kind is a single fused :func:`ad.dense`
+tape entry; the constant edge attributes and node features get no
+gradient.
 The spatial models read the spot coordinates from ``graph.positions``
 (the graph owns them) and cache their Gaussian weights on the graph,
 keyed by bandwidth alone.
@@ -267,32 +271,30 @@ def stack_forward(tape: Tape, config: ModelConfig, params: ModelParams,
     return _linear(tape, params, "readout", x)
 
 
-def kernel_net_forward(tape: Tape, config: ModelConfig, params: ModelParams,
-                       layer_index: int, edge_attr: Value) -> Value:
-    """The kernel network's last hidden activation z per row of edge
-    attributes: every layer of the MLP from the 3 attributes towards the
-    flattened hidden_dim x hidden_dim kernel except the final linear, which
-    :func:`graphpde_layer` folds into the mean message. With no hidden
-    layers z is the attributes themselves. Valid for zero rows."""
-    if edge_attr.data.shape[1] != 3:
-        raise DimensionError(
-            f"edge attributes must have width 3, got {edge_attr.data.shape[1]}")
-    x = edge_attr
-    for j in range(len(config.kernel_net_hidden)):
-        x = _linear(tape, params, f"layer_{layer_index}_kernel_{j}", x,
-                    config.activation)
-    return x
+def kernel_net_forward(config: ModelConfig, params: ModelParams,
+                       layer_index: int) -> tuple[tuple[Parameter, Parameter], ...]:
+    """The (W, b) pairs of the hidden layers of graphpde layer
+    ``layer_index``'s kernel network: every layer of the MLP from the 3
+    edge attributes towards the flattened hidden_dim x hidden_dim kernel
+    except the final linear. :func:`ad.kernel_message_mean` evaluates them
+    one degree block at a time and folds the final linear into the mean
+    message. Empty when the network has no hidden layers, so the kernel is
+    linear in the attributes."""
+    return tuple((params[f"layer_{layer_index}_kernel_{j}_w"],
+                  params[f"layer_{layer_index}_kernel_{j}_b"])
+                 for j in range(len(config.kernel_net_hidden)))
 
 
 def graphpde_layer(tape: Tape, config: ModelConfig, params: ModelParams,
-                   layer_index: int, graph: RadiusGraph, hidden: Value,
+                   layer_index: int, graph: RadiusGraph, attr: Value,
                    v: Value) -> Value:
     """v' = act(W v + b + mean over in-edges of K_e v_src).
 
-    ``hidden`` holds the kernel network's last hidden activation for every
-    slot of ``graph.layout`` (from :func:`kernel_net_forward` on the
-    layout's per-slot edge attributes); the final kernel layer
-    K_e = z_e W2 + b2 is applied inside the mean, exactly. Nodes with no
+    ``attr`` holds the kernel network's input row for every slot of
+    ``graph.layout`` (the layout's radius-scaled edge attributes on the
+    model path); the whole kernel network, hidden layers from
+    :func:`kernel_net_forward` and the final K_e = z_e W2 + b2, runs
+    inside one :func:`ad.kernel_message_mean` call, exactly. Nodes with no
     in-edges get a zero mean term, so the update degenerates to
     act(W v + b).
     """
@@ -301,8 +303,9 @@ def graphpde_layer(tape: Tape, config: ModelConfig, params: ModelParams,
             f"node state must have width {config.hidden_dim}, got {v.data.shape[1]}")
     act = ad.ACTIVATIONS[config.activation]
     last = f"layer_{layer_index}_kernel_{len(config.kernel_net_hidden)}"
-    aggregated = ad.kernel_message_mean(tape, hidden, params[f"{last}_w"],
-                                        params[f"{last}_b"], v, graph.layout)
+    aggregated = ad.kernel_message_mean(
+        tape, attr, kernel_net_forward(config, params, layer_index),
+        params[f"{last}_w"], params[f"{last}_b"], v, graph.layout, config.activation)
     return act(tape, ad.add(tape, _linear(tape, params, f"layer_{layer_index}", v),
                             aggregated))
 
@@ -311,12 +314,11 @@ def graphpde_forward(tape: Tape, config: ModelConfig, params: ModelParams,
                      graph: RadiusGraph, features: Value) -> Value:
     # kernel-net inputs are the edge attributes scaled by the build radius
     # (so they sit at O(1) regardless of slide units), one row per layout
-    # slot; the first linear layer absorbs the factor
+    # slot; the first kernel layer absorbs the factor
     edge_attr = ad.constant(graph.layout.edge_attr)
     x = _linear(tape, params, "lift", features)
     for i in range(config.num_layers):
-        hidden = kernel_net_forward(tape, config, params, i, edge_attr)
-        x = graphpde_layer(tape, config, params, i, graph, hidden, x)
+        x = graphpde_layer(tape, config, params, i, graph, edge_attr, x)
     return _linear(tape, params, "readout", x)
 
 

@@ -333,10 +333,7 @@ def _config_to_json(config: ModelConfig) -> dict:
 def _config_from_json(doc: dict) -> ModelConfig:
     doc = dict(doc)
     doc["kernel_net_hidden"] = tuple(doc.get("kernel_net_hidden", ()))
-    try:
-        return ModelConfig(**doc)
-    except TypeError as exc:
-        raise CheckpointError(f"bad model config in checkpoint: {exc}") from None
+    return ModelConfig(**doc)
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,
@@ -355,26 +352,45 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
 
 def load_checkpoint(path):
     """Load and validate -> (params, config, preprocess). Values reproduce
-    the saved ones bit-for-bit."""
-    doc = read_json(path)
+    the saved ones bit-for-bit. Malformed content raises a
+    :class:`CheckpointError` that names the file and the key."""
+    try:
+        doc = read_json(path)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise CheckpointError(f"{path}: not a JSON checkpoint ({exc})") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{path}: a checkpoint must hold a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version!r} (expected {CHECKPOINT_VERSION})")
-    config = _config_from_json(doc.get("config", {}))
-    config.validate()
-    stored = doc.get("params", {})
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r} "
+                              f"(expected {CHECKPOINT_VERSION})")
+    try:
+        config = _config_from_json(doc.get("config", {}))
+        expected = parameter_shapes(config)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad model config: {exc}") from None
+    stored, preprocess = doc.get("params", {}), doc.get("preprocess", {})
+    for key, block in (("params", stored), ("preprocess", preprocess)):
+        if not isinstance(block, dict):
+            raise CheckpointError(f"{path}: {key!r} must hold a JSON object")
     params = []
-    expected = parameter_shapes(config)
     for name, shape in expected:
         if name not in stored:
-            raise CheckpointError(f"checkpoint is missing parameter {name!r}")
-        arr = np.array(stored[name], dtype=np.float64)
+            raise CheckpointError(f"{path}: checkpoint is missing parameter {name!r}")
+        try:
+            arr = np.array(stored[name], dtype=np.float64)
+            numeric = bool(np.isfinite(arr).all())
+        except (TypeError, ValueError):
+            numeric = False
+        if not numeric:
+            raise CheckpointError(
+                f"{path}: parameter {name!r} is not an array of finite numbers")
         if arr.shape != shape:
             raise CheckpointError(
-                f"parameter {name!r} has shape {arr.shape}, config implies {shape}")
+                f"{path}: parameter {name!r} has shape {arr.shape}, config implies {shape}")
         params.append(Parameter(name, arr))
     extra = set(stored) - {name for name, _ in expected}
     if extra:
-        raise CheckpointError(f"checkpoint has unexpected parameter(s) {sorted(extra)}")
-    return ModelParams(params), config, doc.get("preprocess", {})
+        raise CheckpointError(
+            f"{path}: checkpoint has unexpected parameter(s) {sorted(extra)}")
+    return ModelParams(params), config, preprocess

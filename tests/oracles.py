@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive (dense, quadratic, loop-based) and
 shares no code with the library paths under test; :func:`unfused_dense`
-chains the separate autodiff primitives that ``ad.dense`` fuses.
+chains the separate autodiff primitives that ``ad.dense`` fuses, and
+:func:`two_stage_kernel_message_mean` / :func:`two_stage_graphpde_forward`
+run the graphpde kernel network as ``ad.dense`` over every layout slot
+before the message op, instead of inside it one degree block at a time.
 """
 
 import numpy as np
@@ -44,6 +47,36 @@ def unfused_dense(tape, x, weight, bias, activation=None):
     then the activation, if any."""
     out = ad.add_row_broadcast(tape, ad.matmul(tape, x, weight), bias)
     return out if activation is None else ad.ACTIVATIONS[activation](tape, out)
+
+
+def two_stage_kernel_message_mean(tape, attr, hidden_layers, weight, bias, v,
+                                  layout, activation=None):
+    """The kernel network's hidden layers as ``ad.dense`` over the full
+    num_slots-row matrix, then the message op on those rows with no hidden
+    layers of its own."""
+    z = attr
+    for w, b in hidden_layers:
+        z = ad.dense(tape, z, w, b, activation)
+    return ad.kernel_message_mean(tape, z, (), weight, bias, v, layout)
+
+
+def two_stage_graphpde_forward(tape, config, params, graph, features):
+    """graphpde logits with every kernel-network hidden layer evaluated over
+    all slots of ``graph.layout`` before the message op (same parameters,
+    same op order otherwise)."""
+    act = ad.ACTIVATIONS[config.activation]
+    attr = ad.constant(graph.layout.edge_attr)
+    x = ad.dense(tape, features, params["lift_w"], params["lift_b"])
+    depth = len(config.kernel_net_hidden)
+    for i in range(config.num_layers):
+        hidden = [(params[f"layer_{i}_kernel_{j}_w"], params[f"layer_{i}_kernel_{j}_b"])
+                  for j in range(depth)]
+        aggregated = two_stage_kernel_message_mean(
+            tape, attr, hidden, params[f"layer_{i}_kernel_{depth}_w"],
+            params[f"layer_{i}_kernel_{depth}_b"], x, graph.layout, config.activation)
+        x = act(tape, ad.add(tape, ad.dense(tape, x, params[f"layer_{i}_w"],
+                                            params[f"layer_{i}_b"]), aggregated))
+    return ad.dense(tape, x, params["readout_w"], params["readout_b"])
 
 
 def single_block_layout(graph):

@@ -14,7 +14,7 @@ import pytest
 from stgno import autodiff as ad
 from stgno.cli import main as cli_main
 from stgno.geometry import build_radius_graph, gaussian_kernel_weights, apply_kernel
-from stgno.models import (init_params, make_config, model_forward,
+from stgno.models import (ModelParams, init_params, make_config, model_forward,
                           parameter_shapes)
 from stgno.pipeline import (SyntheticConfig, assemble_graphs, bin_labels,
                             generate_synthetic, select_holdout)
@@ -153,7 +153,7 @@ def test_criterion_01_gradient_suite():
     kb = ad.Parameter("kb", away_from_zero((1, 9)))
     nodes = ad.Parameter("nodes", away_from_zero((5, 3)))
     op_check(lambda t: ad.sum_all(t, ad.mul_const(
-        t, ad.kernel_message_mean(t, slots, kw, kb, nodes, layout), c53)),
+        t, ad.kernel_message_mean(t, slots, (), kw, kb, nodes, layout), c53)),
         [slots, kw, kb, nodes])
 
     # the fused linear layer, for every activation; drawn after the checks
@@ -169,6 +169,34 @@ def test_criterion_01_gradient_suite():
     for activation in (None, "relu", "tanh"):
         op_check(lambda t: ad.sum_all(t, ad.mul_const(
             t, ad.dense(t, const_x, dw, db, activation), c42)), [dw, db])
+
+    # the same op running one and two kernel hidden layers itself, with two
+    # isolated nodes; the attribute rows are a plain Value, so they get a
+    # gradient too. Drawn after the checks above so they keep their inputs.
+    iso_pts = np.vstack([rng.uniform(size=(5, 2)), [[5.0, 5.0], [8.0, 5.0]]])
+    iso_layout = build_radius_graph(iso_pts, 0.6).layout
+    attr = ad.Value(away_from_zero((iso_layout.num_slots, 3)))
+    iso_nodes = ad.Parameter("iso_nodes", away_from_zero((7, 2)))
+    c72 = rng.uniform(-1, 1, (7, 2))
+    for widths in ((3, 4), (3, 4, 3)):
+        hidden = [(ad.Parameter(f"hw{j}", away_from_zero(widths[j:j + 2])),
+                   ad.Parameter(f"hb{j}", away_from_zero((1, widths[j + 1]))))
+                  for j in range(len(widths) - 1)]
+        last_w = ad.Parameter("last_w", away_from_zero((widths[-1], 4)))
+        last_b = ad.Parameter("last_b", away_from_zero((1, 4)))
+        leaves = [*(p for pair in hidden for p in pair), last_w, last_b, iso_nodes]
+        for activation in ("relu", "tanh"):
+            def fused(t):
+                return ad.sum_all(t, ad.mul_const(t, ad.kernel_message_mean(
+                    t, attr, hidden, last_w, last_b, iso_nodes, iso_layout,
+                    activation), c72))
+            op_check(fused, leaves)
+            attr.grad = None
+            tape = ad.Tape()
+            tape.backward(fused(tape))
+            fd_attr = finite_difference_grads(
+                lambda: float(fused(ad.Tape()).data[0, 0]), [attr.data])[0]
+            worst = max(worst, rel_err(attr.grad, fd_attr))
 
     elapsed = time.monotonic() - started
     gate("criterion 1: gradient suite (ops + all models)",
@@ -202,13 +230,14 @@ def test_criterion_03_sparse_vs_dense():
     for seed in range(5):
         n = int(rng.integers(3, 13))
         pts, graph = _random_graph(n, radius=0.5, seed=seed)
-        # an identity final kernel layer (16 -> 16) makes the hidden rows
-        # handed to the layer the explicit per-edge kernels
+        # no kernel hidden layers and an identity kernel layer (16 -> 16)
+        # make the rows handed to the layer the explicit per-edge kernels
         cfg = make_config("graphpde", input_dim=4, hidden_dim=4,
-                          kernel_net_hidden=(16,), init_seed=seed)
-        params = init_params(cfg)
-        params["layer_0_kernel_1_w"].data[:] = np.eye(16)
-        params["layer_0_kernel_1_b"].data[:] = 0.0
+                          kernel_net_hidden=(), init_seed=seed)
+        params = ModelParams([ad.Parameter(name, np.eye(16))
+                              if name == "layer_0_kernel_0_w" else p
+                              for name, p in init_params(cfg).items()])
+        params["layer_0_kernel_0_b"].data[:] = 0.0
         v = rng.uniform(-1, 1, (n, 4))
         kernels = rng.uniform(-1, 1, (graph.num_edges, 16))
         from stgno.models import graphpde_layer

@@ -9,7 +9,8 @@ from stgno import autodiff as ad
 from stgno.errors import ContractError, DimensionError
 from stgno.geometry import RadiusGraph, build_radius_graph
 
-from oracles import finite_difference_grads, rel_err, single_block_layout, unfused_dense
+from oracles import (finite_difference_grads, rel_err, single_block_layout,
+                     two_stage_kernel_message_mean, unfused_dense)
 
 RNG = np.random.default_rng(12345)
 
@@ -374,7 +375,7 @@ def _kernel_mean_inputs(graph, k, h, rng=RNG):
 def test_kernel_message_mean_matches_edge_loop(isolated):
     graph = _layout_graph(1, isolated=isolated)
     hidden, weight, bias, v = _kernel_mean_inputs(graph, 5, 3)
-    out = ad.kernel_message_mean(ad.Tape(), hidden, weight, bias, v, graph.layout)
+    out = ad.kernel_message_mean(ad.Tape(), hidden, (), weight, bias, v, graph.layout)
     want = _kernel_mean_loop(hidden.data, weight.data, bias.data, v.data, graph)
     assert np.abs(out.data - want).max() < 1e-13
     if isolated:
@@ -388,7 +389,7 @@ def test_kernel_message_mean_gradients(isolated):
     coeffs = RNG.uniform(-1, 1, (graph.num_nodes, 2))
     check_op_gradient(
         lambda t: weighted_sum_loss(
-            t, ad.kernel_message_mean(t, *inputs, graph.layout), coeffs),
+            t, ad.kernel_message_mean(t, inputs[0], (), *inputs[1:], graph.layout), coeffs),
         list(inputs))
 
 
@@ -398,7 +399,7 @@ def test_kernel_message_mean_pad_slots_get_zero_gradient():
     assert not layout.mask.all()
     hidden, weight, bias, v = _kernel_mean_inputs(graph, 4, 3)
     tape = ad.Tape()
-    out = ad.kernel_message_mean(tape, hidden, weight, bias, v, layout)
+    out = ad.kernel_message_mean(tape, hidden, (), weight, bias, v, layout)
     tape.backward(ad.sum_all(tape, out))
     pads = ~layout.mask
     assert np.array_equal(hidden.grad[pads], np.zeros((pads.sum(), 4)))
@@ -422,7 +423,7 @@ def test_kernel_message_mean_matches_single_block_oracle(n, isolated):
         leaves = [ad.Parameter(name, data.copy()) for name, data in
                   (("hidden", slot_rows), ("weight", weight), ("bias", bias), ("v", v))]
         tape = ad.Tape()
-        out = ad.kernel_message_mean(tape, *leaves, layout)
+        out = ad.kernel_message_mean(tape, leaves[0], (), *leaves[1:], layout)
         tape.backward(ad.sum_all(tape, ad.mul_const(tape, out, coeffs)))
         hidden_grad = leaves[0].grad
         assert not hidden_grad[~layout.mask].any()
@@ -449,7 +450,7 @@ def test_kernel_message_mean_without_edges_is_exactly_zero():
     hidden, weight, bias, v = _kernel_mean_inputs(graph, 3, 2)
     assert hidden.data.shape == (0, 3)
     tape = ad.Tape()
-    out = ad.kernel_message_mean(tape, hidden, weight, bias, v, graph.layout)
+    out = ad.kernel_message_mean(tape, hidden, (), weight, bias, v, graph.layout)
     assert np.array_equal(out.data, np.zeros((4, 2)))
     tape.backward(ad.sum_all(tape, out))
     for p in (weight, bias, v):
@@ -461,13 +462,13 @@ def test_kernel_message_mean_on_raw_attributes():
     graph = _layout_graph(4)
     _hidden, weight, bias, v = _kernel_mean_inputs(graph, 3, 3)
     attr = ad.constant(graph.layout.edge_attr)
-    out = ad.kernel_message_mean(ad.Tape(), attr, weight, bias, v, graph.layout)
+    out = ad.kernel_message_mean(ad.Tape(), attr, (), weight, bias, v, graph.layout)
     want = _kernel_mean_loop(attr.data, weight.data, bias.data, v.data, graph)
     assert np.abs(out.data - want).max() < 1e-13
     coeffs = RNG.uniform(-1, 1, (graph.num_nodes, 3))
     check_op_gradient(
         lambda t: weighted_sum_loss(
-            t, ad.kernel_message_mean(t, attr, weight, bias, v, graph.layout),
+            t, ad.kernel_message_mean(t, attr, (), weight, bias, v, graph.layout),
             coeffs),
         [weight, bias, v])
     assert attr.grad is None  # a Constant gets no gradient
@@ -480,7 +481,7 @@ def test_kernel_message_mean_repeated_backward_accumulates():
 
     def one_pass():
         tape = ad.Tape()
-        out = ad.kernel_message_mean(tape, *leaves, graph.layout)
+        out = ad.kernel_message_mean(tape, leaves[0], (), *leaves[1:], graph.layout)
         tape.backward(ad.sum_all(tape, ad.tanh(tape, out)))
 
     one_pass()
@@ -494,11 +495,120 @@ def test_kernel_message_mean_shape_errors():
     graph = _layout_graph(6)
     hidden, weight, bias, v = _kernel_mean_inputs(graph, 4, 3)
     with pytest.raises(DimensionError):
-        ad.kernel_message_mean(ad.Tape(), ad.constant(hidden.data[1:]), weight,
+        ad.kernel_message_mean(ad.Tape(), ad.constant(hidden.data[1:]), (), weight,
                                bias, v, graph.layout)
     with pytest.raises(DimensionError):
-        ad.kernel_message_mean(ad.Tape(), hidden, ad.constant(weight.data[:, 1:]),
+        ad.kernel_message_mean(ad.Tape(), hidden, (), ad.constant(weight.data[:, 1:]),
                                bias, v, graph.layout)
+
+
+def _fused_inputs(graph, widths, h, rng):
+    """Per-slot attribute rows (a plain Value, so they get a gradient),
+    the hidden (W_j, b_j) pairs for ``widths`` = (a, k_1, ..., k_L), the
+    last layer and the node states."""
+    attr = ad.Value(safe_uniform((graph.layout.num_slots, widths[0]), rng))
+    hidden = [(ad.Parameter(f"w{j}", safe_uniform((widths[j], widths[j + 1]), rng)),
+               ad.Parameter(f"b{j}", safe_uniform((1, widths[j + 1]), rng)))
+              for j in range(len(widths) - 1)]
+    last = (ad.Parameter("weight", safe_uniform((widths[-1], h * h), rng)),
+            ad.Parameter("bias", safe_uniform((1, h * h), rng)))
+    v = ad.Parameter("v", safe_uniform((graph.num_nodes, h), rng))
+    return attr, hidden, last, v
+
+
+@pytest.mark.parametrize("widths", [(3, 8), (3, 8, 5)])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("isolated", [0, 2])
+def test_fused_kernel_message_mean_matches_two_stage(widths, activation, isolated):
+    # the kernel net run one degree block at a time inside the op gives the
+    # bits of running it over every slot first; gradients differ only in
+    # summation order
+    graph = _layout_graph(9, isolated=isolated)
+    rng = np.random.default_rng(10)
+    attr, hidden, (weight, bias), v = _fused_inputs(graph, widths, 3, rng)
+    coeffs = safe_uniform((graph.num_nodes, 3), rng)
+    leaves = [attr, *(p for pair in hidden for p in pair), weight, bias, v]
+    results = []
+    for op in (ad.kernel_message_mean, two_stage_kernel_message_mean):
+        for leaf in leaves:
+            leaf.grad = None
+        tape = ad.Tape()
+        out = op(tape, attr, hidden, weight, bias, v, graph.layout, activation)
+        inference = op(ad.Tape(record=False), attr, hidden, weight, bias, v,
+                       graph.layout, activation)
+        assert np.array_equal(inference.data, out.data)
+        tape.backward(weighted_sum_loss(tape, out, coeffs))
+        results.append((out.data, [leaf.grad for leaf in leaves]))
+    (fused, grads), (want, want_grads) = results
+    assert np.array_equal(fused, want)
+    if isolated:
+        assert np.array_equal(fused[-isolated:], np.zeros((isolated, 3)))
+    for got, exact in zip(grads, want_grads):
+        assert rel_err(got, exact) <= 1e-12
+
+
+@pytest.mark.parametrize("widths", [(3, 4), (3, 4, 3)])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_fused_kernel_message_mean_gradients(widths, activation):
+    # with two isolated nodes; attr is a plain Value, so it gets a gradient
+    graph = _layout_graph(11, n=6, radius=0.5, isolated=2)
+    rng = np.random.default_rng(12)
+    attr, hidden, (weight, bias), v = _fused_inputs(graph, widths, 2, rng)
+    coeffs = safe_uniform((graph.num_nodes, 2), rng)
+    leaves = [attr, *(p for pair in hidden for p in pair), weight, bias, v]
+
+    def build(tape):
+        return weighted_sum_loss(tape, ad.kernel_message_mean(
+            tape, attr, hidden, weight, bias, v, graph.layout, activation), coeffs)
+
+    for leaf in leaves:
+        leaf.grad = None
+    tape = ad.Tape()
+    tape.backward(build(tape))
+    fd = finite_difference_grads(lambda: float(build(ad.Tape()).data[0, 0]),
+                                 [leaf.data for leaf in leaves])
+    for leaf, want in zip(leaves, fd):
+        assert rel_err(leaf.grad, want) < 1e-6
+
+
+def test_fused_kernel_message_mean_pad_slots_get_zero_attr_gradient():
+    graph = _layout_graph(13, isolated=1)
+    layout = graph.layout
+    assert not layout.mask.all()
+    attr, hidden, (weight, bias), v = _fused_inputs(graph, (3, 6, 4), 3,
+                                                    np.random.default_rng(14))
+    tape = ad.Tape()
+    out = ad.kernel_message_mean(tape, attr, hidden, weight, bias, v, layout, "tanh")
+    tape.backward(ad.sum_all(tape, out))
+    pads = ~layout.mask
+    assert np.array_equal(attr.grad[pads], np.zeros((pads.sum(), 3)))
+    assert np.abs(attr.grad[~pads]).max() > 0.0
+
+
+def test_fused_kernel_message_mean_constant_attr_gets_no_gradient():
+    graph = _layout_graph(15)
+    attr, hidden, (weight, bias), v = _fused_inputs(graph, (3, 5), 2,
+                                                    np.random.default_rng(16))
+    const = ad.constant(attr.data)
+    tape = ad.Tape()
+    out = ad.kernel_message_mean(tape, const, hidden, weight, bias, v,
+                                 graph.layout, "relu")
+    tape.backward(ad.sum_all(tape, out))
+    assert const.grad is None
+    assert all(np.abs(p.grad).max() > 0.0 for pair in hidden for p in pair)
+
+
+def test_fused_kernel_message_mean_errors():
+    graph = _layout_graph(17)
+    attr, hidden, (weight, bias), v = _fused_inputs(graph, (3, 5), 2,
+                                                    np.random.default_rng(18))
+    with pytest.raises(ContractError):
+        ad.kernel_message_mean(ad.Tape(), attr, hidden, weight, bias, v, graph.layout)
+    with pytest.raises(DimensionError):  # the hidden layer takes 3 inputs
+        ad.kernel_message_mean(ad.Tape(), ad.Value(attr.data[:, :2]), hidden, weight,
+                               bias, v, graph.layout, "relu")
+    with pytest.raises(DimensionError):  # the last layer takes the hidden width
+        ad.kernel_message_mean(ad.Tape(), attr, (), weight, bias, v, graph.layout)
 
 
 def test_coo_matmul_matches_dense():

@@ -443,6 +443,52 @@ def test_divergence_names_model_run_seed_and_reproduce_hint(prepared_dir, tmp_pa
                         err).group(1) == shlex.join(argv)
 
 
+@pytest.fixture(scope="module")
+def graphpde_run(tmp_path_factory):
+    """A 4 x 40 synth set, prepared, and a one-epoch graphpde checkpoint."""
+    root = tmp_path_factory.mktemp("graphpde")
+    assert run_cli("synth", "--out", str(root / "data"), "--samples", "4",
+                   "--spots", "40", "--genes", "8", "--seed", "2") == 0
+    assert run_cli("prepare", "--spots", str(root / "data" / "spots.csv"),
+                   "--genes", str(root / "data" / "genes.txt"),
+                   "--labels", str(root / "data" / "labels.tsv"), "--radius", "0.3",
+                   "--holdout-k", "1", "--min-classes", "3", "--out",
+                   str(root / "prep")) == 0
+    assert run_cli("train", "--data", str(root / "prep"), "--model", "graphpde",
+                   "--hidden", "4", "--kernel-hidden", "8", "--epochs", "1",
+                   "--runs", "1", "--out", str(root / "run")) == 0
+    return root
+
+
+def _tampered_checkpoint(graphpde_run, tmp_path, block, key, value):
+    doc = json.loads((graphpde_run / "run" / "best.ckpt.json").read_text())
+    doc[block][key] = value
+    path = tmp_path / "tampered.ckpt.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("block,key,value,commands", [
+    ("params", "readout_w", "oops", ("eval", "predict")),
+    ("preprocess", "radius", "oops", ("predict",)),
+    ("preprocess", "radius", 0, ("predict",)),
+    ("preprocess", "radius", -1, ("predict",)),
+    ("preprocess", "class_names", ["region_a"], ("predict",))])
+def test_malformed_checkpoint_is_one_data_error_line(graphpde_run, tmp_path, capsys,
+                                                     block, key, value, commands):
+    ckpt = _tampered_checkpoint(graphpde_run, tmp_path, block, key, value)
+    argvs = {"eval": ("eval", "--data", str(graphpde_run / "prep")),
+             "predict": ("predict", "--spots", str(graphpde_run / "data" / "spots.csv"),
+                         "--out", str(tmp_path / "preds.csv"))}
+    capsys.readouterr()
+    for command in commands:
+        assert run_cli(*argvs[command], "--checkpoint", str(ckpt)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:data:") and err.count("\n") == 1, err
+        assert str(ckpt) in err and key in err, err
+    assert not (tmp_path / "preds.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # contracts
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from stgno import autodiff as ad
 from stgno.errors import ContractError, DimensionError, ParameterError
 from stgno.geometry import (RadiusGraph, apply_kernel, build_radius_graph,
                             edge_attributes, gaussian_kernel_weights)
+from stgno.autodiff import Parameter
 from stgno.models import (ModelParams, graphpde_forward,
                           graphpde_layer, init_params, kernel_net_forward,
                           make_config, model_forward, parameter_shapes,
@@ -16,7 +19,7 @@ from stgno.train import class_weights, weighted_cross_entropy
 
 from oracles import (dense_graphpde_layer, finite_difference_grads,
                      kernel_net_reference, reference_graphpde_forward, rel_err,
-                     single_block_layout, unfused_dense)
+                     single_block_layout, two_stage_graphpde_forward, unfused_dense)
 
 RNG = np.random.default_rng(99)
 
@@ -40,14 +43,16 @@ def edgeless_graph(n, positions=None):
 
 
 def explicit_kernel_model(h, **overrides):
-    """A graphpde config and params whose final kernel layer (h^2 -> h^2)
-    is the identity, so the hidden rows handed to graphpde_layer are the
-    flattened per-edge kernels themselves."""
+    """A graphpde config without kernel hidden layers and params whose one
+    kernel layer is the h^2 x h^2 identity (in place of the 3 x h^2 one),
+    so the rows handed to graphpde_layer are the flattened per-edge
+    kernels themselves."""
     cfg = make_config("graphpde", input_dim=4, hidden_dim=h,
-                      kernel_net_hidden=(h * h,), **overrides)
-    params = init_params(cfg)
-    params["layer_0_kernel_1_w"].data[:] = np.eye(h * h)
-    params["layer_0_kernel_1_b"].data[:] = 0.0
+                      kernel_net_hidden=(), **overrides)
+    params = ModelParams([Parameter(name, np.eye(h * h))
+                          if name == "layer_0_kernel_0_w" else p
+                          for name, p in init_params(cfg).items()])
+    params["layer_0_kernel_0_b"].data[:] = 0.0
     return cfg, params
 
 
@@ -323,20 +328,29 @@ def test_zero_kernel_net_final_layer_zeroes_all_kernels():
     assert np.array_equal(kernel_net_reference(params, 0, attr, "relu"),
                           np.zeros((attr.shape[0], 16)))
     v = RNG.uniform(-1, 1, (7, 4))
-    tape = ad.Tape()
-    hidden = kernel_net_forward(tape, cfg, params, 0, ad.constant(attr))
-    out = graphpde_layer(tape, cfg, params, 0, graph, hidden, ad.constant(v))
+    out = graphpde_layer(ad.Tape(), cfg, params, 0, graph, ad.constant(attr),
+                         ad.constant(v))
     want = np.maximum(v @ params["layer_0_w"].data + params["layer_0_b"].data, 0.0)
     assert np.array_equal(out.data, want)
 
 
 def test_kernel_net_empty_edges_valid():
+    # the kernel net runs inside the message op on zero slot rows
     cfg = make_config("graphpde", input_dim=3, hidden_dim=4,
                       kernel_net_hidden=(8,), init_seed=5)
     params = init_params(cfg)
-    out = kernel_net_forward(ad.Tape(), cfg, params, 0,
-                             ad.Value(np.zeros((0, 3))))
-    assert out.data.shape == (0, 8)
+    hidden = kernel_net_forward(cfg, params, 0)
+    assert [(w.data.shape, b.data.shape) for w, b in hidden] == [((3, 8), (1, 8))]
+    graph = edgeless_graph(5)
+    v = RNG.uniform(-1, 1, (5, 4))
+    tape = ad.Tape()
+    out = ad.kernel_message_mean(tape, ad.Value(np.zeros((0, 3))), hidden,
+                                 params["layer_0_kernel_1_w"],
+                                 params["layer_0_kernel_1_b"], ad.constant(v),
+                                 graph.layout, "relu")
+    assert np.array_equal(out.data, np.zeros((5, 4)))
+    tape.backward(ad.sum_all(tape, out))
+    assert not any(p.grad.any() for pair in hidden for p in pair)
 
 
 def test_kernel_net_output_with_final_layer_matches_oracle():
@@ -346,20 +360,43 @@ def test_kernel_net_output_with_final_layer_matches_oracle():
     for name, p in params.items():
         if name.endswith("_b"):
             p.data[:] = RNG.uniform(-0.5, 0.5, p.data.shape)
+    # the hidden pairs, in order, then the final layer give the oracle's
+    # kernels; the fused layer applies exactly those kernels
     attr = RNG.uniform(-1, 1, (9, 3))
-    hidden = kernel_net_forward(ad.Tape(), cfg, params, 0, ad.constant(attr)).data
+    hidden = attr
+    for w, b in kernel_net_forward(cfg, params, 0):
+        hidden = np.maximum(hidden @ w.data + b.data, 0.0)
     assert hidden.shape == (9, 6)
     kernels = (hidden @ params["layer_0_kernel_2_w"].data
                + params["layer_0_kernel_2_b"].data)
     want = kernel_net_reference(params, 0, attr, "relu")
     assert np.abs(kernels - want).max() < 1e-14
+    _pts, graph = random_graph(10, radius=0.5, seed=6)
+    v = RNG.uniform(-1, 1, (10, 4))
+    out = graphpde_layer(ad.Tape(), cfg, params, 0, graph,
+                         ad.constant(graph.layout.edge_attr), ad.constant(v))
+    edge_kernels = kernel_net_reference(params, 0, graph.edge_attr / graph.radius,
+                                        "relu")
+    dense = dense_graphpde_layer(params["layer_0_w"].data, params["layer_0_b"].data,
+                                 edge_kernels, graph.edges, v, "relu")
+    assert np.abs(out.data - dense).max() < 1e-12
 
 
 def test_kernel_net_without_hidden_layers_passes_attributes_through():
     cfg = make_config("graphpde", input_dim=3, hidden_dim=4,
                       kernel_net_hidden=(), init_seed=5)
-    attr = ad.constant(RNG.uniform(-1, 1, (5, 3)))
-    assert kernel_net_forward(ad.Tape(), cfg, init_params(cfg), 0, attr) is attr
+    params = init_params(cfg)
+    assert kernel_net_forward(cfg, params, 0) == ()
+    # the kernels are then linear in the attributes: K_e = a_e W + b
+    _pts, graph = random_graph(8, radius=0.6, seed=4)
+    params["layer_0_kernel_0_b"].data[:] = RNG.uniform(-0.5, 0.5, (1, 16))
+    v = RNG.uniform(-1, 1, (8, 4))
+    out = graphpde_layer(ad.Tape(), cfg, params, 0, graph,
+                         ad.constant(graph.layout.edge_attr), ad.constant(v))
+    kernels = kernel_net_reference(params, 0, graph.edge_attr / graph.radius, "relu")
+    dense = dense_graphpde_layer(params["layer_0_w"].data, params["layer_0_b"].data,
+                                 kernels, graph.edges, v, "relu")
+    assert np.abs(out.data - dense).max() < 1e-12
 
 
 def test_graphpde_layer_edgeless_reduces_to_linear_update():
@@ -464,8 +501,8 @@ def test_kernel_net_gradient_matches_finite_differences():
            params["layer_0_kernel_1_w"], params["layer_0_kernel_1_b"]]
 
     def build(tape):
-        hidden = kernel_net_forward(tape, cfg, params, 0, attr)
-        out = ad.kernel_message_mean(tape, hidden, phi[2], phi[3], v, graph.layout)
+        out = ad.kernel_message_mean(tape, attr, kernel_net_forward(cfg, params, 0),
+                                     phi[2], phi[3], v, graph.layout, cfg.activation)
         return ad.sum_all(tape, ad.mul_const(tape, out, coeffs))
 
     def loss_value():
@@ -571,6 +608,79 @@ def test_graphpde_step_on_degree_blocks_matches_single_block_oracle(
     assert np.array_equal(loss, want_loss)
     for name in params.names():
         assert rel_err(grads[name], want_grads[name]) <= 1e-12, name
+
+
+def _isolated_slide(radius, seed):
+    """300 uniform spots plus 3 far-away ones with no neighbour."""
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([rng.uniform(size=(300, 2)), [[5.0, 5.0], [7.0, 5.0], [5.0, 7.0]]])
+    return build_radius_graph(pts, radius), rng
+
+
+def _reference_step(cfg, params, graph, x, labels, forward):
+    params.zero_grads()
+    tape = ad.Tape()
+    logits = forward(tape, cfg, params, graph, ad.constant(x))
+    loss = weighted_cross_entropy(tape, logits, labels, class_weights(labels, 3))
+    tape.backward(loss)
+    inference = forward(ad.Tape(record=False), cfg, params, graph, ad.constant(x))
+    return (logits.data, inference.data, loss.data.copy(),
+            {n: p.grad.copy() for n, p in params.items()})
+
+
+@pytest.mark.parametrize("radius", [0.25, 1e-4])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("kernel_hidden", [(), (32,), (16, 16)])
+def test_fused_graphpde_matches_two_stage_reference(radius, activation, kernel_hidden):
+    # the kernel net inside the message op, one degree block at a time,
+    # against the kernel net as dense layers over all slots first; at
+    # r = 1e-4 every block has width 0
+    graph, rng = _isolated_slide(radius, 53)
+    degree = np.bincount(graph.edges[:, 1], minlength=303)
+    assert (degree[300:] == 0).all()
+    assert all(blk.width == 0 for blk in graph.layout.blocks) == (radius < 0.1)
+    cfg = make_config("graphpde", input_dim=6, hidden_dim=8,
+                      kernel_net_hidden=kernel_hidden, activation=activation,
+                      init_seed=5)
+    params = init_params(cfg)
+    _randomize_biases(params, rng)
+    x = rng.uniform(-1, 1, (303, 6))
+    labels = rng.integers(0, 3, 303)
+    logits, inference, loss, grads = _reference_step(
+        cfg, params, graph, x, labels, graphpde_forward)
+    want, want_inference, want_loss, want_grads = _reference_step(
+        cfg, params, graph, x, labels, two_stage_graphpde_forward)
+    assert np.array_equal(logits, want)
+    assert np.array_equal(inference, want_inference)
+    assert np.array_equal(inference, logits)
+    assert np.array_equal(loss, want_loss)
+    for name in params.names():
+        assert rel_err(grads[name], want_grads[name]) <= 1e-12, name
+
+
+def test_graphpde_step_allocates_no_slot_sized_arrays():
+    # the criterion-7 widths (h = 8, k = 32) on a 300-spot r = 0.25 slide:
+    # a (num_slots x k) array is ~3.7 MB here and one step used to peak at
+    # ~33 MB of traced allocations, one inference forward at ~7.7 MB
+    graph, rng = _isolated_slide(0.25, 59)
+    cfg = make_config("graphpde", input_dim=32, hidden_dim=8, kernel_net_hidden=(32,),
+                      init_seed=1)
+    params = init_params(cfg)
+    x = rng.uniform(-1, 1, (303, 32))
+    labels = rng.integers(0, 3, 303)
+    _training_step(cfg, params, graph, x, labels)  # builds the cached layout
+    assert graph.layout.num_slots * 32 * 8 > 3e6
+    tracemalloc.start()
+    try:
+        _training_step(cfg, params, graph, x, labels)
+        step_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        model_forward(ad.Tape(record=False), cfg, params, x, graph=graph)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step_peak <= 12e6, step_peak
+    assert forward_peak <= 3e6, forward_peak
 
 
 @given(st.integers(0, 2 ** 31 - 1))
