@@ -188,8 +188,8 @@ def _cmd_prepare(args, argv):
     split = pl.select_holdout(table, k=args.holdout_k,
                               min_classes=args.min_classes, seed=args.seed)
     radius = args.radius if args.radius is not None else _auto_radius(table)
-    if not radius > 0:
-        raise ParameterError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ParameterError(f"--radius must be positive and finite, got {radius}")
     train_graphs, holdout_graphs, scaler = pl.assemble_graphs(
         table, split, radius, standardize=args.standardize)
 
@@ -311,6 +311,8 @@ def _cmd_eval(args, argv):
 
 def _cmd_report(args, argv):
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
+    if not kinds:
+        raise ParameterError(f"--models names no model kind; valid: {', '.join(MODEL_KINDS)}")
     for kind in kinds:
         if kind not in MODEL_KINDS:
             raise ParameterError(
@@ -354,7 +356,17 @@ def _cmd_predict(args, argv):
     features = table.expression
     scaler = pre.get("standardization")
     if scaler:
-        features = (features - np.array(scaler["mean"])) / np.array(scaler["std"])
+        stats = []
+        for key in ("mean", "std"):
+            arr = pl.numeric_array(scaler.get(key) if isinstance(scaler, dict) else None)
+            if (arr is None or arr.shape != (len(gene_names),) or not np.isfinite(arr).all()
+                    or (key == "std" and not (arr > 0).all())):
+                raise CheckpointError(
+                    f"{args.checkpoint}: preprocess.standardization.{key} must hold "
+                    f"{len(gene_names)} finite numbers{' > 0' if key == 'std' else ''}, "
+                    "one per gene")
+            stats.append(arr.astype(np.float64))
+        features = (features - stats[0]) / stats[1]
 
     lines = ["sample_id,x,y,predicted_class"]
     for sid in table.sample_order():
@@ -387,8 +399,8 @@ def _apply_config_file(argv, args):
     if not cfg_path:
         return args
     try:
-        cfg = read_json(cfg_path)
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = read_json(cfg_path)  # undecodable text or bad JSON: a DataError
+    except OSError as exc:
         raise DataError(f"cannot read config file {cfg_path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise DataError(f"config file {cfg_path} must hold a JSON object")

@@ -7,13 +7,13 @@ scanned: expected cost O(n * k) instead of O(n^2). Membership uses the
 squared-distance comparison d2 <= radius**2.
 
 Edges are directed and stored both ways, sorted by (src, dst), with no
-self loops and no duplicates. Edge attributes are (dx, dy, distance)
-taken dst minus src. A graph owns a copy of the positions it was built
-from. A built graph is immutable by convention. Constants derived from
-it (the degree-blocked in-neighbour layout, normalization weights,
-Gaussian weights per bandwidth) are computed on first use and cached on
-the instance; concurrent first uses may compute one twice, with
-identical results.
+self loops and no duplicates. A graph stores only its own copy of the
+positions, its edges and its radius; the rest is derived. The edge
+attributes (dx, dy, distance, taken dst minus src) are recomputed on each
+access. The degree-blocked in-neighbour layout, normalization weights
+and Gaussian weights per bandwidth are computed on first use and cached
+on the instance. A built graph is immutable by convention; concurrent
+first uses may compute a constant twice, with identical results.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ def as_positions(obj) -> np.ndarray:
 
 @dataclass(eq=False)
 class RadiusGraph:
-    """All ordered point pairs within ``radius``, plus their geometry."""
+    """All ordered point pairs within ``radius``."""
 
     positions: np.ndarray  # (n, 2) float64, the graph's own copy
     edges: np.ndarray      # (m, 2) int64, directed both ways, sorted
-    edge_attr: np.ndarray  # (m, 3) float64: dx, dy, euclidean distance
     radius: float
     _constants: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -53,6 +52,11 @@ class RadiusGraph:
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
+
+    @property
+    def edge_attr(self) -> np.ndarray:
+        """(m, 3) float64 dx, dy, euclidean distance, computed on each access."""
+        return edge_attributes(self.positions, self.edges)
 
     def cached(self, key, build: Callable[[], object]):
         """The per-graph constant ``key``, made by ``build()`` on first use."""
@@ -131,15 +135,10 @@ class NeighbourLayout:
 
     def pad_edge_rows(self, rows) -> np.ndarray:
         """Spread an m x c per-edge matrix over the slots, zero in pads."""
-        return _spread_over_slots(self.slot_edge, rows)
-
-
-def _spread_over_slots(slot_edge: np.ndarray, rows) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    valid = slot_edge >= 0
-    out = np.zeros((slot_edge.size, rows.shape[1]))
-    out[valid] = rows[slot_edge[valid]]
-    return out
+        rows = np.asarray(rows, dtype=np.float64)
+        out = np.zeros((self.num_slots, rows.shape[1]))
+        out[self.mask] = rows[self.slot_edge[self.mask]]
+        return out
 
 
 def neighbour_layout(graph: RadiusGraph) -> NeighbourLayout:
@@ -167,10 +166,12 @@ def neighbour_layout(graph: RadiusGraph) -> NeighbourLayout:
     slot_edge[slots] = edge_order
     neighbours = np.full(slot_edge.size, n, dtype=np.int64)
     neighbours[slots] = src[edge_order]
+    # the graph's attributes are derived on access: read them once, here
+    edge_attr = np.zeros((slot_edge.size, 3))
+    edge_attr[slots] = graph.edge_attr[edge_order] / graph.radius
     return NeighbourLayout(
         order=order, blocks=blocks, neighbours=neighbours, slot_edge=slot_edge,
-        inv_degree=1.0 / np.maximum(deg, 1).astype(np.float64),
-        edge_attr=_spread_over_slots(slot_edge, graph.edge_attr / graph.radius))
+        inv_degree=1.0 / np.maximum(deg, 1).astype(np.float64), edge_attr=edge_attr)
 
 
 def build_radius_graph(points, radius: float) -> RadiusGraph:
@@ -206,8 +207,7 @@ def build_radius_graph(points, radius: float) -> RadiusGraph:
         edges = np.stack([np.concatenate(srcs), np.concatenate(dsts)], axis=1)
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
-    return RadiusGraph(positions=pos, edges=edges,
-                       edge_attr=edge_attributes(pos, edges), radius=float(radius))
+    return RadiusGraph(positions=pos, edges=edges, radius=float(radius))
 
 
 def edge_attributes(points, edges) -> np.ndarray:

@@ -140,9 +140,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Parameter:
         return self._by_name[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
     def names(self) -> list[str]:
         return list(self._by_name)
 
@@ -158,10 +155,6 @@ class ModelParams:
 
     def count(self) -> int:
         return sum(p.data.size for p in self._by_name.values())
-
-    def copy(self) -> "ModelParams":
-        return ModelParams([Parameter(p.name, p.data.copy())
-                            for p in self._by_name.values()])
 
 
 def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, int]]]:

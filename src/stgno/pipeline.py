@@ -15,7 +15,12 @@ File contracts:
   arrays. No edges are stored: every graph is rebuilt on load from its
   positions and the manifest's ``radius``, which then owns them
   (``sample.graph.positions``). Directories written by an earlier format
-  version are refused; re-run ``stgno prepare``.
+  version are refused; re-run ``stgno prepare``. Any other malformed
+  content (see :func:`load_prepared`) is a DataError naming the file and
+  the key.
+
+Every text file is read as UTF-8; an undecodable byte is a DataError
+naming the file.
 
 The pipeline is deterministic: the same (file, flags, seed) produces a
 bit-identical prepared dataset.
@@ -24,16 +29,17 @@ bit-identical prepared dataset.
 from __future__ import annotations
 
 import csv
+import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, DataError, ParameterError
 from .geometry import RadiusGraph, build_radius_graph
-from .ioutil import atomic_write_text, dump_json, read_json
+from .ioutil import atomic_write_text, dump_json, open_text, read_json, read_text
 
 PREPARED_VERSION = 2
 
@@ -94,7 +100,6 @@ class LabelMap:
 class DatasetSplit:
     train_sample_ids: tuple[str, ...]
     holdout_sample_ids: tuple[str, ...]
-    seed: int
 
 
 @dataclass(eq=False)
@@ -144,7 +149,7 @@ class SyntheticConfig:
 def load_spot_table(path) -> SpotTable:
     """Parse a spot CSV; errors carry the offending 1-based line number."""
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -197,7 +202,7 @@ def write_spot_table(path, table: SpotTable) -> None:
 
 
 def load_gene_list(path) -> list[str]:
-    names = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    names = [line.strip() for line in read_text(path).splitlines()]
     names = [n for n in names if n]
     if not names:
         raise DataError(f"{path}: gene list is empty")
@@ -207,8 +212,7 @@ def load_gene_list(path) -> list[str]:
 def load_label_map(path) -> LabelMap:
     mapping: dict[str, int] = {}
     class_names: list[str] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
-                                  start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -239,7 +243,8 @@ def write_label_map(path, label_map: LabelMap) -> None:
 
 
 def filter_genes(table: SpotTable, gene_list: list[str]) -> SpotTable:
-    """Restrict expression to the listed genes, in list order.
+    """Restrict expression to the listed genes, in list order (the result
+    shares every other field with ``table``).
 
     Genes missing from the table are dropped from the list with a warning;
     zero overlap is an error.
@@ -255,32 +260,19 @@ def filter_genes(table: SpotTable, gene_list: list[str]) -> SpotTable:
     if not kept:
         raise DataError("no listed gene is present in the table (empty feature set)")
     cols = np.array([index[g] for g in kept], dtype=np.int64)
-    return SpotTable(
-        sample_ids=list(table.sample_ids),
-        positions=table.positions.copy(),
-        expression=table.expression[:, cols].copy(),
-        raw_labels=list(table.raw_labels),
-        gene_names=kept,
-        class_ids=None if table.class_ids is None else table.class_ids.copy(),
-    )
+    return replace(table, expression=table.expression.take(cols, axis=1), gene_names=kept)
 
 
 def bin_labels(table: SpotTable, label_map: LabelMap) -> SpotTable:
-    """Attach coarse class indices from the raw-label map (must be total)."""
+    """Attach coarse class indices from the raw-label map (must be total),
+    sharing every other field with ``table``."""
     label_map.validate()
     unmapped = sorted(set(table.raw_labels) - set(label_map.mapping))
     if unmapped:
         raise DataError(f"raw label(s) missing from the label map: {unmapped}")
     class_ids = np.array([label_map.mapping[l] for l in table.raw_labels],
                          dtype=np.int64)
-    return SpotTable(
-        sample_ids=list(table.sample_ids),
-        positions=table.positions.copy(),
-        expression=table.expression.copy(),
-        raw_labels=list(table.raw_labels),
-        gene_names=list(table.gene_names),
-        class_ids=class_ids,
-    )
+    return replace(table, class_ids=class_ids)
 
 
 def select_holdout(table: SpotTable, k: int, min_classes: int, seed: int) -> DatasetSplit:
@@ -304,8 +296,7 @@ def select_holdout(table: SpotTable, k: int, min_classes: int, seed: int) -> Dat
     if not train:
         raise DataError("holdout selection leaves an empty training set")
     return DatasetSplit(train_sample_ids=tuple(sorted(train)),
-                        holdout_sample_ids=tuple(sorted(holdout)),
-                        seed=seed)
+                        holdout_sample_ids=tuple(sorted(holdout)))
 
 
 def fit_feature_scaler(table: SpotTable, train_sample_ids) -> tuple[np.ndarray, np.ndarray]:
@@ -464,14 +455,31 @@ def save_prepared(out_dir, train: list[GraphSample], holdout: list[GraphSample],
                       dump_json({**manifest, "format_version": PREPARED_VERSION}))
 
 
+def _is_name_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def numeric_array(value, integer: bool = False) -> np.ndarray | None:
+    """Nested JSON lists as an array of numbers (integers when ``integer``),
+    or None when they are ragged or hold anything else."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nesting
+        return None
+    return arr if not arr.size or arr.dtype.kind in ("iu" if integer else "iuf") else None
+
+
 def load_prepared(data_dir):
     """Read a prepared dataset directory -> (train, holdout, manifest),
-    rebuilding each slide's graph at the manifest radius."""
+    rebuilding each slide's graph at the manifest radius. Malformed
+    content raises a DataError naming the file and the key."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"{data_dir}: not a prepared dataset (no manifest.json)")
     manifest = read_json(manifest_path)
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: must hold a JSON object")
     version = manifest.get("format_version")
     if version != PREPARED_VERSION:
         raise DataError(
@@ -482,15 +490,53 @@ def load_prepared(data_dir):
     if missing:
         raise DataError(f"{data_dir}: manifest.json has no {', '.join(missing)}; "
                         "re-run stgno prepare")
+    radius, split = manifest["radius"], manifest["split"]
+    if (isinstance(radius, bool) or not isinstance(radius, (int, float))
+            or not 0 < radius < math.inf):
+        raise DataError(f"{manifest_path}: 'radius' must be a positive finite "
+                        f"number, got {radius!r}")
+    if not (isinstance(split, dict) and all(
+            _is_name_list(split.get(part)) and all(map(_SAMPLE_ID_RE.match, split[part]))
+            for part in ("train", "holdout"))):
+        raise DataError(f"{manifest_path}: 'split' must map 'train' and 'holdout' "
+                        "to lists of sample ids")
+    for key in ("gene_names", "class_names"):
+        if not (_is_name_list(manifest[key]) and manifest[key]):
+            raise DataError(f"{manifest_path}: {key!r} must be a non-empty list of names")
+    num_genes, num_classes = len(manifest["gene_names"]), len(manifest["class_names"])
 
-    def read_samples(ids) -> list[GraphSample]:
-        out = []
-        for sid in ids:
-            doc = read_json(data_dir / f"{sid}.graph.json")
-            out.append(graph_sample(doc["sample_id"], doc["features"],
-                                    doc["positions"], doc["labels"],
-                                    manifest["radius"]))
-        return out
+    def read_sample(sid) -> GraphSample:
+        path = data_dir / f"{sid}.graph.json"
+        doc = read_json(path)
+        if not isinstance(doc, dict):
+            raise DataError(f"{path}: must hold a JSON object")
+        for key in ("sample_id", "positions", "features", "labels"):
+            if key not in doc:
+                raise DataError(f"{path}: no {key!r}; re-run stgno prepare")
+        if doc["sample_id"] != sid:
+            raise DataError(f"{path}: 'sample_id' is {doc['sample_id']!r}, the "
+                            f"manifest's split names {sid!r}")
+        arrays = []
+        for key, ndim in (("features", 2), ("positions", 2), ("labels", 1)):
+            arr = numeric_array(doc[key], integer=key == "labels")
+            if arr is None or arr.ndim != ndim or not np.isfinite(arr).all():
+                raise DataError(f"{path}: {key!r} must be a {ndim}-D array of finite "
+                                f"{'integers' if key == 'labels' else 'numbers'}")
+            arrays.append(arr)
+        features, positions, labels = arrays
+        n, width = features.shape
+        if width != num_genes:
+            raise DataError(f"{path}: 'features' has {width} columns, the manifest "
+                            f"lists {num_genes} genes")
+        if positions.shape != (n, 2):
+            raise DataError(f"{path}: 'positions' has shape {positions.shape} for "
+                            f"{n} spots")
+        if labels.shape != (n,):
+            raise DataError(f"{path}: 'labels' has {labels.size} entries for {n} spots")
+        if n and not 0 <= labels.min() <= labels.max() < num_classes:
+            raise DataError(f"{path}: 'labels' must lie in [0, {num_classes}) for "
+                            f"{num_classes} classes, got {labels.min()}..{labels.max()}")
+        return graph_sample(doc["sample_id"], features, positions, labels, radius)
 
-    split = manifest["split"]
-    return read_samples(split["train"]), read_samples(split["holdout"]), manifest
+    return ([read_sample(sid) for sid in split["train"]],
+            [read_sample(sid) for sid in split["holdout"]], manifest)

@@ -24,9 +24,6 @@ class TrainConfig:
     epochs: int = 100
     learning_rate: float = 1e-3
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     num_runs: int = 10
     class_weighting: bool = True
@@ -150,8 +147,7 @@ class Sgd:
 
 def make_optimizer(config: TrainConfig, params: ModelParams):
     if config.optimizer == "adam":
-        return Adam(params, config.learning_rate, config.beta1, config.beta2,
-                    config.eps)
+        return Adam(params, config.learning_rate)
     return Sgd(params, config.learning_rate)
 
 
@@ -356,8 +352,8 @@ def load_checkpoint(path):
     :class:`CheckpointError` that names the file and the key."""
     try:
         doc = read_json(path)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise CheckpointError(f"{path}: not a JSON checkpoint ({exc})") from None
+    except DataError as exc:  # not UTF-8, or not JSON; the message names the file
+        raise CheckpointError(str(exc)) from None
     if not isinstance(doc, dict):
         raise CheckpointError(f"{path}: a checkpoint must hold a JSON object")
     version = doc.get("format_version")

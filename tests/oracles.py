@@ -93,10 +93,11 @@ def single_block_layout(graph):
         slot = dst * width + filled[dst]
         filled[dst] += 1
         slot_edge[slot], neighbours[slot] = e, src
+    attr = graph.edge_attr  # derived on each access: read once
     edge_attr = np.zeros((n * width, 3))
     for slot, e in enumerate(slot_edge):
         if e >= 0:
-            edge_attr[slot] = graph.edge_attr[e] / graph.radius
+            edge_attr[slot] = attr[e] / graph.radius
     return NeighbourLayout(
         order=np.arange(n), blocks=(DegreeBlock(lo=0, hi=n, start=0, width=width),),
         neighbours=neighbours, slot_edge=slot_edge,
@@ -183,7 +184,7 @@ def kernel_net_reference(params, layer, edge_attr, activation):
     act = _activation(activation)
     x = np.asarray(edge_attr, dtype=np.float64)
     j = 0
-    while f"layer_{layer}_kernel_{j + 1}_w" in params:
+    while f"layer_{layer}_kernel_{j + 1}_w" in params.names():
         x = act(x @ params[f"layer_{layer}_kernel_{j}_w"].data
                 + params[f"layer_{layer}_kernel_{j}_b"].data)
         j += 1

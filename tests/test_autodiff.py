@@ -443,8 +443,7 @@ def test_kernel_message_mean_matches_single_block_oracle(n, isolated):
 
 def test_kernel_message_mean_without_edges_is_exactly_zero():
     graph = RadiusGraph(positions=np.zeros((4, 2)),
-                        edges=np.zeros((0, 2), dtype=np.int64),
-                        edge_attr=np.zeros((0, 3)), radius=1.0)
+                        edges=np.zeros((0, 2), dtype=np.int64), radius=1.0)
     assert graph.layout.num_slots == 0
     assert all(blk.width == 0 for blk in graph.layout.blocks)
     hidden, weight, bias, v = _kernel_mean_inputs(graph, 3, 2)

@@ -489,6 +489,184 @@ def test_malformed_checkpoint_is_one_data_error_line(graphpde_run, tmp_path, cap
     assert not (tmp_path / "preds.csv").exists()
 
 
+def _one_data_error(capsys, *names):
+    err = capsys.readouterr().err
+    assert err.startswith("error:data:") and err.count("\n") == 1, err
+    for name in names:
+        assert str(name) in err, (name, err)
+
+
+def _train_id(prep):
+    return json.loads((prep / "manifest.json").read_text())["split"]["train"][0]
+
+
+def _break_manifest(prep, edit):
+    manifest = json.loads((prep / "manifest.json").read_text())
+    edit(manifest)
+    (prep / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _break_sample(prep, edit):
+    path = prep / f"{_train_id(prep)}.graph.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("case,file,key", [
+    ("manifest not JSON", "manifest.json", None),
+    ("manifest a JSON list", "manifest.json", None),
+    ("manifest not UTF-8", "manifest.json", None),
+    ("radius a string", "manifest.json", "radius"),
+    ("radius infinite", "manifest.json", "radius"),
+    ("split id unsafe", "manifest.json", "split"),
+    ("gene_names not a list", "manifest.json", "gene_names"),
+    ("sample id not its split id", "sample", "sample_id"),
+    ("sample without features", "sample", "features"),
+    ("non-numeric feature", "sample", "features"),
+    ("feature width off", "sample", "features"),
+    ("non-finite position", "sample", "positions"),
+    ("positions short", "sample", "positions"),
+    ("label out of range", "sample", "labels"),
+    ("label not an integer", "sample", "labels"),
+    ("sample a JSON list", "sample", None)])
+def test_malformed_prepared_dataset_is_one_data_error_line(graphpde_run, tmp_path,
+                                                           capsys, case, file, key):
+    prep = tmp_path / "prep"
+    shutil.copytree(graphpde_run / "prep", prep)
+    sample = prep / f"{_train_id(prep)}.graph.json"
+    drop_column = lambda d: d.update(features=[row[:-1] for row in d["features"]])
+    edits = {
+        "manifest not JSON": lambda: (prep / "manifest.json").write_text("{not json"),
+        "manifest a JSON list": lambda: (prep / "manifest.json").write_text("[]"),
+        "manifest not UTF-8": lambda: (prep / "manifest.json").write_bytes(b'{"a": "\xff"}'),
+        "radius a string": lambda: _break_manifest(prep, lambda m: m.update(radius="0.3")),
+        "radius infinite": lambda: _break_manifest(
+            prep, lambda m: m.update(radius=float("inf"))),
+        "split id unsafe": lambda: _break_manifest(
+            prep, lambda m: m["split"]["train"].append("../x")),
+        "gene_names not a list": lambda: _break_manifest(
+            prep, lambda m: m.update(gene_names="g000")),
+        "sample id not its split id": lambda: _break_sample(
+            prep, lambda d: d.update(sample_id="zzz")),
+        "sample without features": lambda: _break_sample(prep, lambda d: d.pop("features")),
+        "non-numeric feature": lambda: _break_sample(
+            prep, lambda d: d["features"][0].__setitem__(0, "x")),
+        "feature width off": lambda: _break_sample(prep, drop_column),
+        "non-finite position": lambda: _break_sample(
+            prep, lambda d: d["positions"][0].__setitem__(0, float("nan"))),
+        "positions short": lambda: _break_sample(prep, lambda d: d["positions"].pop()),
+        "label out of range": lambda: _break_sample(
+            prep, lambda d: d["labels"].__setitem__(0, 7)),
+        "label not an integer": lambda: _break_sample(
+            prep, lambda d: d["labels"].__setitem__(0, 0.5)),
+        "sample a JSON list": lambda: sample.write_text("[]"),
+    }
+    edits[case]()
+    names = [prep / "manifest.json" if file == "manifest.json" else sample]
+    names += [repr(key)] if key else []
+    capsys.readouterr()
+    for argv in (("train", "--data", str(prep), "--model", "lr", "--epochs", "1",
+                  "--runs", "1", "--out", str(tmp_path / "t")),
+                 ("eval", "--data", str(prep),
+                  "--checkpoint", str(graphpde_run / "run" / "best.ckpt.json"))):
+        assert run_cli(*argv) == 2
+        _one_data_error(capsys, *names)
+
+
+@pytest.fixture(scope="module")
+def standardized_run(graphpde_run, tmp_path_factory):
+    """The graphpde_run data prepared with --standardize true at the auto
+    radius, and a one-epoch spatial_gcn checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("standardized")
+    data = graphpde_run / "data"
+    assert run_cli("prepare", "--spots", str(data / "spots.csv"),
+                   "--genes", str(data / "genes.txt"), "--labels", str(data / "labels.tsv"),
+                   "--standardize", "true", "--holdout-k", "1", "--min-classes", "3",
+                   "--out", str(root / "prep")) == 0
+    assert run_cli("train", "--data", str(root / "prep"), "--model", "spatial_gcn",
+                   "--epochs", "1", "--runs", "1", "--out", str(root / "run")) == 0
+    return root
+
+
+def test_predict_applies_the_checkpoint_scaler(graphpde_run, standardized_run, tmp_path):
+    ckpt = standardized_run / "run" / "best.ckpt.json"
+    scaler = json.loads(ckpt.read_text())["preprocess"]["standardization"]
+    assert len(scaler["mean"]) == len(scaler["std"]) == 8
+    assert run_cli("predict", "--checkpoint", str(ckpt),
+                   "--spots", str(graphpde_run / "data" / "spots.csv"),
+                   "--out", str(tmp_path / "preds.csv")) == 0
+    assert len((tmp_path / "preds.csv").read_text().splitlines()) == 161
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: s["mean"].pop(),
+    lambda s: s["std"].append(1.0),
+    lambda s: s.update(mean=["x"] * 8),
+    lambda s: s.update(std=[0.0] * 8),
+    lambda s: s.update(std=None),
+    lambda s: s.clear() or s.update(mean=1.0)])
+def test_malformed_checkpoint_scaler_is_one_data_error_line(graphpde_run, standardized_run,
+                                                            tmp_path, capsys, edit):
+    doc = json.loads((standardized_run / "run" / "best.ckpt.json").read_text())
+    edit(doc["preprocess"]["standardization"])
+    ckpt = tmp_path / "tampered.ckpt.json"
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("predict", "--checkpoint", str(ckpt),
+                   "--spots", str(graphpde_run / "data" / "spots.csv"),
+                   "--out", str(tmp_path / "preds.csv")) == 2
+    _one_data_error(capsys, ckpt, "preprocess.standardization.")
+    assert not (tmp_path / "preds.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["spots", "genes", "labels", "config", "predict"])
+def test_undecodable_text_input_is_one_data_error_line(graphpde_run, tmp_path, capsys,
+                                                       target):
+    data = tmp_path / "data"
+    shutil.copytree(graphpde_run / "data", data)
+    inputs = {"spots": data / "spots.csv", "genes": data / "genes.txt",
+              "labels": data / "labels.tsv", "config": tmp_path / "cfg.json",
+              "predict": data / "spots.csv"}
+    bad = inputs[target]
+    if target == "config":
+        bad.write_bytes(b'{"holdout_k": 1, "min_classes": "\xe9"}')
+    else:  # valid text first, so the bad byte is past the first read
+        bad.write_bytes(bad.read_bytes() + b"\xff\xfe\n")
+    capsys.readouterr()
+    if target == "predict":
+        argv = ["predict", "--checkpoint", str(graphpde_run / "run" / "best.ckpt.json"),
+                "--spots", str(bad), "--out", str(tmp_path / "preds.csv")]
+    else:
+        argv = ["prepare", "--spots", str(inputs["spots"]), "--genes", str(inputs["genes"]),
+                "--labels", str(inputs["labels"]), "--radius", "0.3", "--holdout-k", "1",
+                "--min-classes", "3", "--out", str(tmp_path / "prep")]
+        argv += ["--config", str(bad)] if target == "config" else []
+    assert run_cli(*argv) == 2
+    _one_data_error(capsys, bad, "not UTF-8")
+    assert not (tmp_path / "prep").exists() and not (tmp_path / "preds.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--models", ",", "--epochs", "1", "--runs", "1"),
+    ("report", "--models", " , ", "--epochs", "1", "--runs", "1"),
+    ("prepare", "--radius", "inf"),
+    ("prepare", "--radius", "-inf")])
+def test_empty_model_list_and_infinite_radius_are_usage_errors(graphpde_run, tmp_path,
+                                                               capsys, argv):
+    data = graphpde_run / "data"
+    common = {"report": ["--data", str(graphpde_run / "prep")],
+              "prepare": ["--spots", str(data / "spots.csv"), "--genes",
+                          str(data / "genes.txt"), "--labels", str(data / "labels.tsv"),
+                          "--holdout-k", "1", "--min-classes", "3",
+                          "--out", str(tmp_path / "prep")]}[argv[0]]
+    assert run_cli(*argv, *common) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:usage:") and err.count("\n") == 1, err
+    assert argv[1] in err
+    assert not (tmp_path / "prep").exists()
+
+
 # ---------------------------------------------------------------------------
 # contracts
 

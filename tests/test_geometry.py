@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 from stgno import autodiff as ad
 from stgno.cli import _auto_radius
 from stgno.errors import DimensionError, ParameterError
-from stgno.geometry import (KernelWeights, apply_kernel, build_radius_graph,
-                            edge_attributes, gaussian_kernel_weights)
+from stgno.geometry import (KernelWeights, RadiusGraph, apply_kernel,
+                            build_radius_graph, edge_attributes,
+                            gaussian_kernel_weights)
 from stgno.pipeline import SyntheticConfig, generate_synthetic
 
 from oracles import (brute_force_radius_edges, dense_gaussian_weights,
@@ -48,6 +51,20 @@ def test_no_self_edges_no_duplicates_symmetric():
     assert (dist <= 0.25).all()
     recomputed = np.linalg.norm(pts[g.edges[:, 1]] - pts[g.edges[:, 0]], axis=1)
     assert np.abs(dist - recomputed).max() < 1e-12
+
+
+def test_radius_graph_stores_only_positions_edges_radius_and_its_cache():
+    assert [f.name for f in dataclasses.fields(RadiusGraph)] == [
+        "positions", "edges", "radius", "_constants"]
+
+
+def test_edge_attr_is_derived_from_positions_and_edges_on_each_access():
+    pts = RNG.uniform(size=(50, 2))
+    g = build_radius_graph(pts, 0.3)
+    first = g.edge_attr
+    assert np.array_equal(first, edge_attributes(g.positions, g.edges))
+    assert np.array_equal(g.edge_attr, first) and g.edge_attr is not first
+    assert first.shape == (g.num_edges, 3)
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 60),

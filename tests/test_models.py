@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stgno import autodiff as ad
+from stgno import geometry
 from stgno.errors import ContractError, DimensionError, ParameterError
 from stgno.geometry import (RadiusGraph, apply_kernel, build_radius_graph,
                             edge_attributes, gaussian_kernel_weights)
@@ -32,14 +33,13 @@ def random_graph(n, radius=0.5, seed=0):
 def two_node_graph(dist=0.5):
     pts = np.array([[0.0, 0.0], [dist, 0.0]])
     edges = np.array([[0, 1], [1, 0]])
-    return pts, RadiusGraph(positions=pts, edges=edges,
-                            edge_attr=edge_attributes(pts, edges), radius=1.0)
+    return pts, RadiusGraph(positions=pts, edges=edges, radius=1.0)
 
 
 def edgeless_graph(n, positions=None):
     positions = np.zeros((n, 2)) if positions is None else positions
     return RadiusGraph(positions=positions, edges=np.zeros((0, 2), dtype=np.int64),
-                       edge_attr=np.zeros((0, 3)), radius=1.0)
+                       radius=1.0)
 
 
 def explicit_kernel_model(h, **overrides):
@@ -300,6 +300,29 @@ def test_graph_keeps_its_positions_when_the_input_array_changes(kind):
     assert np.array_equal(graph.positions, original)
     assert np.array_equal(model_forward(ad.Tape(), cfg, params, x, graph=graph).data,
                           want)
+
+
+def test_edge_attributes_are_computed_once_per_graph_and_only_for_graphpde(
+        monkeypatch):
+    calls = []
+    real = geometry.edge_attributes
+    monkeypatch.setattr(geometry, "edge_attributes",
+                        lambda *a: calls.append(1) or real(*a))
+    pts = np.random.default_rng(8).uniform(size=(3, 12, 2))
+    x = RNG.uniform(-1, 1, (12, 4))
+    gcn = make_config("gcn", input_dim=4, hidden_dim=5, init_seed=1)
+    graph = build_radius_graph(pts[0], 0.4)
+    model_forward(ad.Tape(), gcn, init_params(gcn), x, graph=graph)
+    assert len(calls) == 0
+    pde = make_config("graphpde", input_dim=4, hidden_dim=3, num_layers=2,
+                      kernel_net_hidden=(4,), init_seed=1)
+    pde_params = init_params(pde)
+    graphs = [graph, *(build_radius_graph(p, 0.4) for p in pts[1:])]
+    for g in graphs:
+        assert g.num_edges > 0
+        for _ in range(2):
+            model_forward(ad.Tape(), pde, pde_params, x, graph=g)
+    assert len(calls) == len(graphs)
 
 
 def test_gaussian_and_norm_weights_share_one_support():
@@ -575,8 +598,7 @@ def test_constant_features_get_no_gradient_and_change_no_bits(kind):
 
 def _single_block_twin(graph):
     """A copy of ``graph`` whose cached layout is the one-block oracle."""
-    twin = RadiusGraph(positions=graph.positions, edges=graph.edges,
-                       edge_attr=graph.edge_attr, radius=graph.radius)
+    twin = RadiusGraph(positions=graph.positions, edges=graph.edges, radius=graph.radius)
     twin.cached("layout", lambda: single_block_layout(twin))
     return twin
 

@@ -1,3 +1,6 @@
+import copy
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +8,11 @@ from hypothesis import strategies as st
 
 from stgno.errors import ContractError, DataError, ParameterError
 from stgno.geometry import build_radius_graph
+from stgno.ioutil import read_json
 from stgno.pipeline import (PREPARED_VERSION, DatasetSplit, LabelMap, SpotTable,
                             SyntheticConfig, assemble_graphs, bin_labels,
                             filter_genes, fit_feature_scaler,
-                            generate_synthetic, graph_sample,
+                            generate_synthetic, graph_sample, load_gene_list,
                             load_label_map, load_prepared, load_spot_table,
                             save_prepared, select_holdout, write_label_map,
                             write_spot_table)
@@ -187,6 +191,28 @@ def test_filter_then_bin_commutes_with_bin_then_filter():
     assert a.gene_names == b.gene_names
 
 
+def test_filter_genes_and_bin_labels_share_the_arrays_they_leave_unchanged():
+    table, lm = synthetic_for_tests()
+    table.sample_order()  # the input's row groups are built; the outputs' are not
+    before = copy.deepcopy(table)
+    binned = bin_labels(table, lm)
+    for shared in ("sample_ids", "positions", "expression", "raw_labels", "gene_names"):
+        assert getattr(binned, shared) is getattr(table, shared), shared
+    assert binned._groups is None
+    kept = table.gene_names[::3]
+    filtered = filter_genes(binned, kept)
+    for shared in ("sample_ids", "positions", "raw_labels", "class_ids"):
+        assert getattr(filtered, shared) is getattr(binned, shared), shared
+    assert filtered.gene_names == kept and filtered._groups is None
+    assert not np.shares_memory(filtered.expression, binned.expression)
+    assert filtered.expression.flags.c_contiguous
+    for name in ("sample_ids", "raw_labels", "gene_names"):
+        assert getattr(table, name) == getattr(before, name), name
+    for name in ("positions", "expression"):
+        assert np.array_equal(getattr(table, name), getattr(before, name)), name
+    assert table.class_ids is None and table._groups is not None
+
+
 # ---------------------------------------------------------------------------
 # holdout selection
 
@@ -280,7 +306,7 @@ def test_holdout_standardization_reuses_train_stats():
         gene_names=["g1", "g2", "g3"],
     )
     table.class_ids = np.zeros(80, dtype=np.int64)
-    split = DatasetSplit(train_sample_ids=("tr",), holdout_sample_ids=("ho",), seed=0)
+    split = DatasetSplit(train_sample_ids=("tr",), holdout_sample_ids=("ho",))
     train, hold, _ = assemble_graphs(table, split, radius=0.2, standardize=True)
     mu, sd = base.mean(axis=0), base.std(axis=0)
     want = (base + shift - mu) / sd
@@ -304,7 +330,7 @@ def test_single_spot_sample_kept_with_warning():
         gene_names=["g1", "g2"],
     )
     table.class_ids = np.zeros(4, dtype=np.int64)
-    split = DatasetSplit(train_sample_ids=("b",), holdout_sample_ids=("a",), seed=0)
+    split = DatasetSplit(train_sample_ids=("b",), holdout_sample_ids=("a",))
     with pytest.warns(UserWarning, match="edgeless"):
         _train, hold, _ = assemble_graphs(table, split, radius=0.2)
     assert hold[0].num_nodes == 1 and hold[0].graph.num_edges == 0
@@ -420,6 +446,28 @@ def test_label_map_with_one_class_rejected(tmp_path):
     path.write_text("r1\tbeta\nr2\tbeta\n")
     with pytest.raises(DataError, match=r"labels\.tsv: .*at least 2 coarse classes"):
         load_label_map(path)
+
+
+@pytest.mark.parametrize("reader,text", [
+    (load_spot_table, "sample_id,x,y,label,g1\n" + "s,0.5,0.5,r1,1.0\n" * 3000),
+    (load_gene_list, "g1\ng2\n"), (load_label_map, "r1\ta\nr2\tb\n"),
+    (read_json, '{"a": 1}')])
+def test_undecodable_text_is_a_data_error_naming_the_file(tmp_path, reader, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    reader(path)  # the valid text reads
+    path.write_bytes(text.encode() + b"\xff")  # past the reader's first chunk
+    with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
+        reader(path)
+
+
+def test_malformed_json_is_a_data_error_naming_the_file(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("{not json")
+    with pytest.raises(DataError, match=re.escape(f"{path}: not JSON")):
+        read_json(path)
+    path.write_text("[1, 2]")
+    assert read_json(path) == [1, 2]
 
 
 def test_prepared_dataset_round_trip(tmp_path):

@@ -280,8 +280,7 @@ def test_evaluate_ties_break_to_lowest_class():
                           ad.Parameter("readout_b", np.zeros((1, 3)))])
     sample = GraphSample(
         sample_id="t", node_features=np.ones((4, 2)),
-        graph=RadiusGraph(np.zeros((4, 2)), np.zeros((0, 2), dtype=np.int64),
-                          np.zeros((0, 3)), 1.0),
+        graph=RadiusGraph(np.zeros((4, 2)), np.zeros((0, 2), dtype=np.int64), 1.0),
         labels=np.array([0, 1, 2, 0]))
     m = evaluate(params, cfg, [sample])
     assert m.confusion[:, 0].sum() == 4  # all ties -> class 0
