@@ -11,8 +11,9 @@ backward calls (repeated backward without zeroing doubles them); the
 optimizer owns zeroing. :func:`constant` makes a :class:`Constant` leaf
 (inputs such as node features and edge attributes); :func:`dense` skips
 its gradient instead of computing one nobody reads, as do
-:func:`coo_matmul` and :func:`kernel_message_mean`, while plain
-:class:`Value` and :class:`Parameter` inputs always get theirs.
+:func:`mix_rows`, :func:`coo_matmul` and :func:`kernel_message_mean`,
+while plain :class:`Value` and :class:`Parameter` inputs always get
+theirs.
 
 :func:`dense` is the one op behind every linear layer outside the graphpde
 kernel network: ``act(x W + b)`` in one output buffer and one tape entry,
@@ -20,7 +21,11 @@ with the bits of the unfused ``matmul`` -> ``add_row_broadcast`` ->
 ``relu`` / ``tanh`` chain. :func:`kernel_message_mean` runs the kernel
 network's hidden layers the same way, but one degree block of slots at a
 time inside its own forward and backward passes, recomputing them in the
-backward instead of keeping them.
+backward instead of keeping them. :func:`mix_rows` is the row mixing of
+the other graph models, on the same degree-blocked neighbour layout, so
+every model uses one sparse neighbour representation; :func:`coo_matmul`
+over an edge list remains only as its oracle and as a name the
+benchmark's tracer lists.
 ``Tape(record=False)`` runs ops without keeping anything for the
 backward pass (inference): each intermediate is freed as soon as the
 forward no longer holds it, and ``backward`` on such a tape raises.
@@ -505,12 +510,68 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     return out
 
 
+def _mix_blocks(x: np.ndarray, layout, slot_weights: np.ndarray,
+                self_weights: np.ndarray) -> np.ndarray:
+    """out_i = sum over node i's slots of w_s x_nbr(s), in slot order, then
+    + self_i x_i: one gather and one weighted row sum per degree block."""
+    n, d = x.shape
+    if d == 1:
+        # einsum sums a lone column with a reordered dot loop; a zero second
+        # column keeps the slot-order sum
+        return _mix_blocks(np.hstack([x, np.zeros((n, 1))]), layout, slot_weights,
+                           self_weights)[:, :1].copy()
+    x_pad = np.concatenate([x, np.zeros((1, d))])
+    mixed = np.zeros((n, d))  # block order
+    for blk in layout.blocks:
+        if blk.width:
+            rows = x_pad[layout.neighbours[blk.start:blk.stop]]
+            np.einsum("bw,bwd->bd",
+                      slot_weights[blk.start:blk.stop].reshape(blk.size, blk.width),
+                      rows.reshape(blk.size, blk.width, d), out=mixed[blk.lo:blk.hi])
+    out = np.empty((n, d))
+    out[layout.order] = mixed
+    out += self_weights[:, None] * x
+    return out
+
+
+def mix_rows(tape: Tape, features: Value, mixer) -> Value:
+    """Apply a constant sparse row-mixing operator on a degree-blocked
+    in-neighbour layout: out_i = sum_j w(i, j) x_j + self_i x_i.
+
+    ``mixer`` holds the ``layout`` (see ``geometry.NeighbourLayout``), the
+    per-slot ``weights`` w(i, nbr) (0 in pads), the per-slot
+    ``transposed`` weights (the weight of each slot's reverse edge) and
+    the n ``self_weights``; see ``geometry.RowMixer``. Each node sums its
+    slots in slot order, pads reading an appended zero row, and adds its
+    self term last, so the result has the bits of :func:`coo_matmul` over
+    the edge list followed by one self loop per node. The backward pass
+    is the same routine with the transposed weights, which needs a
+    symmetric edge list; there is no scatter. The weights are constants,
+    and a :class:`Constant` input gets no gradient.
+    """
+    layout = mixer.layout
+    if features.data.shape[0] != layout.num_nodes:
+        raise DimensionError(
+            f"features have {features.data.shape[0]} rows for "
+            f"{layout.num_nodes} nodes")
+    out = Value(_mix_blocks(features.data, layout, mixer.weights, mixer.self_weights))
+
+    def bwd():
+        if not isinstance(features, Constant):
+            _accumulate(features, _mix_blocks(out.grad, layout, mixer.transposed,
+                                              mixer.self_weights))
+
+    tape.record("mix_rows", (features,), out, bwd)
+    return out
+
+
 def coo_matmul(tape: Tape, features: Value, src, dst, weights, num_rows: int) -> Value:
     """Apply a sparse row-mixing operator: out[dst[e]] += w[e] * x[src[e]].
 
     The weights are constants (not differentiated); gradients flow only to
     ``features`` via the transposed pattern, and not even there when it is
-    a :class:`Constant`.
+    a :class:`Constant`. No model calls it: it is the oracle for
+    :func:`mix_rows`.
     """
     src = _check_ids(src, features.data.shape[0], "source id")
     dst = _check_ids(dst, num_rows, "destination id")

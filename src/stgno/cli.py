@@ -313,10 +313,12 @@ def _cmd_report(args, argv):
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
     if not kinds:
         raise ParameterError(f"--models names no model kind; valid: {', '.join(MODEL_KINDS)}")
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         if kind not in MODEL_KINDS:
             raise ParameterError(
                 f"unknown model {kind!r}; valid: {', '.join(MODEL_KINDS)}")
+        if kind in kinds[:i]:
+            raise ParameterError(f"--models names {kind!r} more than once")
     train_graphs, holdout_graphs, manifest = pl.load_prepared(args.data)
     configs = [_model_config_from_args(args, manifest, kind) for kind in kinds]
     tc = _train_config_from_args(args)
@@ -337,9 +339,13 @@ def _cmd_predict(args, argv):
     params, config, pre = load_checkpoint(args.checkpoint)
     gene_names = pre.get("gene_names")
     radius = pre.get("radius")
-    if not gene_names or radius is None:
+    if gene_names is None or radius is None:
         raise CheckpointError(f"{args.checkpoint}: checkpoint has no preprocess "
                               "block; re-train with this version")
+    if (not isinstance(gene_names, list) or not gene_names
+            or not all(isinstance(name, str) for name in gene_names)):
+        raise CheckpointError(f"{args.checkpoint}: preprocess.gene_names must be a "
+                              "non-empty list of gene names (strings)")
     if (isinstance(radius, bool) or not isinstance(radius, (int, float))
             or not (math.isfinite(radius) and radius > 0)):
         raise CheckpointError(f"{args.checkpoint}: preprocess.radius must be a "

@@ -10,10 +10,15 @@ Edges are directed and stored both ways, sorted by (src, dst), with no
 self loops and no duplicates. A graph stores only its own copy of the
 positions, its edges and its radius; the rest is derived. The edge
 attributes (dx, dy, distance, taken dst minus src) are recomputed on each
-access. The degree-blocked in-neighbour layout, normalization weights
-and Gaussian weights per bandwidth are computed on first use and cached
-on the instance. A built graph is immutable by convention; concurrent
-first uses may compute a constant twice, with identical results.
+access. The degree-blocked in-neighbour layout is the one sparse
+neighbour representation every graph model uses: graphpde's message op
+runs on it with the radius-scaled edge attributes spread over its slots
+(:attr:`RadiusGraph.slot_attr`), and the row mixers of the other kinds
+(:class:`RowMixer`, built from the per-edge :class:`KernelWeights`) keep
+one weight per slot. The layout, the slot attributes and the mixers are
+computed on first use and cached on the instance. A built graph is
+immutable by convention; concurrent first uses may compute a constant
+twice, with identical results.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DimensionError, ParameterError
+from .errors import ContractError, DimensionError, ParameterError
 
 
 def as_positions(obj) -> np.ndarray:
@@ -69,6 +74,13 @@ class RadiusGraph:
     def layout(self) -> "NeighbourLayout":
         return self.cached("layout", lambda: neighbour_layout(self))
 
+    @property
+    def slot_attr(self) -> np.ndarray:
+        """(num_slots, 3) the layout's edge attributes / radius, 0 in pads;
+        graphpde's kernel-network input, computed on first use and cached."""
+        return self.cached("slot_attr", lambda: self.layout.pad_edge_rows(
+            self.edge_attr / self.radius))
+
 
 # The layout cuts the degree-sorted nodes into this many runs. On twenty
 # uniform 300-spot slides (the benchmark's operator_train data, seed 1),
@@ -110,7 +122,7 @@ class NeighbourLayout:
     node-major in ``order``, then in edge-list order (so by ascending
     source). Slots past a node's degree are padding: their neighbour id is
     n (one past the last node) and ``slot_edge`` is -1. Per-slot data are
-    ``num_slots`` x c matrices in that row order.
+    ``num_slots`` x c matrices in that row order (:meth:`pad_edge_rows`).
     """
 
     order: np.ndarray       # (n,) int64 nodes in block order
@@ -118,7 +130,6 @@ class NeighbourLayout:
     neighbours: np.ndarray  # (num_slots,) int64 source node of each slot, n in pads
     slot_edge: np.ndarray   # (num_slots,) int64 edge index of each slot, -1 in pads
     inv_degree: np.ndarray  # (n,) float64, 1 / max(in-degree, 1)
-    edge_attr: np.ndarray   # (num_slots, 3) edge attributes / radius, 0 in pads
 
     @property
     def num_nodes(self) -> int:
@@ -166,12 +177,9 @@ def neighbour_layout(graph: RadiusGraph) -> NeighbourLayout:
     slot_edge[slots] = edge_order
     neighbours = np.full(slot_edge.size, n, dtype=np.int64)
     neighbours[slots] = src[edge_order]
-    # the graph's attributes are derived on access: read them once, here
-    edge_attr = np.zeros((slot_edge.size, 3))
-    edge_attr[slots] = graph.edge_attr[edge_order] / graph.radius
     return NeighbourLayout(
         order=order, blocks=blocks, neighbours=neighbours, slot_edge=slot_edge,
-        inv_degree=1.0 / np.maximum(deg, 1).astype(np.float64), edge_attr=edge_attr)
+        inv_degree=1.0 / np.maximum(deg, 1).astype(np.float64))
 
 
 def build_radius_graph(points, radius: float) -> RadiusGraph:
@@ -251,16 +259,56 @@ def gaussian_kernel_weights(points, edges, bandwidth: float) -> KernelWeights:
     return KernelWeights(num_nodes=n, src=src, dst=dst, weights=w)
 
 
-def apply_kernel(tape: ad.Tape, weights: KernelWeights, node_features: ad.Value) -> ad.Value:
-    """out_i = sum_j w(i, j) x_j over the sparse support.
+@dataclass(eq=False)
+class RowMixer:
+    """Constant row-mixing weights on a graph's :class:`NeighbourLayout`:
+    out_i = sum over i's slots of weights[s] x_nbr(s) + self_weights[i] x_i.
+    ``transposed`` holds each slot's reverse-edge weight, for the backward
+    pass; it is ``weights`` itself when the operator is symmetric."""
+
+    layout: NeighbourLayout
+    weights: np.ndarray       # (num_slots,) w(dst, src) per slot, 0 in pads
+    transposed: np.ndarray    # (num_slots,) w(src, dst) per slot, 0 in pads
+    self_weights: np.ndarray  # (n,) w(i, i)
+
+
+def row_mixer(graph: RadiusGraph, weights: KernelWeights) -> RowMixer:
+    """Spread ``weights`` over ``graph.layout``. Their support must be the
+    graph's edge list in order, then one self loop per node (as
+    :func:`gaussian_kernel_weights` returns it); the edge list must hold
+    every edge's reverse, as a radius graph's does."""
+    n, m = graph.num_nodes, graph.num_edges
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+    loop = np.arange(n)
+    if not (weights.num_nodes == n
+            and np.array_equal(weights.src, np.concatenate([src, loop]))
+            and np.array_equal(weights.dst, np.concatenate([dst, loop]))):
+        raise ContractError("row-mixer weights must cover the graph's edges in order, "
+                            "then one self loop per node")
+    w = np.asarray(weights.weights, dtype=np.float64)
+    # edges are sorted by (src, dst), so their keys are sorted too
+    keys = src * n + dst
+    reverse = np.searchsorted(keys, dst * n + src)
+    if m and not np.array_equal(keys[np.minimum(reverse, m - 1)], dst * n + src):
+        raise ContractError("row mixing needs a symmetric edge list: an edge has "
+                            "no reverse")
+    layout = graph.layout
+    real = layout.mask
+    edge_of = layout.slot_edge[real]
+    forward = np.zeros(layout.num_slots)
+    forward[real] = w[edge_of]
+    transposed = np.zeros(layout.num_slots)
+    transposed[real] = w[reverse[edge_of]]
+    if np.array_equal(transposed, forward):
+        transposed = forward
+    return RowMixer(layout=layout, weights=forward, transposed=transposed,
+                    self_weights=w[m:].copy())
+
+
+def apply_kernel(tape: ad.Tape, mixer: RowMixer, node_features: ad.Value) -> ad.Value:
+    """out_i = sum_j w(i, j) x_j over the mixer's support.
 
     Differentiable with respect to the node features; the weights are
     constants.
     """
-    if node_features.data.shape[0] != weights.num_nodes:
-        raise DimensionError(
-            f"features have {node_features.data.shape[0]} rows for "
-            f"{weights.num_nodes} nodes")
-    return ad.coo_matmul(tape, node_features, weights.src, weights.dst,
-                         weights.weights, weights.num_nodes)
-
+    return ad.mix_rows(tape, node_features, mixer)

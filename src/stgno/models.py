@@ -15,6 +15,17 @@ mixers each block applies, in this order:
                      blocks where the others have num_layers.
 * ``spatial_gcn``    the Gaussian kernel, then the normalized adjacency.
 
+Each mixer is a :class:`geometry.RowMixer`, one weight per slot of the
+graph's degree-blocked in-neighbour layout (``RadiusGraph.layout``: nodes
+sorted by in-degree and cut into runs, each node's in-edges in as many
+slots as its run's largest in-degree), built on first use from the
+per-edge weights of :func:`symmetric_norm_weights` or
+:func:`geometry.gaussian_kernel_weights` and cached on the graph; one
+:func:`ad.mix_rows` tape entry applies it. All six kinds thus share one
+sparse neighbour representation; ``ad.coo_matmul`` over the per-edge
+weights remains only as the tests' oracle and a name the benchmark's
+tracer lists.
+
 The sixth, ``graphpde``, is a linear lift to the hidden width, num_layers
 (default 6) message-passing updates
     v' = act(W v + b + mean_{y in N(x)} K(e(x, y)) v_y)
@@ -25,19 +36,17 @@ The graphpde kernel network's last layer is linear, K_e = z_e W2 + b2 with
 z_e its last hidden activation, so the mean message is evaluated exactly as
 W~2 . mean_e(z_e outer v_e) + B2 . mean_e v_e and no per-edge h x h matrix
 is ever built. The whole kernel network and that contraction are one
-tape entry, :func:`ad.kernel_message_mean`, which runs on the graph's
-degree-blocked in-neighbour layout (``RadiusGraph.layout``: nodes sorted
-by in-degree and cut into runs, each node's in-edges in as many slots as
-its run's largest in-degree), built on first use and cached on the graph
-like the normalization and Gaussian weights. It evaluates the hidden
-kernel layers (:func:`kernel_net_forward` names their parameters) one
+tape entry, :func:`ad.kernel_message_mean`, which runs on the same
+layout and reads the radius-scaled edge attributes of its slots from
+``RadiusGraph.slot_attr`` (only graphpde builds them). It evaluates the
+hidden kernel layers (:func:`kernel_net_forward` names their parameters) one
 degree block at a time and recomputes them in the backward pass, so no
 per-slot array of the whole layout is kept or built. Every other
 linear+activation pair of every kind is a single fused :func:`ad.dense`
 tape entry; the constant edge attributes and node features get no
 gradient.
 The spatial models read the spot coordinates from ``graph.positions``
-(the graph owns them) and cache their Gaussian weights on the graph,
+(the graph owns them) and cache their Gaussian mixer on the graph,
 keyed by bandwidth alone.
 
 Parameter names are stable per config, so two inits with the same seed
@@ -51,14 +60,15 @@ checkable with shared parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Value
 from .errors import ContractError, DimensionError, ParameterError
-from .geometry import KernelWeights, RadiusGraph, apply_kernel, gaussian_kernel_weights
+from .geometry import (KernelWeights, RadiusGraph, RowMixer, apply_kernel,
+                       gaussian_kernel_weights, row_mixer)
 
 MODEL_KINDS = ("lr", "fcn", "gcn", "spatial_kernel", "spatial_gcn", "graphpde")
 
@@ -219,23 +229,16 @@ def symmetric_norm_weights(graph: RadiusGraph) -> KernelWeights:
     )
 
 
-def _norm_weights_for(graph: RadiusGraph) -> KernelWeights:
-    return graph.cached("norm", lambda: symmetric_norm_weights(graph))
+def _norm_weights_for(graph: RadiusGraph) -> RowMixer:
+    return graph.cached("norm", lambda: row_mixer(graph, symmetric_norm_weights(graph)))
 
 
-def _gaussian_weights_for(config: ModelConfig, graph: RadiusGraph) -> KernelWeights:
-    """Row-normalized Gaussian weights over the graph's own positions,
-    cached on the graph per bandwidth. They live on the normalization
-    weights' support (every edge in order, then one self loop per node),
-    so the cached copy shares its index arrays."""
+def _gaussian_weights_for(config: ModelConfig, graph: RadiusGraph) -> RowMixer:
+    """The row-normalized Gaussian kernel over the graph's own positions,
+    as a row mixer cached on the graph per bandwidth."""
     bandwidth = config.bandwidth if config.bandwidth is not None else graph.radius / 2.0
-    norm = _norm_weights_for(graph)
-
-    def build():
-        weights = gaussian_kernel_weights(graph.positions, graph.edges, bandwidth)
-        return replace(weights, src=norm.src, dst=norm.dst)
-
-    return graph.cached(("gaussian", bandwidth), build)
+    return graph.cached(("gaussian", bandwidth), lambda: row_mixer(
+        graph, gaussian_kernel_weights(graph.positions, graph.edges, bandwidth)))
 
 
 def _stack_blocks(config: ModelConfig) -> int:
@@ -250,14 +253,14 @@ def stack_forward(tape: Tape, config: ModelConfig, params: ModelParams,
                   graph: RadiusGraph | None, features: Value) -> Value:
     """Every kind but graphpde: each block applies the kind's row mixers
     in order, then a linear layer and the activation; the readout is
-    linear, and spatial_kernel mixes once more before it. The mixer
-    weights are cached on the graph and shared by every block."""
+    linear, and spatial_kernel mixes once more before it. The row mixers
+    are cached on the graph and shared by every block."""
     mixers = [_gaussian_weights_for(config, graph) if name == "gaussian"
               else _norm_weights_for(graph) for name in _STACK_MIXERS[config.kind]]
     x = features
     for i in range(_stack_blocks(config)):
-        for weights in mixers:
-            x = apply_kernel(tape, weights, x)
+        for mixer in mixers:
+            x = apply_kernel(tape, mixer, x)
         x = _linear(tape, params, f"layer_{i}", x, config.activation)
     if config.kind == "spatial_kernel":
         x = apply_kernel(tape, mixers[0], x)
@@ -284,9 +287,9 @@ def graphpde_layer(tape: Tape, config: ModelConfig, params: ModelParams,
     """v' = act(W v + b + mean over in-edges of K_e v_src).
 
     ``attr`` holds the kernel network's input row for every slot of
-    ``graph.layout`` (the layout's radius-scaled edge attributes on the
-    model path); the whole kernel network, hidden layers from
-    :func:`kernel_net_forward` and the final K_e = z_e W2 + b2, runs
+    ``graph.layout`` (``graph.slot_attr``, the radius-scaled edge
+    attributes, on the model path); the whole kernel network, hidden
+    layers from :func:`kernel_net_forward` and the final K_e = z_e W2 + b2, runs
     inside one :func:`ad.kernel_message_mean` call, exactly. Nodes with no
     in-edges get a zero mean term, so the update degenerates to
     act(W v + b).
@@ -308,7 +311,7 @@ def graphpde_forward(tape: Tape, config: ModelConfig, params: ModelParams,
     # kernel-net inputs are the edge attributes scaled by the build radius
     # (so they sit at O(1) regardless of slide units), one row per layout
     # slot; the first kernel layer absorbs the factor
-    edge_attr = ad.constant(graph.layout.edge_attr)
+    edge_attr = ad.constant(graph.slot_attr)
     x = _linear(tape, params, "lift", features)
     for i in range(config.num_layers):
         x = graphpde_layer(tape, config, params, i, graph, edge_attr, x)

@@ -5,7 +5,9 @@ shares no code with the library paths under test; :func:`unfused_dense`
 chains the separate autodiff primitives that ``ad.dense`` fuses, and
 :func:`two_stage_kernel_message_mean` / :func:`two_stage_graphpde_forward`
 run the graphpde kernel network as ``ad.dense`` over every layout slot
-before the message op, instead of inside it one degree block at a time.
+before the message op, instead of inside it one degree block at a time;
+:func:`coo_apply_kernel` mixes rows with ``ad.coo_matmul`` over the
+per-edge weights, the path the models' row mixers replaced.
 """
 
 import numpy as np
@@ -65,7 +67,7 @@ def two_stage_graphpde_forward(tape, config, params, graph, features):
     all slots of ``graph.layout`` before the message op (same parameters,
     same op order otherwise)."""
     act = ad.ACTIVATIONS[config.activation]
-    attr = ad.constant(graph.layout.edge_attr)
+    attr = ad.constant(graph.slot_attr)
     x = ad.dense(tape, features, params["lift_w"], params["lift_b"])
     depth = len(config.kernel_net_hidden)
     for i in range(config.num_layers):
@@ -77,6 +79,13 @@ def two_stage_graphpde_forward(tape, config, params, graph, features):
         x = act(tape, ad.add(tape, ad.dense(tape, x, params[f"layer_{i}_w"],
                                             params[f"layer_{i}_b"]), aggregated))
     return ad.dense(tape, x, params["readout_w"], params["readout_b"])
+
+
+def coo_apply_kernel(tape, weights, features):
+    """Row mixing as one ``ad.coo_matmul`` over sparse KernelWeights:
+    out[dst] += w * x[src], entry by entry in the weights' order."""
+    return ad.coo_matmul(tape, features, weights.src, weights.dst, weights.weights,
+                         weights.num_nodes)
 
 
 def single_block_layout(graph):
@@ -93,15 +102,21 @@ def single_block_layout(graph):
         slot = dst * width + filled[dst]
         filled[dst] += 1
         slot_edge[slot], neighbours[slot] = e, src
-    attr = graph.edge_attr  # derived on each access: read once
-    edge_attr = np.zeros((n * width, 3))
-    for slot, e in enumerate(slot_edge):
-        if e >= 0:
-            edge_attr[slot] = attr[e] / graph.radius
     return NeighbourLayout(
         order=np.arange(n), blocks=(DegreeBlock(lo=0, hi=n, start=0, width=width),),
         neighbours=neighbours, slot_edge=slot_edge,
-        inv_degree=1.0 / np.maximum(deg, 1), edge_attr=edge_attr)
+        inv_degree=1.0 / np.maximum(deg, 1))
+
+
+def slot_attributes(graph, layout):
+    """The edge attributes / radius in ``layout``'s slot order, zero in
+    pads, by a loop over the slots."""
+    attr = graph.edge_attr  # derived on each access: read once
+    out = np.zeros((layout.num_slots, 3))
+    for slot, e in enumerate(layout.slot_edge):
+        if e >= 0:
+            out[slot] = attr[e] / graph.radius
+    return out
 
 
 def brute_force_radius_edges(points, radius):

@@ -13,7 +13,8 @@ import pytest
 
 from stgno import autodiff as ad
 from stgno.cli import main as cli_main
-from stgno.geometry import build_radius_graph, gaussian_kernel_weights, apply_kernel
+from stgno.geometry import (build_radius_graph, gaussian_kernel_weights, apply_kernel,
+                            row_mixer)
 from stgno.models import (ModelParams, init_params, make_config, model_forward,
                           parameter_shapes)
 from stgno.pipeline import (SyntheticConfig, assemble_graphs, bin_labels,
@@ -251,7 +252,7 @@ def test_criterion_03_sparse_vs_dense():
 
         kw = gaussian_kernel_weights(pts, graph.edges, bandwidth=0.25)
         x = rng.uniform(-1, 1, (n, 3))
-        got_k = apply_kernel(ad.Tape(), kw, ad.constant(x)).data
+        got_k = apply_kernel(ad.Tape(), row_mixer(graph, kw), ad.constant(x)).data
         dense_direct = dense_gaussian_weights(pts, graph.radius, 0.25)
         worst = max(worst, np.abs(got_k - dense_weight_matrix(kw) @ x).max())
         worst = max(worst, np.abs(dense_weight_matrix(kw) - dense_direct).max())

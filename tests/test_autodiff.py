@@ -460,7 +460,7 @@ def test_kernel_message_mean_on_raw_attributes():
     # kernel_net_hidden=(): the hidden rows are the (scaled) attributes, k = 3
     graph = _layout_graph(4)
     _hidden, weight, bias, v = _kernel_mean_inputs(graph, 3, 3)
-    attr = ad.constant(graph.layout.edge_attr)
+    attr = ad.constant(graph.slot_attr)
     out = ad.kernel_message_mean(ad.Tape(), attr, (), weight, bias, v, graph.layout)
     want = _kernel_mean_loop(attr.data, weight.data, bias.data, v.data, graph)
     assert np.abs(out.data - want).max() < 1e-13

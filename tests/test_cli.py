@@ -473,7 +473,9 @@ def _tampered_checkpoint(graphpde_run, tmp_path, block, key, value):
     ("preprocess", "radius", "oops", ("predict",)),
     ("preprocess", "radius", 0, ("predict",)),
     ("preprocess", "radius", -1, ("predict",)),
-    ("preprocess", "class_names", ["region_a"], ("predict",))])
+    ("preprocess", "class_names", ["region_a"], ("predict",)),
+    ("preprocess", "gene_names", [["g000"]], ("predict",)),
+    ("preprocess", "gene_names", "g000g001", ("predict",))])
 def test_malformed_checkpoint_is_one_data_error_line(graphpde_run, tmp_path, capsys,
                                                      block, key, value, commands):
     ckpt = _tampered_checkpoint(graphpde_run, tmp_path, block, key, value)
@@ -665,6 +667,16 @@ def test_empty_model_list_and_infinite_radius_are_usage_errors(graphpde_run, tmp
     assert err.startswith("error:usage:") and err.count("\n") == 1, err
     assert argv[1] in err
     assert not (tmp_path / "prep").exists()
+
+
+def test_repeated_model_kind_is_usage_error(graphpde_run, tmp_path, capsys):
+    out = tmp_path / "report"
+    assert run_cli("report", "--data", str(graphpde_run / "prep"), "--models",
+                   "lr,fcn,lr", "--epochs", "1", "--runs", "1", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:usage:") and captured.err.count("\n") == 1
+    assert "'lr'" in captured.err and "fcn" not in captured.err, captured.err
+    assert captured.out == "" and not out.exists()
 
 
 # ---------------------------------------------------------------------------

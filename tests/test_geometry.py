@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from stgno import autodiff as ad
 from stgno.cli import _auto_radius
-from stgno.errors import DimensionError, ParameterError
+from stgno.errors import ContractError, DimensionError, ParameterError
 from stgno.geometry import (KernelWeights, RadiusGraph, apply_kernel,
                             build_radius_graph, edge_attributes,
-                            gaussian_kernel_weights)
+                            gaussian_kernel_weights, row_mixer)
 from stgno.pipeline import SyntheticConfig, generate_synthetic
 
 from oracles import (brute_force_radius_edges, dense_gaussian_weights,
@@ -173,24 +173,30 @@ def test_bad_bandwidth():
 # apply_kernel
 
 
-def _self_only_weights(n):
+def _self_only_mixer(n):
+    """Weight 1 on every node's self loop, on an edgeless graph."""
+    graph = RadiusGraph(positions=np.zeros((n, 2)),
+                        edges=np.zeros((0, 2), dtype=np.int64), radius=1.0)
     loop = np.arange(n, dtype=np.int64)
-    return KernelWeights(num_nodes=n, src=loop, dst=loop, weights=np.ones(n))
+    return row_mixer(graph, KernelWeights(num_nodes=n, src=loop, dst=loop,
+                                          weights=np.ones(n)))
 
 
 def test_apply_kernel_identity_weights():
     x = RNG.uniform(-1, 1, (6, 4))
-    out = apply_kernel(ad.Tape(), _self_only_weights(6), ad.constant(x))
+    out = apply_kernel(ad.Tape(), _self_only_mixer(6), ad.constant(x))
     assert np.array_equal(out.data, x)
 
 
 def test_apply_kernel_uniform_two_nodes_averages():
+    graph = RadiusGraph(positions=np.array([[0.0, 0.0], [0.5, 0.0]]),
+                        edges=np.array([[0, 1], [1, 0]]), radius=1.0)
     w = KernelWeights(num_nodes=2,
                       src=np.array([0, 1, 0, 1]),
-                      dst=np.array([0, 0, 1, 1]),
+                      dst=np.array([1, 0, 0, 1]),
                       weights=np.full(4, 0.5))
     x = np.array([[2.0, 0.0], [4.0, 6.0]])
-    out = apply_kernel(ad.Tape(), w, ad.constant(x))
+    out = apply_kernel(ad.Tape(), row_mixer(graph, w), ad.constant(x))
     assert np.allclose(out.data, [[3.0, 3.0], [3.0, 3.0]], atol=1e-15)
 
 
@@ -199,13 +205,23 @@ def test_apply_kernel_matches_dense_matmul():
     g = build_radius_graph(pts, 0.4)
     kw = gaussian_kernel_weights(pts, g.edges, 0.2)
     x = RNG.uniform(-1, 1, (15, 5))
-    out = apply_kernel(ad.Tape(), kw, ad.constant(x))
+    out = apply_kernel(ad.Tape(), row_mixer(g, kw), ad.constant(x))
     assert np.abs(out.data - dense_weight_matrix(kw) @ x).max() < 1e-12
 
 
 def test_apply_kernel_node_count_mismatch():
     with pytest.raises(DimensionError):
-        apply_kernel(ad.Tape(), _self_only_weights(4), ad.constant(np.zeros((3, 2))))
+        apply_kernel(ad.Tape(), _self_only_mixer(4), ad.constant(np.zeros((3, 2))))
+
+
+def test_row_mixer_rejects_weights_off_the_edge_support():
+    g = build_radius_graph(RNG.uniform(size=(8, 2)), 0.5)
+    kw = gaussian_kernel_weights(g.positions, g.edges, 0.25)
+    assert g.num_edges > 0
+    with pytest.raises(ContractError):
+        row_mixer(g, dataclasses.replace(kw, src=kw.src[::-1].copy()))
+    with pytest.raises(ContractError):
+        row_mixer(g, dataclasses.replace(kw, num_nodes=9))
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -216,7 +232,7 @@ def test_row_normalized_kernel_is_averaging(seed):
     g = build_radius_graph(pts, 0.5)
     kw = gaussian_kernel_weights(pts, g.edges, 0.25)
     x = rng.uniform(-3, 3, (12, 2))
-    out = apply_kernel(ad.Tape(), kw, ad.constant(x)).data
+    out = apply_kernel(ad.Tape(), row_mixer(g, kw), ad.constant(x)).data
     for col in range(x.shape[1]):
         assert out[:, col].min() >= x[:, col].min() - 1e-12
         assert out[:, col].max() <= x[:, col].max() + 1e-12
@@ -279,22 +295,22 @@ def test_layout_blocks_cut_the_degree_order_into_near_equal_runs(n):
 
 def test_layout_edge_attributes_are_scaled_and_zero_padded():
     g = build_radius_graph(RNG.uniform(size=(30, 2)), 0.35)
-    layout = g.layout
+    layout, attr = g.layout, g.slot_attr
     valid = layout.mask
-    assert layout.edge_attr.shape == (layout.num_slots, 3)
-    assert np.array_equal(layout.edge_attr[valid],
-                          (g.edge_attr / g.radius)[layout.slot_edge[valid]])
-    assert np.array_equal(layout.edge_attr[~valid], np.zeros(((~valid).sum(), 3)))
-    assert np.array_equal(layout.pad_edge_rows(g.edge_attr / g.radius),
-                          layout.edge_attr)
+    assert attr.shape == (layout.num_slots, 3)
+    assert np.array_equal(attr[valid], (g.edge_attr / g.radius)[layout.slot_edge[valid]])
+    assert np.array_equal(attr[~valid], np.zeros(((~valid).sum(), 3)))
+    assert np.array_equal(layout.pad_edge_rows(g.edge_attr / g.radius), attr)
+    assert g.slot_attr is attr
 
 
 def test_layout_of_edgeless_graph_has_no_slots():
-    layout = build_radius_graph([(0.0, 0.0), (5.0, 5.0)], 1.0).layout
+    g = build_radius_graph([(0.0, 0.0), (5.0, 5.0)], 1.0)
+    layout = g.layout
     assert layout.num_slots == 0
     assert [blk.width for blk in layout.blocks] == [0, 0]
     assert sorted(layout.order) == [0, 1]
-    assert layout.edge_attr.shape == (0, 3)
+    assert g.slot_attr.shape == (0, 3)
     assert np.array_equal(layout.inv_degree, np.ones(2))
 
 

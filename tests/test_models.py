@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stgno import autodiff as ad
-from stgno import geometry
+from stgno import geometry, models
 from stgno.errors import ContractError, DimensionError, ParameterError
 from stgno.geometry import (RadiusGraph, apply_kernel, build_radius_graph,
-                            edge_attributes, gaussian_kernel_weights)
+                            edge_attributes, gaussian_kernel_weights, row_mixer)
 from stgno.autodiff import Parameter
 from stgno.models import (ModelParams, graphpde_forward,
                           graphpde_layer, init_params, kernel_net_forward,
@@ -18,9 +18,10 @@ from stgno.models import (ModelParams, graphpde_forward,
 
 from stgno.train import class_weights, weighted_cross_entropy
 
-from oracles import (dense_graphpde_layer, finite_difference_grads,
+from oracles import (coo_apply_kernel, dense_graphpde_layer, finite_difference_grads,
                      kernel_net_reference, reference_graphpde_forward, rel_err,
-                     single_block_layout, two_stage_graphpde_forward, unfused_dense)
+                     single_block_layout, slot_attributes, two_stage_graphpde_forward,
+                     unfused_dense)
 
 RNG = np.random.default_rng(99)
 
@@ -204,7 +205,8 @@ def test_gcn_two_node_normalization():
     # one edge, self loops: every entry of S-hat is 1/2
     _pts, graph = two_node_graph()
     v = np.array([[2.0, 0.0], [0.0, 4.0]])
-    out = apply_kernel(ad.Tape(), symmetric_norm_weights(graph), ad.constant(v))
+    out = apply_kernel(ad.Tape(), row_mixer(graph, symmetric_norm_weights(graph)),
+                       ad.constant(v))
     assert np.allclose(out.data, [[1.0, 2.0], [1.0, 2.0]], atol=1e-15)
 
 
@@ -326,13 +328,111 @@ def test_edge_attributes_are_computed_once_per_graph_and_only_for_graphpde(
 
 
 def test_gaussian_and_norm_weights_share_one_support():
-    # the cached Gaussian weights reuse the normalization weights' index arrays
+    # every edge in order, then one self loop per node: the support that
+    # row_mixer spreads over the layout
     for graph in (random_graph(12, radius=0.4, seed=2)[1],
                   edgeless_graph(3, RNG.uniform(size=(3, 2)))):
         gauss = gaussian_kernel_weights(graph.positions, graph.edges, 0.1)
         norm = symmetric_norm_weights(graph)
         assert np.array_equal(gauss.src, norm.src)
         assert np.array_equal(gauss.dst, norm.dst)
+
+
+def _mixer_graphs():
+    """A radius graph with 3 isolated spots, an edgeless graph and the
+    two-node graph."""
+    rng = np.random.default_rng(31)
+    pts = np.vstack([rng.uniform(size=(60, 2)), [[5.0, 5.0], [7.0, 5.0], [5.0, 7.0]]])
+    return (build_radius_graph(pts, 0.3), edgeless_graph(4, rng.uniform(size=(4, 2))),
+            two_node_graph()[1])
+
+
+@pytest.mark.parametrize("d", [1, 16, 32])
+@pytest.mark.parametrize("which", ["norm", "gaussian"])
+@pytest.mark.parametrize("graph_index", [0, 1, 2])
+def test_row_mixer_is_bit_identical_to_coo_oracle(graph_index, which, d):
+    graph = _mixer_graphs()[graph_index]
+    n = graph.num_nodes
+    weights = (symmetric_norm_weights(graph) if which == "norm" else
+               gaussian_kernel_weights(graph.positions, graph.edges, 0.15))
+    mixer = row_mixer(graph, weights)
+    # one array when the weights are symmetric: always for the normalization,
+    # and for the Gaussian only on the edgeless and two-node graphs
+    assert (mixer.transposed is mixer.weights) == (which == "norm" or graph_index > 0)
+    rng = np.random.default_rng(d)
+    x, coeffs = rng.uniform(-1, 1, (n, d)), rng.uniform(-1, 1, (n, d))
+    results = []
+    for mix in (lambda t, v: apply_kernel(t, mixer, v),
+                lambda t, v: coo_apply_kernel(t, weights, v)):
+        v = ad.Value(x.copy())
+        tape = ad.Tape()
+        out = mix(tape, v)
+        tape.backward(ad.sum_all(tape, ad.mul_const(tape, out, coeffs)))
+        constant = ad.constant(x)
+        tape = ad.Tape()
+        tape.backward(ad.sum_all(tape, ad.mul_const(tape, mix(tape, constant), coeffs)))
+        assert constant.grad is None
+        results.append((out.data, v.grad))
+    (out, grad), (want, want_grad) = results
+    assert np.array_equal(out, want)
+    assert np.array_equal(grad, want_grad)
+
+
+def test_row_mixer_needs_every_reverse_edge():
+    pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
+    one_way = RadiusGraph(positions=pts, edges=np.array([[0, 1], [0, 2], [2, 0]]),
+                          radius=1.0)
+    with pytest.raises(ContractError, match="reverse"):
+        row_mixer(one_way, symmetric_norm_weights(one_way))
+
+
+@pytest.mark.parametrize("kind", ["gcn", "spatial_kernel", "spatial_gcn"])
+def test_stack_step_is_bit_identical_to_coo_oracle(monkeypatch, kind):
+    # the whole training step, with the row mixers swapped for coo_matmul
+    # over the per-edge weights
+    rng = np.random.default_rng(43)
+    graph, _ = _isolated_slide(0.25, 43)
+    cfg = make_config(kind, input_dim=6, hidden_dim=8, init_seed=2)
+    params = init_params(cfg)
+    _randomize_biases(params, rng)
+    x = rng.uniform(-1, 1, (303, 6))
+    labels = rng.integers(0, 3, 303)
+    logits = model_forward(ad.Tape(record=False), cfg, params, x, graph=graph).data
+    _, loss, grads = _training_step(cfg, params, graph, x, labels)
+    monkeypatch.setattr(models, "_norm_weights_for", symmetric_norm_weights)
+    monkeypatch.setattr(models, "_gaussian_weights_for", lambda c, g: (
+        gaussian_kernel_weights(g.positions, g.edges, g.radius / 2.0)))
+    monkeypatch.setattr(models, "apply_kernel", coo_apply_kernel)
+    fresh = build_radius_graph(graph.positions, graph.radius)
+    want = model_forward(ad.Tape(record=False), cfg, params, x, graph=fresh).data
+    _, want_loss, want_grads = _training_step(cfg, params, fresh, x, labels)
+    assert np.array_equal(logits, want)
+    assert np.array_equal(loss, want_loss)
+    for name in params.names():
+        assert np.array_equal(grads[name], want_grads[name]), name
+
+
+@pytest.mark.parametrize("kind", ["gcn", "spatial_gcn"])
+def test_stack_step_allocates_no_edge_sized_arrays(kind):
+    # 32 genes at the CLI's hidden width on a 300-spot r = 0.25 slide
+    # (13.9k edges): coo_matmul's (m + n) x d temporaries took a step to a
+    # traced peak of 7.5 MB (gcn) and 7.9 MB (spatial_gcn); row mixing on
+    # the layout peaks at 0.8 and 1.2 MB
+    rng = np.random.default_rng(61)
+    graph = build_radius_graph(rng.uniform(size=(300, 2)), 0.25)
+    x = rng.uniform(-1, 1, (300, 32))
+    labels = rng.integers(0, 3, 300)
+    cfg = make_config(kind, input_dim=32, hidden_dim=16, init_seed=1)
+    params = init_params(cfg)
+    _training_step(cfg, params, graph, x, labels)  # builds the cached mixers
+    assert graph.num_edges > 13000
+    tracemalloc.start()
+    try:
+        _training_step(cfg, params, graph, x, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6, peak
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +447,7 @@ def test_zero_kernel_net_final_layer_zeroes_all_kernels():
     params["layer_0_kernel_1_w"].data[:] = 0.0
     _pts, graph = random_graph(7, seed=3)
     assert graph.num_edges > 0
-    attr = graph.layout.edge_attr
+    attr = graph.slot_attr
     assert np.array_equal(kernel_net_reference(params, 0, attr, "relu"),
                           np.zeros((attr.shape[0], 16)))
     v = RNG.uniform(-1, 1, (7, 4))
@@ -397,7 +497,7 @@ def test_kernel_net_output_with_final_layer_matches_oracle():
     _pts, graph = random_graph(10, radius=0.5, seed=6)
     v = RNG.uniform(-1, 1, (10, 4))
     out = graphpde_layer(ad.Tape(), cfg, params, 0, graph,
-                         ad.constant(graph.layout.edge_attr), ad.constant(v))
+                         ad.constant(graph.slot_attr), ad.constant(v))
     edge_kernels = kernel_net_reference(params, 0, graph.edge_attr / graph.radius,
                                         "relu")
     dense = dense_graphpde_layer(params["layer_0_w"].data, params["layer_0_b"].data,
@@ -415,7 +515,7 @@ def test_kernel_net_without_hidden_layers_passes_attributes_through():
     params["layer_0_kernel_0_b"].data[:] = RNG.uniform(-0.5, 0.5, (1, 16))
     v = RNG.uniform(-1, 1, (8, 4))
     out = graphpde_layer(ad.Tape(), cfg, params, 0, graph,
-                         ad.constant(graph.layout.edge_attr), ad.constant(v))
+                         ad.constant(graph.slot_attr), ad.constant(v))
     kernels = kernel_net_reference(params, 0, graph.edge_attr / graph.radius, "relu")
     dense = dense_graphpde_layer(params["layer_0_w"].data, params["layer_0_b"].data,
                                  kernels, graph.edges, v, "relu")
@@ -517,7 +617,7 @@ def test_kernel_net_gradient_matches_finite_differences():
     params = init_params(cfg)
     params["layer_0_kernel_1_b"].data[:] = RNG.uniform(-1, 1, (1, 9))
     _pts, graph = random_graph(6, radius=0.6, seed=17)
-    attr = ad.constant(RNG.uniform(-1, 1, graph.layout.edge_attr.shape))
+    attr = ad.constant(RNG.uniform(-1, 1, graph.slot_attr.shape))
     v = ad.constant(RNG.uniform(-1, 1, (6, 3)))
     coeffs = RNG.uniform(-1, 1, (6, 3))
     phi = [params["layer_0_kernel_0_w"], params["layer_0_kernel_0_b"],
@@ -600,6 +700,7 @@ def _single_block_twin(graph):
     """A copy of ``graph`` whose cached layout is the one-block oracle."""
     twin = RadiusGraph(positions=graph.positions, edges=graph.edges, radius=graph.radius)
     twin.cached("layout", lambda: single_block_layout(twin))
+    twin.cached("slot_attr", lambda: slot_attributes(twin, twin.layout))
     return twin
 
 
