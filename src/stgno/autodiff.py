@@ -20,12 +20,12 @@ kernel network: ``act(x W + b)`` in one output buffer and one tape entry,
 with the bits of the unfused ``matmul`` -> ``add_row_broadcast`` ->
 ``relu`` / ``tanh`` chain. :func:`kernel_message_mean` runs the kernel
 network's hidden layers the same way, but one degree block of slots at a
-time inside its own forward and backward passes, recomputing them in the
-backward instead of keeping them. :func:`mix_rows` is the row mixing of
-the other graph models, on the same degree-blocked neighbour layout, so
-every model uses one sparse neighbour representation; :func:`coo_matmul`
-over an edge list remains only as its oracle and as a name the
-benchmark's tracer lists.
+time inside its own forward and backward passes, recomputing them and
+the block's contraction in the backward instead of keeping them.
+:func:`mix_rows` is the row mixing of the other graph models, on the
+same degree-blocked neighbour layout, so every model uses one sparse
+neighbour representation; :func:`coo_matmul` over an edge list remains
+only as its oracle and as a name the benchmark's tracer lists.
 ``Tape(record=False)`` runs ops without keeping anything for the
 backward pass (inference): each intermediate is freed as soon as the
 forward no longer holds it, and ``backward`` on such a tape raises.
@@ -402,15 +402,17 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
         out_x = (vec(S_x) W~ + (sum_s v_nbr(x,s)) B^T) / deg(x)
 
     with W~[c*h + j, i] = W[c, i*h + j] and B[i, j] = b[i*h + j]: per-slot
-    work is k*h multiply-adds instead of k*h^2. z, S and the neighbour sums
-    are computed one degree block at a time, each block padded only to
-    its own width; S and the sums stay in block order and only the n x h
-    output is put back in node order. The backward pass recomputes each
-    block's z chain instead of keeping it, so no array holds a row per
-    slot of the whole layout (except the gradient of a
-    non-:class:`Constant` ``attr``). Pad slots take a zero v row, so they
-    add nothing and get a zero gradient. Nodes without in-edges get a zero
-    row.
+    work is k*h multiply-adds instead of k*h^2. z, S, the neighbour sums
+    and the output rows are computed one degree block at a time, each
+    block padded only to its own width, and a block's S is dropped once
+    its output rows are made. Only the n x h neighbour sums are kept, in
+    block order; the output is put back in node order at the end. The
+    backward pass recomputes each block's z chain and S instead of keeping
+    them, so no array holds a row per slot of the whole layout (except the
+    gradient of a non-:class:`Constant` ``attr``) or k*h numbers per node.
+    The same code runs on recording and non-recording tapes. Pad slots
+    take a zero v row, so they add nothing and get a zero gradient. Nodes
+    without in-edges get a zero row.
     """
     n, (rows, width), h = layout.num_nodes, attr.data.shape, v.data.shape[1]
     if v.data.shape[0] != n or rows != layout.num_slots:
@@ -440,34 +442,42 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     blocks = [(slice(blk.lo, blk.hi), slice(blk.start, blk.stop),
                layout.neighbours[blk.start:blk.stop], blk.size, blk.width)
               for blk in layout.blocks if blk.width]
-    # S and the neighbour sums are kept in block order (rows of
-    # ``layout.order``); the output goes back to node order at the end
-    s, vsum = np.zeros((n, k, h)), np.zeros((n, h))
-    for nodes, rows_of, nbrs, b, w in blocks:
-        z = _kernel_chain(attr.data[rows_of], layers, activation)[-1]
-        vb = v_pad[nbrs].reshape(b, w, h)
-        np.matmul(z.reshape(b, w, k).transpose(0, 2, 1), vb, out=s[nodes])
-        vb.sum(axis=1, out=vsum[nodes])
-    s = s.reshape(n, k * h)
     w_t = weight.data.reshape(k, h, h).transpose(0, 2, 1).reshape(k * h, h)
     b_mat = bias.data.reshape(h, h)
     inv = layout.inv_degree[layout.order, None]
+
+    def gather(nbrs, b, w, z):
+        """A block's neighbour rows, b x w x h, and its S rows, b x k*h."""
+        vb = v_pad[nbrs].reshape(b, w, h)
+        return vb, np.matmul(z.reshape(b, w, k).transpose(0, 2, 1), vb).reshape(b, k * h)
+
+    # rows in block order (of ``layout.order``) until the output goes back
+    # to node order
+    vsum, rows_out = np.zeros((n, h)), np.zeros((n, h))
+
+    def block_rows(nodes, rows_of, nbrs, b, w):
+        # a block's z, neighbour rows and S are freed on return, before
+        # the next block allocates its own
+        vb, s = gather(nbrs, b, w, _kernel_chain(attr.data[rows_of], layers,
+                                                  activation)[-1])
+        vb.sum(axis=1, out=vsum[nodes])
+        rows_out[nodes] = inv[nodes] * (s @ w_t + vsum[nodes] @ b_mat.T)
+
+    for block in blocks:
+        block_rows(*block)
     y = np.empty((n, h))
-    y[layout.order] = inv * (s @ w_t + vsum @ b_mat.T)
+    y[layout.order] = rows_out
     out = Value(y)
 
     def bwd():
         g = out.grad[layout.order]
         g *= inv
-        _accumulate(weight, (s.T @ g).reshape(k, h, h).transpose(0, 2, 1)
-                    .reshape(k, h * h))
         _accumulate(bias, (g.T @ vsum).reshape(1, h * h))
-        ds_all = (g @ w_t.T).reshape(n, k, h)
-        gb_all = (g @ b_mat)[:, None, :]
         want_attr = not isinstance(attr, Constant)
         # every slot row lies in exactly one block of nonzero width
         d_attr = np.empty((rows, width)) if want_attr else None
         d_layers = [(np.zeros_like(w_j), np.zeros_like(b_j)) for w_j, b_j in layers]
+        d_weight = np.zeros((k * h, h))
         # pad rows land in the extra bucket n, which is dropped
         dv = np.zeros((n + 1) * h)
         cols = np.arange(h)
@@ -475,15 +485,17 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
         ones = np.ones(max((b * w for *_, b, w in blocks), default=0))
         for nodes, rows_of, nbrs, b, w in blocks:
             chain = _kernel_chain(attr.data[rows_of], layers, activation)
-            ds = ds_all[nodes]
+            vb, s = gather(nbrs, b, w, chain[-1])
+            g_b = g[nodes]
+            d_weight += s.T @ g_b
+            ds = (g_b @ w_t.T).reshape(b, k, h)
             dvb = np.matmul(chain[-1].reshape(b, w, k), ds)
-            dvb += gb_all[nodes]
+            dvb += (g_b @ b_mat)[:, None, :]
             scattered = np.bincount((nbrs[:, None] * h + cols).ravel(),
                                     weights=dvb.ravel())
             dv[:scattered.size] += scattered
             if not (layers or want_attr):
                 continue
-            vb = v_pad[nbrs].reshape(b, w, h)
             dz = np.matmul(vb, ds.transpose(0, 2, 1)).reshape(b * w, k)
             for j in reversed(range(len(layers))):
                 y_j = chain[j + 1]
@@ -498,6 +510,8 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
                     dz = dz @ layers[j][0].T
             if want_attr:
                 d_attr[rows_of] = dz
+        _accumulate(weight, d_weight.reshape(k, h, h).transpose(0, 2, 1)
+                    .reshape(k, h * h))
         for (w_j, b_j), (d_w, d_b) in zip(hidden_layers, d_layers):
             _accumulate(w_j, d_w)
             _accumulate(b_j, d_b)

@@ -179,9 +179,21 @@ def _auto_radius(table: pl.SpotTable, target_degree: float = 6.0) -> float:
     return math.sqrt(target_degree / (math.pi * rho))
 
 
+def _graph_statistics(graph) -> dict:
+    """One slide's graph figures for the manifest; loading does not read them."""
+    degree = np.bincount(graph.edges[:, 1], minlength=graph.num_nodes)
+    m = graph.num_edges
+    return {"edges": m, "in_degree_min": int(degree.min()),
+            "in_degree_median": float(np.median(degree)),
+            "in_degree_max": int(degree.max()),
+            "isolated_nodes": int((degree == 0).sum()),
+            # padded neighbour slots per edge of the degree-blocked layout
+            "slots_per_edge": graph.layout.num_slots / m if m else None}
+
+
 def _cmd_prepare(args, argv):
-    table = pl.load_spot_table(args.spots)
     genes = pl.load_gene_list(args.genes)
+    table = pl.load_spot_table(args.spots, genes)
     label_map = pl.load_label_map(args.labels)
     table = pl.filter_genes(table, genes)
     table = pl.bin_labels(table, label_map)
@@ -211,6 +223,8 @@ def _cmd_prepare(args, argv):
         "class_names": list(label_map.class_names),
         "gene_names": list(table.gene_names),
         "degree_median": median_degree,
+        "graph_statistics": {g.sample_id: _graph_statistics(g.graph)
+                             for g in [*train_graphs, *holdout_graphs]},
     }
     pl.save_prepared(args.out, train_graphs, holdout_graphs, manifest)
 
@@ -355,8 +369,7 @@ def _cmd_predict(args, argv):
         raise CheckpointError(
             f"{args.checkpoint}: preprocess.class_names has {len(class_names)} "
             f"name(s) for {config.num_classes} classes")
-    table = pl.load_spot_table(args.spots)
-    table = pl.filter_genes(table, gene_names)
+    table = pl.filter_genes(pl.load_spot_table(args.spots, gene_names), gene_names)
     if table.gene_names != list(gene_names):
         raise DataError("spot file does not provide every gene the model needs")
     features = table.expression

@@ -1,9 +1,11 @@
 """Fixed-radius graphs over 2-D spot coordinates and the positional kernel.
 
 Positions are plain (n, 2) float64 arrays of slide-local coordinates.
-Graph construction buckets points into a uniform grid of cell side equal
-to the radius, so only the 3x3 cell neighborhood of each point is
-scanned: expected cost O(n * k) instead of O(n^2). Membership uses the
+Graph construction is a sorted-cell join without a per-node loop: points
+are keyed by their cell in a grid of side equal to the radius and sorted
+by cell, and each point's candidates, the points of the 3x3 cells around
+its own, are found as runs of that order by binary search: expected cost
+O(n log n + n * k) instead of O(n^2). Membership uses the
 squared-distance comparison d2 <= radius**2.
 
 Edges are directed and stored both ways, sorted by (src, dst), with no
@@ -190,31 +192,41 @@ def build_radius_graph(points, radius: float) -> RadiusGraph:
         raise ParameterError(f"radius must be positive, got {radius}")
     n = pos.shape[0]
     r2 = radius * radius
-
-    cells: dict[tuple[int, int], list[int]] = {}
-    keys = np.floor(pos / radius).astype(np.int64)
-    for i in range(n):
-        cells.setdefault((keys[i, 0], keys[i, 1]), []).append(i)
-
+    # cell keys, ranked per axis so that one int64 id per cell cannot
+    # overflow however far apart the points lie; points sorted by cell id.
+    # The keys stay floats: key - 1 <= key <= key + 1 holds at any magnitude
+    keys = np.floor(pos / radius)
+    key_x, key_y = np.unique(keys[:, 0]), np.unique(keys[:, 1])
+    span = key_y.size
+    cell = np.searchsorted(key_x, keys[:, 0]) * span + np.searchsorted(key_y, keys[:, 1])
+    order = np.argsort(cell, kind="stable")
+    sorted_cell = cell[order]
+    # within one column of cells, the rows ky-1..ky+1 are one run of ids
+    row_lo = np.searchsorted(key_y, keys[:, 1] - 1)
+    row_hi = np.searchsorted(key_y, keys[:, 1] + 1, side="right")
+    px, py = pos[:, 0].copy(), pos[:, 1].copy()
+    nodes = np.arange(n)
     srcs: list[np.ndarray] = []
     dsts: list[np.ndarray] = []
-    for i in range(n):
-        cx, cy = keys[i]
-        cand: list[int] = []
-        for ox in (-1, 0, 1):
-            for oy in (-1, 0, 1):
-                cand.extend(cells.get((cx + ox, cy + oy), ()))
-        cand_arr = np.array(cand, dtype=np.int64)
-        diff = pos[cand_arr] - pos[i]
-        near = cand_arr[(diff[:, 0] ** 2 + diff[:, 1] ** 2 <= r2) & (cand_arr != i)]
-        near.sort()
-        srcs.append(np.full(near.size, i, dtype=np.int64))
-        dsts.append(near)
-
-    if srcs:
-        edges = np.stack([np.concatenate(srcs), np.concatenate(dsts)], axis=1)
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
+    for shift in (-1, 0, 1):
+        want = keys[:, 0] + shift
+        col = np.searchsorted(key_x, want)
+        present = key_x[np.minimum(col, key_x.size - 1)] == want
+        lo = np.searchsorted(sorted_cell, col * span + row_lo)
+        count = np.searchsorted(sorted_cell, col * span + row_hi) - lo
+        count[~present] = 0
+        # candidate j for every i: the sorted points lo[i] .. lo[i] + count[i]
+        offset = np.repeat(lo - (np.cumsum(count) - count), count)
+        cand = order[np.arange(offset.size) + offset]
+        dx = px[cand] - np.repeat(px, count)
+        dy = py[cand] - np.repeat(py, count)
+        src = np.repeat(nodes, count)
+        near = (dx * dx + dy * dy <= r2) & (cand != src)
+        srcs.append(src[near])
+        dsts.append(cand[near])
+    src, dst = np.concatenate(srcs), np.concatenate(dsts)
+    by_pair = np.argsort(src * n + dst)
+    edges = np.stack([src[by_pair], dst[by_pair]], axis=1)
     return RadiusGraph(positions=pos, edges=edges, radius=float(radius))
 
 

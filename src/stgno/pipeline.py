@@ -28,8 +28,10 @@ bit-identical prepared dataset.
 
 from __future__ import annotations
 
+import array
 import csv
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass, field, replace
@@ -146,8 +148,13 @@ class SyntheticConfig:
 # ingestion
 
 
-def load_spot_table(path) -> SpotTable:
-    """Parse a spot CSV; errors carry the offending 1-based line number."""
+def load_spot_table(path, gene_names=None) -> SpotTable:
+    """Parse a spot CSV; errors carry the offending 1-based line number.
+
+    With ``gene_names``, only x, y and the columns of the listed genes that
+    the header has are parsed (in header order); values in the other gene
+    columns are not read, so they are not checked either. Every row must
+    still have the header's field count."""
     path = Path(path)
     with open_text(path) as fh:
         reader = csv.reader(fh)
@@ -160,12 +167,19 @@ def load_spot_table(path) -> SpotTable:
                 raise DataError(
                     f"{path}:1: missing or misplaced required column {col!r} "
                     f"(header must start with {','.join(_REQUIRED_COLUMNS)})")
-        gene_names = header[4:]
+        columns = range(4, len(header))
+        if gene_names is not None:
+            # a repeated header name reads its last column, as filter_genes does
+            index = {g: i for i, g in enumerate(header[4:], start=4)}
+            wanted = set(gene_names)
+            columns = sorted(i for g, i in index.items() if g in wanted)
+        kept = [header[i] for i in columns]
+        numeric = operator.itemgetter(1, 2, *columns)
         width = len(header)
         sample_ids: list[str] = []
         raw_labels: list[str] = []
-        positions: list[tuple[float, float]] = []
-        expression: list[list[float]] = []
+        # packed doubles: a list of Python floats takes about 4x the memory
+        values = array.array("d")
         for lineno, row in enumerate(reader, start=2):
             if len(row) != width:
                 raise DataError(
@@ -173,20 +187,19 @@ def load_spot_table(path) -> SpotTable:
             if not row[0]:
                 raise DataError(f"{path}:{lineno}: empty sample_id")
             try:
-                positions.append((float(row[1]), float(row[2])))
-                expression.append([float(v) for v in row[4:]])
+                values.extend(map(float, numeric(row)))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from None
             sample_ids.append(row[0])
             raw_labels.append(row[3])
-    positions = np.array(positions, dtype=np.float64).reshape(-1, 2)
-    expression = np.array(expression, dtype=np.float64).reshape(-1, len(gene_names))
-    finite = np.isfinite(positions).all(axis=1) & np.isfinite(expression).all(axis=1)
+    values = np.frombuffer(values, dtype=np.float64).reshape(-1, 2 + len(kept))
+    finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise DataError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite value "
                         "(nan or inf) in x, y or expression")
-    return SpotTable(sample_ids=sample_ids, positions=positions, expression=expression,
-                     raw_labels=raw_labels, gene_names=gene_names)
+    return SpotTable(sample_ids=sample_ids, positions=values[:, :2].copy(),
+                     expression=values[:, 2:].copy(), raw_labels=raw_labels,
+                     gene_names=kept)
 
 
 def write_spot_table(path, table: SpotTable) -> None:

@@ -119,6 +119,39 @@ def slot_attributes(graph, layout):
     return out
 
 
+def cell_loop_radius_edges(points, radius):
+    """Radius edges by a per-node loop over the 3x3 grid cells around each
+    point (cell side = radius), the same squared-distance criterion, edges
+    sorted by (src, dst): the graph build before it was vectorized."""
+    pos = np.array(points, dtype=np.float64).reshape(-1, 2)
+    n = pos.shape[0]
+    r2 = radius * radius
+
+    cells: dict[tuple[int, int], list[int]] = {}
+    keys = np.floor(pos / radius).astype(np.int64)
+    for i in range(n):
+        cells.setdefault((keys[i, 0], keys[i, 1]), []).append(i)
+
+    srcs: list[np.ndarray] = []
+    dsts: list[np.ndarray] = []
+    for i in range(n):
+        cx, cy = keys[i]
+        cand: list[int] = []
+        for ox in (-1, 0, 1):
+            for oy in (-1, 0, 1):
+                cand.extend(cells.get((cx + ox, cy + oy), ()))
+        cand_arr = np.array(cand, dtype=np.int64)
+        diff = pos[cand_arr] - pos[i]
+        near = cand_arr[(diff[:, 0] ** 2 + diff[:, 1] ** 2 <= r2) & (cand_arr != i)]
+        near.sort()
+        srcs.append(np.full(near.size, i, dtype=np.int64))
+        dsts.append(near)
+
+    if srcs:
+        return np.stack([np.concatenate(srcs), np.concatenate(dsts)], axis=1)
+    return np.zeros((0, 2), dtype=np.int64)
+
+
 def brute_force_radius_edges(points, radius):
     """All-pairs O(n^2) radius edges, same squared-distance criterion."""
     pts = np.asarray(points, dtype=np.float64)

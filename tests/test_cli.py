@@ -11,7 +11,7 @@ import pytest
 
 from stgno import autodiff as ad
 from stgno.cli import build_parser, main
-from stgno.pipeline import PREPARED_VERSION, load_spot_table
+from stgno.pipeline import PREPARED_VERSION, load_prepared, load_spot_table
 
 
 def run_cli(*args):
@@ -144,6 +144,51 @@ def test_prepare_degree_summary_printed(synth_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "median train degree" in out
     assert re.search(r"radius: 0\.3", out)
+
+
+def test_prepare_records_graph_statistics_per_slide(prepared_dir, tmp_path):
+    manifest = json.loads((prepared_dir / "manifest.json").read_text())
+    train, holdout, _ = load_prepared(prepared_dir)
+    stats = manifest["graph_statistics"]
+    assert set(stats) == {s.sample_id for s in [*train, *holdout]}
+    for sample in [*train, *holdout]:
+        degree = np.bincount(sample.graph.edges[:, 1], minlength=sample.num_nodes)
+        assert stats[sample.sample_id] == {
+            "edges": sample.graph.num_edges, "in_degree_min": int(degree.min()),
+            "in_degree_median": float(np.median(degree)),
+            "in_degree_max": int(degree.max()),
+            "isolated_nodes": int((degree == 0).sum()),
+            "slots_per_edge": sample.graph.layout.num_slots / sample.graph.num_edges}
+        assert 1.0 <= stats[sample.sample_id]["slots_per_edge"] < 2.0
+    # load_prepared does not read them
+    copy = tmp_path / "prep"
+    shutil.copytree(prepared_dir, copy)
+    (copy / "manifest.json").write_text(json.dumps({**manifest, "graph_statistics": 7}))
+    again, _, _ = load_prepared(copy)
+    assert [s.sample_id for s in again] == [s.sample_id for s in train]
+
+
+@pytest.mark.parametrize("gene,code", [("g007", 0), ("g000", 2)])
+def test_prepare_reads_only_the_listed_genes(synth_dir, tmp_path, capsys, gene, code):
+    lines = (synth_dir / "spots.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[4].split(",")
+    cells[header.index(gene)] = "oops"
+    lines[4] = ",".join(cells)
+    spots, genes = tmp_path / "spots.csv", tmp_path / "genes.txt"
+    spots.write_text("\n".join(lines) + "\n")
+    genes.write_text("\n".join(header[4:-1]) + "\n")  # every gene but g007
+    capsys.readouterr()
+    assert run_cli("prepare", "--spots", str(spots), "--genes", str(genes),
+                   "--labels", str(synth_dir / "labels.tsv"), "--radius", "0.3",
+                   "--holdout-k", "2", "--min-classes", "3",
+                   "--out", str(tmp_path / "prep")) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("error:data:") and "spots.csv:5: non-numeric" in err
+    else:
+        manifest = json.loads((tmp_path / "prep" / "manifest.json").read_text())
+        assert manifest["gene_names"] == header[4:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from stgno.geometry import (KernelWeights, RadiusGraph, apply_kernel,
                             gaussian_kernel_weights, row_mixer)
 from stgno.pipeline import SyntheticConfig, generate_synthetic
 
-from oracles import (brute_force_radius_edges, dense_gaussian_weights,
-                     dense_weight_matrix)
+from oracles import (brute_force_radius_edges, cell_loop_radius_edges,
+                     dense_gaussian_weights, dense_weight_matrix)
 
 RNG = np.random.default_rng(777)
 
@@ -74,6 +75,38 @@ def test_hash_equals_brute_force(seed, n, radius):
     pts = np.random.default_rng(seed).uniform(size=(n, 2))
     g = build_radius_graph(pts, radius)
     assert np.array_equal(g.edges, brute_force_radius_edges(pts, radius))
+
+
+def _cell_loop_cases():
+    rng = np.random.default_rng(31)
+    # a square lattice of binary fractions: every neighbour lies exactly r
+    # away, and many points sit on cell boundaries
+    grid = np.stack(np.meshgrid(np.arange(-6, 7), np.arange(-6, 7)), axis=-1)
+    lattice = grid.reshape(-1, 2) * 0.25
+    clusters = np.concatenate([rng.uniform(size=(60, 2)) * 3e-3 + corner for corner in
+                               ([0.0, 0.0], [1e12, 0.0], [0.0, 1e12], [-1e12, 1e12])])
+    return {
+        "30k_uniform": (rng.uniform(size=(30000, 2)), math.sqrt(6 / (math.pi * 30000))),
+        "clusters_1e12_apart": (clusters, 1e-3),
+        "lattice_r_apart": (lattice, 0.25),
+        "lattice_diagonal_r_apart": (lattice, 0.25 * math.sqrt(2.0)),
+        "n0": (np.zeros((0, 2)), 1.0),
+        "n1": (np.array([[0.5, -0.5]]), 1.0),
+        "n2_r_apart": (np.array([[-0.5, 0.0], [0.5, 0.0]]), 1.0),
+        "n2_coincident": (np.array([[0.3, 0.3], [0.3, 0.3]]), 1.0),
+        "n2_beyond_r": (np.array([[0.0, 0.0], [1.0, 1.0]]), 1.0),
+    }
+
+
+@pytest.mark.parametrize("case", list(_cell_loop_cases()))
+def test_build_equals_the_cell_loop(case):
+    points, radius = _cell_loop_cases()[case]
+    g = build_radius_graph(points, radius)
+    want = cell_loop_radius_edges(points, radius)
+    assert g.edges.dtype == want.dtype == np.int64
+    assert np.array_equal(g.edges, want)
+    if case.startswith("lattice"):
+        assert g.num_edges >= 4 * 11 * 11
 
 
 @given(st.integers(0, 2 ** 31 - 1))

@@ -782,28 +782,33 @@ def test_fused_graphpde_matches_two_stage_reference(radius, activation, kernel_h
 
 
 def test_graphpde_step_allocates_no_slot_sized_arrays():
-    # the criterion-7 widths (h = 8, k = 32) on a 300-spot r = 0.25 slide:
-    # a (num_slots x k) array is ~3.7 MB here and one step used to peak at
-    # ~33 MB of traced allocations, one inference forward at ~7.7 MB
+    # a 300-spot r = 0.25 slide at the criterion-7 widths (h = 8, k = 32)
+    # and at the CLI's (h = 16, k = 64). A (num_slots x k) array is ~3.7 MB
+    # at k = 32; one step used to peak at ~33 MB of traced allocations, one
+    # inference forward at ~7.7 MB. At the CLI widths an n x k*h S array is
+    # 2.5 MB: keeping one per layer took a step to 22.7 MB and a forward to
+    # 4.1 MB; streamed per degree block they peak at 5.8 and 1.3 MB
     graph, rng = _isolated_slide(0.25, 59)
-    cfg = make_config("graphpde", input_dim=32, hidden_dim=8, kernel_net_hidden=(32,),
-                      init_seed=1)
-    params = init_params(cfg)
     x = rng.uniform(-1, 1, (303, 32))
     labels = rng.integers(0, 3, 303)
-    _training_step(cfg, params, graph, x, labels)  # builds the cached layout
-    assert graph.layout.num_slots * 32 * 8 > 3e6
-    tracemalloc.start()
-    try:
-        _training_step(cfg, params, graph, x, labels)
-        step_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        model_forward(ad.Tape(record=False), cfg, params, x, graph=graph)
-        forward_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert step_peak <= 12e6, step_peak
-    assert forward_peak <= 3e6, forward_peak
+    for hidden, kernel, step_bound, forward_bound in ((8, 32, 12e6, 3e6),
+                                                      (16, 64, 7e6, 2e6)):
+        cfg = make_config("graphpde", input_dim=32, hidden_dim=hidden,
+                          kernel_net_hidden=(kernel,), init_seed=1)
+        params = init_params(cfg)
+        _training_step(cfg, params, graph, x, labels)  # builds the cached layout
+        assert graph.layout.num_slots * kernel * 8 > 3e6
+        tracemalloc.start()
+        try:
+            _training_step(cfg, params, graph, x, labels)
+            step_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            model_forward(ad.Tape(record=False), cfg, params, x, graph=graph)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert step_peak <= step_bound, (hidden, kernel, step_peak)
+        assert forward_peak <= forward_bound, (hidden, kernel, forward_peak)
 
 
 @given(st.integers(0, 2 ** 31 - 1))

@@ -103,6 +103,51 @@ def test_csv_round_trip_is_identity(tmp_path):
     assert np.array_equal(loaded.expression, table.expression)
 
 
+def test_csv_listed_genes_parse_only_their_columns(tmp_path):
+    table, _ = synthetic_for_tests()
+    path = tmp_path / "spots.csv"
+    write_spot_table(path, table)
+    listed = [table.gene_names[3], "absent", table.gene_names[1]]
+    loaded = load_spot_table(path, listed)
+    assert loaded.gene_names == [table.gene_names[1], table.gene_names[3]]
+    assert np.array_equal(loaded.expression, table.expression[:, [1, 3]])
+    assert np.array_equal(loaded.positions, table.positions)
+    assert loaded.sample_ids == table.sample_ids
+    assert loaded.raw_labels == table.raw_labels
+    want = filter_genes(load_spot_table(path), listed[::2])
+    got = filter_genes(loaded, listed[::2])
+    assert got.gene_names == want.gene_names
+    assert np.array_equal(got.expression, want.expression)
+
+
+@pytest.mark.parametrize("bad", ["oops", "nan", "inf"])
+def test_csv_bad_value_in_an_unlisted_column_is_not_read(tmp_path, bad):
+    path = tmp_path / "spots.csv"
+    path.write_text(f"sample_id,x,y,label,g1,g2\na,0,0,x,1,2\na,0,1,x,{bad},3\n")
+    table = load_spot_table(path, ["g2"])
+    assert table.gene_names == ["g2"]
+    assert np.array_equal(table.expression, [[2.0], [3.0]])
+    with pytest.raises(DataError, match=r"spots\.csv:3: non-"):
+        load_spot_table(path)
+
+
+@pytest.mark.parametrize("bad", ["oops", "nan", "-inf"])
+@pytest.mark.parametrize("column", ["x", "g2"])
+def test_csv_bad_value_in_a_listed_column_names_its_line(tmp_path, bad, column):
+    row = {"x": f"a,{bad},1,x,1,2", "g2": f"a,0,1,x,1,{bad}"}[column]
+    path = tmp_path / "spots.csv"
+    path.write_text(f"sample_id,x,y,label,g1,g2\na,0,0,x,1,2\n{row}\na,1,1,x,1,2\n")
+    with pytest.raises(DataError, match=r"spots\.csv:3: non-"):
+        load_spot_table(path, ["g2"])
+
+
+def test_csv_listed_genes_still_need_full_rows(tmp_path):
+    path = tmp_path / "spots.csv"
+    path.write_text("sample_id,x,y,label,g1,g2\na,0,0,x,1,2\na,0,1,x,1\n")
+    with pytest.raises(DataError, match=r"spots\.csv:3: expected 6 fields"):
+        load_spot_table(path, ["g1"])
+
+
 # ---------------------------------------------------------------------------
 # gene filtering
 
