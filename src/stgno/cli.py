@@ -309,7 +309,7 @@ def _cmd_train(args, argv):
 
 def _cmd_eval(args, argv):
     _train_graphs, holdout_graphs, manifest = pl.load_prepared(args.data)
-    params, config, _pre = load_checkpoint(args.checkpoint)
+    params, config, pre = load_checkpoint(args.checkpoint)
     input_dim = len(manifest["gene_names"])
     if config.input_dim != input_dim:
         raise ContractError(
@@ -318,6 +318,12 @@ def _cmd_eval(args, argv):
     if config.num_classes != num_classes:
         raise ContractError(
             f"checkpoint predicts {config.num_classes} classes, dataset has {num_classes}")
+    # equal widths are not enough: the features must be the same genes in
+    # the same order, and class i must name the same class
+    for key in ("gene_names", "class_names"):
+        if key in pre and pre[key] != manifest[key]:
+            raise ContractError(f"{args.checkpoint}: preprocess.{key} differs from "
+                                f"the {key} of the dataset in {args.data}")
     metrics = evaluate(params, config, holdout_graphs)
     print(dump_json(metrics.to_json_dict()), end="")
     return 0
@@ -364,11 +370,11 @@ def _cmd_predict(args, argv):
             or not (math.isfinite(radius) and radius > 0)):
         raise CheckpointError(f"{args.checkpoint}: preprocess.radius must be a "
                               f"positive number, got {radius!r}")
-    class_names = pre.get("class_names") or [str(i) for i in range(config.num_classes)]
-    if len(class_names) != config.num_classes:
-        raise CheckpointError(
-            f"{args.checkpoint}: preprocess.class_names has {len(class_names)} "
-            f"name(s) for {config.num_classes} classes")
+    class_names = pre.get("class_names", [str(i) for i in range(config.num_classes)])
+    if (not isinstance(class_names, list) or len(class_names) != config.num_classes
+            or not all(isinstance(name, str) for name in class_names)):
+        raise CheckpointError(f"{args.checkpoint}: preprocess.class_names must be a "
+                              f"list of {config.num_classes} class names (strings)")
     table = pl.filter_genes(pl.load_spot_table(args.spots, gene_names), gene_names)
     if table.gene_names != list(gene_names):
         raise DataError("spot file does not provide every gene the model needs")

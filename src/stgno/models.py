@@ -49,6 +49,7 @@ The spatial models read the spot coordinates from ``graph.positions``
 (the graph owns them) and cache their Gaussian mixer on the graph,
 keyed by bandwidth alone.
 
+A model's parameters are a plain ``{name: Parameter}`` dict (``Params``).
 Parameter names are stable per config, so two inits with the same seed
 are bit-identical and checkpoints can be validated by name and shape.
 The fcn / spatial_kernel naming lines up on purpose: a spatial_kernel
@@ -89,6 +90,9 @@ _DEFAULT_LAYERS = {
     "spatial_gcn": 2,
     "graphpde": 6,
 }
+
+# a model's parameters by name, in parameter_shapes order
+Params = dict[str, Parameter]
 
 # the row mixers each block of a stack kind applies, in order, before its linear
 _STACK_MIXERS = {"lr": (), "fcn": (), "gcn": ("norm",), "spatial_kernel": ("gaussian",),
@@ -137,36 +141,6 @@ def make_config(kind: str, input_dim: int, **overrides) -> ModelConfig:
     return cfg
 
 
-class ModelParams:
-    """Ordered, name-addressed collection of Parameters."""
-
-    def __init__(self, params: list[Parameter]):
-        self._by_name: dict[str, Parameter] = {}
-        for p in params:
-            if p.name in self._by_name:
-                raise ParameterError(f"duplicate parameter name {p.name!r}")
-            self._by_name[p.name] = p
-
-    def __getitem__(self, name: str) -> Parameter:
-        return self._by_name[name]
-
-    def names(self) -> list[str]:
-        return list(self._by_name)
-
-    def items(self):
-        return self._by_name.items()
-
-    def values(self):
-        return self._by_name.values()
-
-    def zero_grads(self) -> None:
-        for p in self._by_name.values():
-            p.zero_grad()
-
-    def count(self) -> int:
-        return sum(p.data.size for p in self._by_name.values())
-
-
 def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, int]]]:
     """The full (name, shape) list for a config, in init order."""
     config.validate()
@@ -194,21 +168,22 @@ def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, int]]]:
     return shapes
 
 
-def init_params(config: ModelConfig) -> ModelParams:
-    """Xavier-uniform weights, zero biases, deterministic per (config, seed)."""
+def init_params(config: ModelConfig) -> Params:
+    """Xavier-uniform weights, zero biases, deterministic per (config, seed),
+    keyed by name in :func:`parameter_shapes` order."""
     rng = np.random.default_rng(config.init_seed)
-    params = []
+    params = {}
     for name, (rows, cols) in parameter_shapes(config):
         if name.endswith("_b"):
             data = np.zeros((rows, cols))
         else:
             bound = math.sqrt(6.0 / (rows + cols))
             data = rng.uniform(-bound, bound, size=(rows, cols))
-        params.append(Parameter(name, data))
-    return ModelParams(params)
+        params[name] = Parameter(name, data)
+    return params
 
 
-def _linear(tape: Tape, params: ModelParams, name: str, x: Value,
+def _linear(tape: Tape, params: Params, name: str, x: Value,
             activation: str | None = None) -> Value:
     return ad.dense(tape, x, params[f"{name}_w"], params[f"{name}_b"], activation)
 
@@ -249,7 +224,7 @@ def _stack_blocks(config: ModelConfig) -> int:
     return config.num_layers - 1 if config.kind == "spatial_kernel" else config.num_layers
 
 
-def stack_forward(tape: Tape, config: ModelConfig, params: ModelParams,
+def stack_forward(tape: Tape, config: ModelConfig, params: Params,
                   graph: RadiusGraph | None, features: Value) -> Value:
     """Every kind but graphpde: each block applies the kind's row mixers
     in order, then a linear layer and the activation; the readout is
@@ -267,7 +242,7 @@ def stack_forward(tape: Tape, config: ModelConfig, params: ModelParams,
     return _linear(tape, params, "readout", x)
 
 
-def kernel_net_forward(config: ModelConfig, params: ModelParams,
+def kernel_net_forward(config: ModelConfig, params: Params,
                        layer_index: int) -> tuple[tuple[Parameter, Parameter], ...]:
     """The (W, b) pairs of the hidden layers of graphpde layer
     ``layer_index``'s kernel network: every layer of the MLP from the 3
@@ -281,7 +256,7 @@ def kernel_net_forward(config: ModelConfig, params: ModelParams,
                  for j in range(len(config.kernel_net_hidden)))
 
 
-def graphpde_layer(tape: Tape, config: ModelConfig, params: ModelParams,
+def graphpde_layer(tape: Tape, config: ModelConfig, params: Params,
                    layer_index: int, graph: RadiusGraph, attr: Value,
                    v: Value) -> Value:
     """v' = act(W v + b + mean over in-edges of K_e v_src).
@@ -306,7 +281,7 @@ def graphpde_layer(tape: Tape, config: ModelConfig, params: ModelParams,
                             aggregated))
 
 
-def graphpde_forward(tape: Tape, config: ModelConfig, params: ModelParams,
+def graphpde_forward(tape: Tape, config: ModelConfig, params: Params,
                      graph: RadiusGraph, features: Value) -> Value:
     # kernel-net inputs are the edge attributes scaled by the build radius
     # (so they sit at O(1) regardless of slide units), one row per layout
@@ -318,7 +293,7 @@ def graphpde_forward(tape: Tape, config: ModelConfig, params: ModelParams,
     return _linear(tape, params, "readout", x)
 
 
-def model_forward(tape: Tape, config: ModelConfig, params: ModelParams,
+def model_forward(tape: Tape, config: ModelConfig, params: Params,
                   features, graph: RadiusGraph | None = None) -> Value:
     """Dispatch one forward pass; returns n x num_classes logits."""
     x = features if isinstance(features, Value) else ad.constant(features)

@@ -12,7 +12,7 @@ from .autodiff import Parameter, Tape
 from .errors import (CheckpointError, ContractError, DataError,
                      DivergenceError, ParameterError)
 from .ioutil import atomic_write_text, dump_json, read_json
-from .models import (DISPLAY_NAMES, ModelConfig, ModelParams, init_params,
+from .models import (DISPLAY_NAMES, ModelConfig, Params, init_params,
                      model_forward, parameter_shapes)
 from .pipeline import GraphSample
 
@@ -112,11 +112,11 @@ class Adam:
     square root, so the first step from zero moments is exactly
     -lr * g / (|g| + eps). Grads are zeroed after each step."""
 
-    def __init__(self, params: ModelParams, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Params, learning_rate: float):
         self.params = params
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -135,7 +135,7 @@ class Adam:
 
 
 class Sgd:
-    def __init__(self, params: ModelParams, learning_rate: float):
+    def __init__(self, params: Params, learning_rate: float):
         self.params = params
         self.lr = learning_rate
 
@@ -145,13 +145,13 @@ class Sgd:
             p.zero_grad()
 
 
-def make_optimizer(config: TrainConfig, params: ModelParams):
+def make_optimizer(config: TrainConfig, params: Params):
     if config.optimizer == "adam":
         return Adam(params, config.learning_rate)
     return Sgd(params, config.learning_rate)
 
 
-def forward_sample(tape: Tape, config: ModelConfig, params: ModelParams,
+def forward_sample(tape: Tape, config: ModelConfig, params: Params,
                    sample: GraphSample) -> ad.Value:
     return model_forward(tape, config, params, sample.node_features,
                          graph=sample.graph)
@@ -160,7 +160,7 @@ def forward_sample(tape: Tape, config: ModelConfig, params: ModelParams,
 @np.errstate(over="ignore", invalid="ignore")
 def train(model_config: ModelConfig, graphs: list[GraphSample],
           train_config: TrainConfig,
-          epoch_callback=None) -> tuple[ModelParams, list[float]]:
+          epoch_callback=None) -> tuple[Params, list[float]]:
     """Full-graph steps in a seeded shuffled order, one optimizer step per
     graph; returns the trained parameters and the mean-loss-per-epoch
     history. Deterministic per (configs, seed). ``epoch_callback``, when
@@ -201,7 +201,7 @@ def train(model_config: ModelConfig, graphs: list[GraphSample],
     return params, history
 
 
-def evaluate(params: ModelParams, config: ModelConfig,
+def evaluate(params: Params, config: ModelConfig,
              graphs: list[GraphSample]) -> Metrics:
     """Argmax predictions per spot (ties go to the lowest class index),
     aggregated into one confusion matrix over all graphs. Forward only, on
@@ -270,7 +270,7 @@ def run_experiment(model_configs: list[ModelConfig], train_graphs,
     if f1_flavor not in ("macro", "weighted"):
         raise ParameterError(f"unknown f1 flavor {f1_flavor!r}")
     rows = []
-    trained: dict[str, list[ModelParams]] = {}
+    trained: dict[str, list[Params]] = {}
     for mc in model_configs:
         runs = []
         params_per_run = []
@@ -287,22 +287,15 @@ def run_experiment(model_configs: list[ModelConfig], train_graphs,
             if run_hook is not None:
                 run_hook(mc_r, r, params, history, metrics)
             params_per_run.append(params)
-            runs.append({
-                "seed": seed,
-                "accuracy": metrics.accuracy,
-                "macro_f1": metrics.macro_f1,
-                "weighted_f1": metrics.weighted_f1,
-                "per_class_f1": list(metrics.per_class_f1),
-                "confusion": metrics.confusion.tolist(),
-                "loss_history": history,
-            })
+            runs.append({"seed": seed, **metrics.to_json_dict(),
+                         "loss_history": history})
         f1_key = "macro_f1" if f1_flavor == "macro" else "weighted_f1"
         accs = [run["accuracy"] for run in runs]
         f1s = [run[f1_key] for run in runs]
         rows.append({
             "model": DISPLAY_NAMES[mc.kind],
             "kind": mc.kind,
-            "param_count": init_params(mc).count(),
+            "param_count": sum(p.data.size for p in params_per_run[0].values()),
             "mean_accuracy": float(np.mean(accs)),
             "std_accuracy": _sample_std(accs),
             "mean_f1": float(np.mean(f1s)),
@@ -332,7 +325,7 @@ def _config_from_json(doc: dict) -> ModelConfig:
     return ModelConfig(**doc)
 
 
-def save_checkpoint(path, params: ModelParams, config: ModelConfig,
+def save_checkpoint(path, params: Params, config: ModelConfig,
                     preprocess: dict | None = None) -> None:
     """Versioned JSON: config block plus named parameter arrays. The
     optional preprocess block carries whatever the prediction path needs
@@ -347,7 +340,7 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
 
 
 def load_checkpoint(path):
-    """Load and validate -> (params, config, preprocess). Values reproduce
+    """Load and validate -> (params by name, config, preprocess). Values reproduce
     the saved ones bit-for-bit. Malformed content raises a
     :class:`CheckpointError` that names the file and the key."""
     try:
@@ -369,7 +362,7 @@ def load_checkpoint(path):
     for key, block in (("params", stored), ("preprocess", preprocess)):
         if not isinstance(block, dict):
             raise CheckpointError(f"{path}: {key!r} must hold a JSON object")
-    params = []
+    params = {}
     for name, shape in expected:
         if name not in stored:
             raise CheckpointError(f"{path}: checkpoint is missing parameter {name!r}")
@@ -384,9 +377,9 @@ def load_checkpoint(path):
         if arr.shape != shape:
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {arr.shape}, config implies {shape}")
-        params.append(Parameter(name, arr))
+        params[name] = Parameter(name, arr)
     extra = set(stored) - {name for name, _ in expected}
     if extra:
         raise CheckpointError(
             f"{path}: checkpoint has unexpected parameter(s) {sorted(extra)}")
-    return ModelParams(params), config, preprocess
+    return params, config, preprocess

@@ -232,7 +232,7 @@ def kernel_net_reference(params, layer, edge_attr, activation):
     act = _activation(activation)
     x = np.asarray(edge_attr, dtype=np.float64)
     j = 0
-    while f"layer_{layer}_kernel_{j + 1}_w" in params.names():
+    while f"layer_{layer}_kernel_{j + 1}_w" in params:
         x = act(x @ params[f"layer_{layer}_kernel_{j}_w"].data
                 + params[f"layer_{layer}_kernel_{j}_b"].data)
         j += 1

@@ -15,8 +15,7 @@ from stgno import autodiff as ad
 from stgno.cli import main as cli_main
 from stgno.geometry import (build_radius_graph, gaussian_kernel_weights, apply_kernel,
                             row_mixer)
-from stgno.models import (ModelParams, init_params, make_config, model_forward,
-                          parameter_shapes)
+from stgno.models import init_params, make_config, model_forward, parameter_shapes
 from stgno.pipeline import (SyntheticConfig, assemble_graphs, bin_labels,
                             generate_synthetic, select_holdout)
 from stgno.train import (TrainConfig, class_weights, evaluate,
@@ -68,12 +67,13 @@ def _fd_model_check(kind, rng, tol=1e-4):
         return float(weighted_cross_entropy(tape, logits, labels,
                                             weights).data[0, 0])
 
-    params.zero_grads()
+    for p in params.values():
+        p.zero_grad()
     tape = ad.Tape()
     logits = model_forward(tape, cfg, params, x, graph=graph)
     tape.backward(weighted_cross_entropy(tape, logits, labels, weights))
     worst = 0.0
-    for name in params.names():
+    for name in params:
         fd = finite_difference_grads(loss_value, [params[name].data])[0]
         worst = max(worst, rel_err(params[name].grad, fd))
     return worst
@@ -235,9 +235,9 @@ def test_criterion_03_sparse_vs_dense():
         # make the rows handed to the layer the explicit per-edge kernels
         cfg = make_config("graphpde", input_dim=4, hidden_dim=4,
                           kernel_net_hidden=(), init_seed=seed)
-        params = ModelParams([ad.Parameter(name, np.eye(16))
-                              if name == "layer_0_kernel_0_w" else p
-                              for name, p in init_params(cfg).items()])
+        params = {name: ad.Parameter(name, np.eye(16))
+                  if name == "layer_0_kernel_0_w" else p
+                  for name, p in init_params(cfg).items()}
         params["layer_0_kernel_0_b"].data[:] = 0.0
         v = rng.uniform(-1, 1, (n, 4))
         kernels = rng.uniform(-1, 1, (graph.num_edges, 16))

@@ -520,7 +520,10 @@ def _tampered_checkpoint(graphpde_run, tmp_path, block, key, value):
     ("preprocess", "radius", -1, ("predict",)),
     ("preprocess", "class_names", ["region_a"], ("predict",)),
     ("preprocess", "gene_names", [["g000"]], ("predict",)),
-    ("preprocess", "gene_names", "g000g001", ("predict",))])
+    ("preprocess", "gene_names", "g000g001", ("predict",)),
+    ("preprocess", "class_names", 3, ("eval", "predict")),
+    ("preprocess", "class_names", "abc", ("eval", "predict")),
+    ("preprocess", "class_names", [1, 2, 3], ("eval", "predict"))])
 def test_malformed_checkpoint_is_one_data_error_line(graphpde_run, tmp_path, capsys,
                                                      block, key, value, commands):
     ckpt = _tampered_checkpoint(graphpde_run, tmp_path, block, key, value)
@@ -541,6 +544,57 @@ def _one_data_error(capsys, *names):
     assert err.startswith("error:data:") and err.count("\n") == 1, err
     for name in names:
         assert str(name) in err, (name, err)
+
+
+def test_graphpde_train_and_predict_are_byte_identical(graphpde_run, tmp_path):
+    # the fixture's training flags again, into a second directory
+    run = tmp_path / "run"
+    assert run_cli("train", "--data", str(graphpde_run / "prep"), "--model", "graphpde",
+                   "--hidden", "4", "--kernel-hidden", "8", "--epochs", "1",
+                   "--runs", "1", "--out", str(run)) == 0
+    assert ((run / "best.ckpt.json").read_bytes()
+            == (graphpde_run / "run" / "best.ckpt.json").read_bytes())
+    predictions = []
+    for i in range(2):
+        out = tmp_path / f"preds_{i}.csv"
+        assert run_cli("predict", "--checkpoint", str(run / "best.ckpt.json"),
+                       "--spots", str(graphpde_run / "data" / "spots.csv"),
+                       "--out", str(out)) == 0
+        predictions.append(out.read_bytes())
+    assert predictions[0] == predictions[1]
+
+
+@pytest.mark.parametrize("case", ["reversed_genes", "renamed_classes", "disjoint_genes"])
+def test_eval_refuses_other_gene_or_class_names_of_equal_width(graphpde_run, tmp_path,
+                                                               capsys, case):
+    # the same spots prepared from the gene list in reverse order (as `tac`
+    # writes it) or under other class names, or a checkpoint whose genes
+    # are none of the dataset's: every width matches, the names do not
+    data, ckpt = graphpde_run / "data", graphpde_run / "run" / "best.ckpt.json"
+    genes, labels, prep = data / "genes.txt", data / "labels.tsv", tmp_path / "prep"
+    if case == "disjoint_genes":
+        names = json.loads(ckpt.read_text())["preprocess"]["gene_names"]
+        ckpt = _tampered_checkpoint(graphpde_run, tmp_path, "preprocess", "gene_names",
+                                    [f"other_{name}" for name in names])
+        prep = graphpde_run / "prep"
+    else:
+        if case == "reversed_genes":
+            genes = tmp_path / "genes.txt"
+            genes.write_text("".join(reversed(
+                (data / "genes.txt").read_text().splitlines(keepends=True))))
+        else:
+            labels = tmp_path / "labels.tsv"
+            labels.write_text(
+                (data / "labels.tsv").read_text().replace("region_", "zone_"))
+        assert run_cli("prepare", "--spots", str(data / "spots.csv"), "--genes",
+                       str(genes), "--labels", str(labels), "--radius", "0.3",
+                       "--holdout-k", "1", "--min-classes", "3", "--out",
+                       str(prep)) == 0
+    capsys.readouterr()
+    assert run_cli("eval", "--data", str(prep), "--checkpoint", str(ckpt)) == 2
+    key = "class_names" if case == "renamed_classes" else "gene_names"
+    _one_data_error(capsys, ckpt, f"preprocess.{key}")
+    assert capsys.readouterr().out == ""
 
 
 def _train_id(prep):

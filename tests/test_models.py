@@ -11,10 +11,9 @@ from stgno.errors import ContractError, DimensionError, ParameterError
 from stgno.geometry import (RadiusGraph, apply_kernel, build_radius_graph,
                             edge_attributes, gaussian_kernel_weights, row_mixer)
 from stgno.autodiff import Parameter
-from stgno.models import (ModelParams, graphpde_forward,
-                          graphpde_layer, init_params, kernel_net_forward,
-                          make_config, model_forward, parameter_shapes,
-                          symmetric_norm_weights)
+from stgno.models import (graphpde_forward, graphpde_layer, init_params,
+                          kernel_net_forward, make_config, model_forward,
+                          parameter_shapes, symmetric_norm_weights)
 
 from stgno.train import class_weights, weighted_cross_entropy
 
@@ -50,9 +49,9 @@ def explicit_kernel_model(h, **overrides):
     kernels themselves."""
     cfg = make_config("graphpde", input_dim=4, hidden_dim=h,
                       kernel_net_hidden=(), **overrides)
-    params = ModelParams([Parameter(name, np.eye(h * h))
-                          if name == "layer_0_kernel_0_w" else p
-                          for name, p in init_params(cfg).items()])
+    params = {name: Parameter(name, np.eye(h * h))
+              if name == "layer_0_kernel_0_w" else p
+              for name, p in init_params(cfg).items()}
     params["layer_0_kernel_0_b"].data[:] = 0.0
     return cfg, params
 
@@ -93,8 +92,8 @@ def test_default_depths():
 def test_init_deterministic_per_seed():
     cfg = make_config("fcn", input_dim=5, hidden_dim=7, init_seed=11)
     a, b = init_params(cfg), init_params(cfg)
-    assert a.names() == b.names()
-    for name in a.names():
+    assert list(a) == list(b)
+    for name in a:
         assert a[name].data.tobytes() == b[name].data.tobytes()
 
 
@@ -136,7 +135,8 @@ def test_param_count_matches_analytic_formula(kind, expected):
     for layers in ({}, {"num_layers": 1}, {"num_layers": 3}):
         cfg = make_config(kind, input_dim=d, hidden_dim=h, kernel_net_hidden=(8,),
                           **layers)
-        assert init_params(cfg).count() == expected(d, h, c, cfg.num_layers)
+        count = sum(p.data.size for p in init_params(cfg).values())
+        assert count == expected(d, h, c, cfg.num_layers)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +145,8 @@ def test_param_count_matches_analytic_formula(kind, expected):
 
 def test_lr_zero_params_give_uniform_probabilities():
     cfg = make_config("lr", input_dim=4)
-    params = ModelParams([ad.Parameter("readout_w", np.zeros((4, 3))),
-                          ad.Parameter("readout_b", np.zeros((1, 3)))])
+    params = {"readout_w": ad.Parameter("readout_w", np.zeros((4, 3))),
+              "readout_b": ad.Parameter("readout_b", np.zeros((1, 3)))}
     logits = model_forward(ad.Tape(), cfg, params, RNG.uniform(-1, 1, (5, 4)))
     assert np.array_equal(logits.data, np.zeros((5, 3)))
 
@@ -408,7 +408,7 @@ def test_stack_step_is_bit_identical_to_coo_oracle(monkeypatch, kind):
     _, want_loss, want_grads = _training_step(cfg, params, fresh, x, labels)
     assert np.array_equal(logits, want)
     assert np.array_equal(loss, want_loss)
-    for name in params.names():
+    for name in params:
         assert np.array_equal(grads[name], want_grads[name]), name
 
 
@@ -641,7 +641,8 @@ def test_kernel_net_gradient_matches_finite_differences():
 
 
 def _training_step(cfg, params, graph, x, labels):
-    params.zero_grads()
+    for p in params.values():
+        p.zero_grad()
     tape = ad.Tape()
     logits = model_forward(tape, cfg, params, x, graph=graph)
     loss = weighted_cross_entropy(tape, logits, labels, class_weights(labels, 3))
@@ -671,7 +672,7 @@ def test_fused_step_is_bit_identical_to_unfused(monkeypatch, kind, activation):
         entries, loss, grads = _training_step(cfg, params, graph, x, labels)
     assert fused_entries < entries
     assert np.array_equal(fused_loss, loss)
-    for name in params.names():
+    for name in params:
         assert np.array_equal(fused_grads[name], grads[name]), name
 
 
@@ -692,7 +693,7 @@ def test_constant_features_get_no_gradient_and_change_no_bits(kind):
     _, want_loss, want_grads = _training_step(cfg, params, graph, computed, labels)
     assert skipped.grad is None and computed.grad is not None
     assert np.array_equal(loss, want_loss)
-    for name in params.names():
+    for name in params:
         assert np.array_equal(grads[name], want_grads[name]), name
 
 
@@ -729,7 +730,7 @@ def test_graphpde_step_on_degree_blocks_matches_single_block_oracle(
     _, loss, grads = _training_step(cfg, params, graph, x, labels)
     _, want_loss, want_grads = _training_step(cfg, params, twin, x, labels)
     assert np.array_equal(loss, want_loss)
-    for name in params.names():
+    for name in params:
         assert rel_err(grads[name], want_grads[name]) <= 1e-12, name
 
 
@@ -741,7 +742,8 @@ def _isolated_slide(radius, seed):
 
 
 def _reference_step(cfg, params, graph, x, labels, forward):
-    params.zero_grads()
+    for p in params.values():
+        p.zero_grad()
     tape = ad.Tape()
     logits = forward(tape, cfg, params, graph, ad.constant(x))
     loss = weighted_cross_entropy(tape, logits, labels, class_weights(labels, 3))
@@ -777,7 +779,7 @@ def test_fused_graphpde_matches_two_stage_reference(radius, activation, kernel_h
     assert np.array_equal(inference, want_inference)
     assert np.array_equal(inference, logits)
     assert np.array_equal(loss, want_loss)
-    for name in params.names():
+    for name in params:
         assert rel_err(grads[name], want_grads[name]) <= 1e-12, name
 
 

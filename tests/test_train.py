@@ -149,15 +149,14 @@ def test_label_out_of_range():
 
 
 def _single_param(value):
-    from stgno.models import ModelParams
-    return ModelParams([ad.Parameter("w", value)])
+    return {"w": ad.Parameter("w", value)}
 
 
 def test_adam_first_step_closed_form():
     params = _single_param(np.zeros((2, 2)))
     g = np.array([[0.5, -0.25], [1.5, -2.0]])
     params["w"].grad += g
-    opt = Adam(params, learning_rate=1e-3, eps=1e-8)
+    opt = Adam(params, learning_rate=1e-3)
     opt.step()
     want = -1e-3 * g / (np.abs(g) + 1e-8)
     assert np.allclose(params["w"].data, want, atol=1e-15)
@@ -202,7 +201,7 @@ def test_training_seed_reproducibility():
     p1, h1 = train(cfg, train_g, tc)
     p2, h2 = train(cfg, train_g, tc)
     assert h1 == h2
-    for name in p1.names():
+    for name in p1:
         assert p1[name].data.tobytes() == p2[name].data.tobytes()
 
 
@@ -272,12 +271,11 @@ def test_evaluate_order_invariance():
 
 
 def test_evaluate_ties_break_to_lowest_class():
-    from stgno.models import ModelParams
     from stgno.pipeline import GraphSample
     from stgno.geometry import RadiusGraph
     cfg = make_config("lr", input_dim=2, init_seed=0)
-    params = ModelParams([ad.Parameter("readout_w", np.zeros((2, 3))),
-                          ad.Parameter("readout_b", np.zeros((1, 3)))])
+    params = {"readout_w": ad.Parameter("readout_w", np.zeros((2, 3))),
+              "readout_b": ad.Parameter("readout_b", np.zeros((1, 3)))}
     sample = GraphSample(
         sample_id="t", node_features=np.ones((4, 2)),
         graph=RadiusGraph(np.zeros((4, 2)), np.zeros((0, 2), dtype=np.int64), 1.0),
@@ -410,7 +408,7 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     loaded, cfg2, pre = load_checkpoint(path)
     assert cfg2 == cfg
     assert pre == {"radius": 0.25}
-    for name in params.names():
+    for name in params:
         assert loaded[name].data.tobytes() == params[name].data.tobytes()
 
 
