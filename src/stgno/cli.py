@@ -9,6 +9,8 @@ object whose keys mirror the flag names (explicit flags win).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import shlex
@@ -52,6 +54,16 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _add_run_flags(p) -> None:
     """The model, optimizer and seeded-run flags that train and report share."""
     p.add_argument("--hidden", type=int, default=16, help="hidden width")
@@ -66,7 +78,7 @@ def _add_run_flags(p) -> None:
     p.add_argument("--runs", type=int, default=10, help="independent seeded runs")
     p.add_argument("--class-weighting", type=_parse_bool, default=True,
                    metavar="BOOL", help="balanced class weighting")
-    p.add_argument("--seed", type=int, default=0, help="base seed")
+    p.add_argument("--seed", type=_parse_seed, default=0, help="base seed")
 
 
 def build_parser():
@@ -94,7 +106,7 @@ def build_parser():
     p.add_argument("--noise", type=float, default=1.0, help="expression noise scale")
     p.add_argument("--region-seeds", type=int, default=4,
                    help="region seed sites per class")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--seed", type=_parse_seed, default=0, help="generator seed")
 
     p = add("prepare", "filter, bin, split and assemble a prepared graph dataset")
     p.add_argument("--spots", required=True, help="spot CSV path")
@@ -107,7 +119,7 @@ def build_parser():
                    help="raw-label coverage threshold for holdout candidates")
     p.add_argument("--standardize", type=_parse_bool, default=False, metavar="BOOL",
                    help="z-score features per gene with train statistics")
-    p.add_argument("--seed", type=int, default=0, help="split seed")
+    p.add_argument("--seed", type=_parse_seed, default=0, help="split seed")
     p.add_argument("--out", required=True, help="output directory")
 
     p = add("train", "train one model over repeated seeded runs")
@@ -393,18 +405,20 @@ def _cmd_predict(args, argv):
             stats.append(arr.astype(np.float64))
         features = (features - stats[0]) / stats[1]
 
-    lines = ["sample_id,x,y,predicted_class"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["sample_id", "x", "y", "predicted_class"])
     for sid in table.sample_order():
         rows = table.rows_for(sid)
         sample = pl.graph_sample(sid, features[rows], table.positions[rows],
                                  np.zeros(rows.size, dtype=np.int64), radius)
         logits = tr.forward_sample(tr.Tape(record=False), config, params, sample)
         preds = logits.data.argmax(axis=1)
-        for i, row in enumerate(rows):
-            lines.append(f"{sid},{float(table.positions[row, 0])!r},"
-                         f"{float(table.positions[row, 1])!r},{class_names[preds[i]]}")
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
-    print(f"wrote {len(lines) - 1} predictions to {args.out}")
+        writer.writerows([sid, repr(float(table.positions[row, 0])),
+                          repr(float(table.positions[row, 1])), class_names[preds[i]]]
+                         for i, row in enumerate(rows))
+    atomic_write_text(args.out, buf.getvalue())
+    print(f"wrote {table.num_spots} predictions to {args.out}")
     return 0
 
 

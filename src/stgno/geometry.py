@@ -16,11 +16,12 @@ access. The degree-blocked in-neighbour layout is the one sparse
 neighbour representation every graph model uses: graphpde's message op
 runs on it with the radius-scaled edge attributes spread over its slots
 (:attr:`RadiusGraph.slot_attr`), and the row mixers of the other kinds
-(:class:`RowMixer`, built from the per-edge :class:`KernelWeights`) keep
-one weight per slot. The layout, the slot attributes and the mixers are
-computed on first use and cached on the instance. A built graph is
-immutable by convention; concurrent first uses may compute a constant
-twice, with identical results.
+(:class:`RowMixer`, built by :func:`row_mixer` from one weight per edge,
+in edge order, and one self weight per node) keep one weight per slot.
+The layout, the slot attributes and the mixers are computed on first use
+and cached on the instance. A built graph is immutable by convention;
+concurrent first uses may compute a constant twice, with identical
+results.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ContractError, DimensionError, ParameterError
 
 
@@ -241,34 +241,23 @@ def edge_attributes(points, edges) -> np.ndarray:
     return np.column_stack([delta, dist])
 
 
-@dataclass(eq=False)
-class KernelWeights:
-    """Sparse weights w(dst, src) aligned with an edge list (+ self entries)."""
-
-    num_nodes: int
-    src: np.ndarray
-    dst: np.ndarray
-    weights: np.ndarray
-
-
-def gaussian_kernel_weights(points, edges, bandwidth: float) -> KernelWeights:
+def gaussian_kernel_weights(points, edges,
+                            bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalized positional weights on the edge support plus one self
-    loop per node: w(i, j) = exp(-d(i, j)^2 / (2 bandwidth^2)), w(i, i) = 1,
+    weight per node: w(i, j) = exp(-d(i, j)^2 / (2 bandwidth^2)), w(i, i) = 1,
     then every node's incoming weights divided by their sum (>= 1, from the
-    self weight)."""
+    self weight). Returns (one weight per edge in edge order, n self weights)."""
     pos = as_positions(points)
     if not bandwidth > 0:
         raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     n = pos.shape[0]
-    attr = edge_attributes(pos, edges)
-    loop = np.arange(n, dtype=np.int64)
-    src = np.concatenate([edges[:, 0], loop])
-    dst = np.concatenate([edges[:, 1], loop])
-    w = np.concatenate([np.exp(-(attr[:, 2] ** 2) / (2.0 * bandwidth * bandwidth)),
-                        np.ones(n)])
-    w = w / np.bincount(dst, weights=w, minlength=n)[dst]
-    return KernelWeights(num_nodes=n, src=src, dst=dst, weights=w)
+    dist = edge_attributes(pos, edges)[:, 2]
+    w = np.exp(-(dist ** 2) / (2.0 * bandwidth * bandwidth))
+    # each node's edge weights in edge order, then its self weight 1: the order
+    # in which its COO row (the edges, then one self loop per node) sums
+    total = np.bincount(edges[:, 1], weights=w, minlength=n) + 1.0
+    return w / total[edges[:, 1]], 1.0 / total
 
 
 @dataclass(eq=False)
@@ -284,20 +273,17 @@ class RowMixer:
     self_weights: np.ndarray  # (n,) w(i, i)
 
 
-def row_mixer(graph: RadiusGraph, weights: KernelWeights) -> RowMixer:
-    """Spread ``weights`` over ``graph.layout``. Their support must be the
-    graph's edge list in order, then one self loop per node (as
-    :func:`gaussian_kernel_weights` returns it); the edge list must hold
-    every edge's reverse, as a radius graph's does."""
+def row_mixer(graph: RadiusGraph, edge_weights, self_weights) -> RowMixer:
+    """Spread one weight per edge of ``graph`` (in edge order) and one self
+    weight per node over ``graph.layout``; the edge list must hold every
+    edge's reverse, as a radius graph's does."""
     n, m = graph.num_nodes, graph.num_edges
+    w = np.asarray(edge_weights, dtype=np.float64)
+    self_w = np.array(self_weights, dtype=np.float64)
+    if w.shape != (m,) or self_w.shape != (n,):
+        raise DimensionError(f"row mixing needs ({m},) edge weights and ({n},) self "
+                             f"weights, got {w.shape} and {self_w.shape}")
     src, dst = graph.edges[:, 0], graph.edges[:, 1]
-    loop = np.arange(n)
-    if not (weights.num_nodes == n
-            and np.array_equal(weights.src, np.concatenate([src, loop]))
-            and np.array_equal(weights.dst, np.concatenate([dst, loop]))):
-        raise ContractError("row-mixer weights must cover the graph's edges in order, "
-                            "then one self loop per node")
-    w = np.asarray(weights.weights, dtype=np.float64)
     # edges are sorted by (src, dst), so their keys are sorted too
     keys = src * n + dst
     reverse = np.searchsorted(keys, dst * n + src)
@@ -314,13 +300,4 @@ def row_mixer(graph: RadiusGraph, weights: KernelWeights) -> RowMixer:
     if np.array_equal(transposed, forward):
         transposed = forward
     return RowMixer(layout=layout, weights=forward, transposed=transposed,
-                    self_weights=w[m:].copy())
-
-
-def apply_kernel(tape: ad.Tape, mixer: RowMixer, node_features: ad.Value) -> ad.Value:
-    """out_i = sum_j w(i, j) x_j over the mixer's support.
-
-    Differentiable with respect to the node features; the weights are
-    constants.
-    """
-    return ad.mix_rows(tape, node_features, mixer)
+                    self_weights=self_w)

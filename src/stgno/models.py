@@ -19,7 +19,7 @@ Each mixer is a :class:`geometry.RowMixer`, one weight per slot of the
 graph's degree-blocked in-neighbour layout (``RadiusGraph.layout``: nodes
 sorted by in-degree and cut into runs, each node's in-edges in as many
 slots as its run's largest in-degree), built on first use from the
-per-edge weights of :func:`symmetric_norm_weights` or
+per-edge and per-node self weights of :func:`symmetric_norm_weights` or
 :func:`geometry.gaussian_kernel_weights` and cached on the graph; one
 :func:`ad.mix_rows` tape entry applies it. All six kinds thus share one
 sparse neighbour representation; ``ad.coo_matmul`` over the per-edge
@@ -68,8 +68,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Value
 from .errors import ContractError, DimensionError, ParameterError
-from .geometry import (KernelWeights, RadiusGraph, RowMixer, apply_kernel,
-                       gaussian_kernel_weights, row_mixer)
+from .geometry import RadiusGraph, RowMixer, gaussian_kernel_weights, row_mixer
 
 MODEL_KINDS = ("lr", "fcn", "gcn", "spatial_kernel", "spatial_gcn", "graphpde")
 
@@ -188,24 +187,16 @@ def _linear(tape: Tape, params: Params, name: str, x: Value,
     return ad.dense(tape, x, params[f"{name}_w"], params[f"{name}_b"], activation)
 
 
-def symmetric_norm_weights(graph: RadiusGraph) -> KernelWeights:
-    """Self-looped symmetric normalization D^-1/2 (A + I) D^-1/2 in sparse form."""
-    n = graph.num_nodes
-    deg = np.bincount(graph.edges[:, 1], minlength=n)
+def symmetric_norm_weights(graph: RadiusGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Self-looped symmetric normalization D^-1/2 (A + I) D^-1/2: one weight
+    per edge in edge order, then the n self weights."""
+    deg = np.bincount(graph.edges[:, 1], minlength=graph.num_nodes)
     inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
-    src, dst = graph.edges[:, 0], graph.edges[:, 1]
-    loop = np.arange(n, dtype=np.int64)
-    return KernelWeights(
-        num_nodes=n,
-        src=np.concatenate([src, loop]),
-        dst=np.concatenate([dst, loop]),
-        weights=np.concatenate([inv_sqrt[src] * inv_sqrt[dst],
-                                inv_sqrt[loop] ** 2]),
-    )
+    return inv_sqrt[graph.edges[:, 0]] * inv_sqrt[graph.edges[:, 1]], inv_sqrt ** 2
 
 
 def _norm_weights_for(graph: RadiusGraph) -> RowMixer:
-    return graph.cached("norm", lambda: row_mixer(graph, symmetric_norm_weights(graph)))
+    return graph.cached("norm", lambda: row_mixer(graph, *symmetric_norm_weights(graph)))
 
 
 def _gaussian_weights_for(config: ModelConfig, graph: RadiusGraph) -> RowMixer:
@@ -213,7 +204,7 @@ def _gaussian_weights_for(config: ModelConfig, graph: RadiusGraph) -> RowMixer:
     as a row mixer cached on the graph per bandwidth."""
     bandwidth = config.bandwidth if config.bandwidth is not None else graph.radius / 2.0
     return graph.cached(("gaussian", bandwidth), lambda: row_mixer(
-        graph, gaussian_kernel_weights(graph.positions, graph.edges, bandwidth)))
+        graph, *gaussian_kernel_weights(graph.positions, graph.edges, bandwidth)))
 
 
 def _stack_blocks(config: ModelConfig) -> int:
@@ -235,10 +226,10 @@ def stack_forward(tape: Tape, config: ModelConfig, params: Params,
     x = features
     for i in range(_stack_blocks(config)):
         for mixer in mixers:
-            x = apply_kernel(tape, mixer, x)
+            x = ad.mix_rows(tape, x, mixer)
         x = _linear(tape, params, f"layer_{i}", x, config.activation)
     if config.kind == "spatial_kernel":
-        x = apply_kernel(tape, mixers[0], x)
+        x = ad.mix_rows(tape, x, mixers[0])
     return _linear(tape, params, "readout", x)
 
 

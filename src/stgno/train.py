@@ -166,7 +166,8 @@ def train(model_config: ModelConfig, graphs: list[GraphSample],
     history. Deterministic per (configs, seed). ``epoch_callback``, when
     given, is called with (epoch_index, mean_loss) after every epoch.
     numpy's overflow warnings are off: a non-finite loss raises
-    DivergenceError naming the epoch and sample instead."""
+    DivergenceError naming the epoch and sample, and the previous step's
+    loss and epoch, instead."""
     train_config.validate()
     model_config.validate()
     if not graphs:
@@ -180,6 +181,7 @@ def train(model_config: ModelConfig, graphs: list[GraphSample],
     optimizer = make_optimizer(train_config, params)
     rng = np.random.default_rng(train_config.seed)
     history: list[float] = []
+    last_finite = "no finite loss before it"
     for epoch in range(train_config.epochs):
         order = rng.permutation(len(graphs))
         epoch_losses = []
@@ -191,10 +193,12 @@ def train(model_config: ModelConfig, graphs: list[GraphSample],
             value = float(loss.data[0, 0])
             if not math.isfinite(value):
                 raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, sample {sample.sample_id!r}")
+                    f"non-finite loss at epoch {epoch}, sample {sample.sample_id!r}; "
+                    f"{last_finite}")
             tape.backward(loss)
             optimizer.step()
             epoch_losses.append(value)
+            last_finite = f"last finite loss {value!r} at epoch {epoch}"
         history.append(float(np.mean(epoch_losses)))
         if epoch_callback is not None:
             epoch_callback(epoch, history[-1])

@@ -6,9 +6,13 @@ chains the separate autodiff primitives that ``ad.dense`` fuses, and
 :func:`two_stage_kernel_message_mean` / :func:`two_stage_graphpde_forward`
 run the graphpde kernel network as ``ad.dense`` over every layout slot
 before the message op, instead of inside it one degree block at a time;
-:func:`coo_apply_kernel` mixes rows with ``ad.coo_matmul`` over the
-per-edge weights, the path the models' row mixers replaced.
+:func:`coo_weights` lists a row mixer's per-edge and self weights as COO
+entries, the edges in order and then one self loop per node, and
+:func:`coo_apply_kernel` mixes rows with ``ad.coo_matmul`` over them, the
+path the models' row mixers replaced.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +85,27 @@ def two_stage_graphpde_forward(tape, config, params, graph, features):
     return ad.dense(tape, x, params["readout_w"], params["readout_b"])
 
 
+class CooWeights(NamedTuple):
+    """Sparse weights w(dst, src), one entry per (src, dst, weight)."""
+
+    num_nodes: int
+    src: np.ndarray
+    dst: np.ndarray
+    weights: np.ndarray
+
+
+def coo_weights(edges, edge_weights, self_weights):
+    """COO entries of per-edge weights (in the edges' order) followed by one
+    self loop per node, weighted by ``self_weights``."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    loop = np.arange(len(self_weights), dtype=np.int64)
+    return CooWeights(num_nodes=loop.size, src=np.concatenate([edges[:, 0], loop]),
+                      dst=np.concatenate([edges[:, 1], loop]),
+                      weights=np.concatenate([edge_weights, self_weights]))
+
+
 def coo_apply_kernel(tape, weights, features):
-    """Row mixing as one ``ad.coo_matmul`` over sparse KernelWeights:
+    """Row mixing as one ``ad.coo_matmul`` over :class:`CooWeights`:
     out[dst] += w * x[src], entry by entry in the weights' order."""
     return ad.coo_matmul(tape, features, weights.src, weights.dst, weights.weights,
                          weights.num_nodes)
@@ -169,7 +192,7 @@ def brute_force_radius_edges(points, radius):
 
 
 def dense_weight_matrix(weights):
-    """Materialize sparse KernelWeights into a dense (n, n) matrix K with
+    """Materialize :class:`CooWeights` into a dense (n, n) matrix K with
     K[dst, src] = w."""
     n = weights.num_nodes
     K = np.zeros((n, n))

@@ -13,8 +13,7 @@ import pytest
 
 from stgno import autodiff as ad
 from stgno.cli import main as cli_main
-from stgno.geometry import (build_radius_graph, gaussian_kernel_weights, apply_kernel,
-                            row_mixer)
+from stgno.geometry import build_radius_graph, gaussian_kernel_weights, row_mixer
 from stgno.models import init_params, make_config, model_forward, parameter_shapes
 from stgno.pipeline import (SyntheticConfig, assemble_graphs, bin_labels,
                             generate_synthetic, select_holdout)
@@ -22,7 +21,7 @@ from stgno.train import (TrainConfig, class_weights, evaluate,
                          metrics_from_confusion, run_experiment,
                          weighted_cross_entropy)
 
-from oracles import (dense_gaussian_weights, dense_graphpde_layer,
+from oracles import (coo_weights, dense_gaussian_weights, dense_graphpde_layer,
                      dense_weight_matrix, finite_difference_grads, rel_err)
 
 # settings for the synthetic spatial-separation experiment (criteria 7, 8)
@@ -250,12 +249,14 @@ def test_criterion_03_sparse_vs_dense():
                                     kernels, graph.edges, v, "relu")
         worst = max(worst, np.abs(got - want).max())
 
-        kw = gaussian_kernel_weights(pts, graph.edges, bandwidth=0.25)
+        edge_w, self_w = gaussian_kernel_weights(pts, graph.edges, bandwidth=0.25)
         x = rng.uniform(-1, 1, (n, 3))
-        got_k = apply_kernel(ad.Tape(), row_mixer(graph, kw), ad.constant(x)).data
+        got_k = ad.mix_rows(ad.Tape(), ad.constant(x),
+                            row_mixer(graph, edge_w, self_w)).data
+        dense_k = dense_weight_matrix(coo_weights(graph.edges, edge_w, self_w))
         dense_direct = dense_gaussian_weights(pts, graph.radius, 0.25)
-        worst = max(worst, np.abs(got_k - dense_weight_matrix(kw) @ x).max())
-        worst = max(worst, np.abs(dense_weight_matrix(kw) - dense_direct).max())
+        worst = max(worst, np.abs(got_k - dense_k @ x).max())
+        worst = max(worst, np.abs(dense_k - dense_direct).max())
     gate("criterion 3: sparse message passing equals dense reference (<= 12 nodes)",
          worst < 1e-10, f"worst abs err {worst:.2e}")
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import re
@@ -286,6 +287,35 @@ def test_predict_row_count_matches_spots(synth_dir, trained_dir, tmp_path):
     assert float(first[2]) == source.positions[0, 1]
 
 
+def test_predict_quotes_ids_and_class_names_that_need_it(synth_dir, trained_dir,
+                                                          tmp_path):
+    # sample ids with a comma and with a quote, valid CSV on the way in, and
+    # class names from the checkpoint with the same characters
+    ids = {"s00": "a,b", "s01": 'say "hi"'}
+    with open(synth_dir / "spots.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[0] = ids.get(row[0], row[0])
+    spots = tmp_path / "spots.csv"
+    with open(spots, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    doc = json.loads((trained_dir / "best.ckpt.json").read_text())
+    names = ["x,1", 'y"2', "z"]
+    doc["preprocess"]["class_names"] = names
+    ckpt = tmp_path / "names.ckpt.json"
+    ckpt.write_text(json.dumps(doc))
+    out_csv = tmp_path / "preds.csv"
+    assert run_cli("predict", "--checkpoint", str(ckpt), "--spots", str(spots),
+                   "--out", str(out_csv)) == 0
+    with open(out_csv, newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == ["sample_id", "x", "y", "predicted_class"]
+    assert len(got) - 1 == 6 * 60 and all(len(row) == 4 for row in got)
+    assert [row[0] for row in got[1:]] == [row[0] for row in rows[1:]]
+    assert {row[3] for row in got[1:]} <= set(names)
+    assert set(ids.values()) <= {row[0] for row in got[1:]}
+
+
 def test_predict_runs_on_non_recording_tapes(synth_dir, trained_dir, tmp_path,
                                             monkeypatch):
     tapes = []
@@ -484,7 +514,8 @@ def test_divergence_names_model_run_seed_and_reproduce_hint(prepared_dir, tmp_pa
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert re.fullmatch(r"error:divergence: lr run 0 \(seed 4\): non-finite loss at "
-                        r"epoch \d+, sample '[\w.-]+' \(reproduce: stgno (.*)\)\n",
+                        r"epoch \d+, sample '[\w.-]+'; last finite loss [\d.e+-]+ at "
+                        r"epoch \d+ \(reproduce: stgno (.*)\)\n",
                         err).group(1) == shlex.join(argv)
 
 
@@ -837,7 +868,7 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("values", [{"epochs": 1.5}, {"kernel_hidden": [8, "x"]},
-                                    {"runs": None}])
+                                    {"runs": None}, {"seed": -1}])
 def test_config_file_wrong_type_is_usage_error(prepared_dir, tmp_path, capsys, values):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(values))
@@ -848,6 +879,29 @@ def test_config_file_wrong_type_is_usage_error(prepared_dir, tmp_path, capsys, v
     assert err.startswith("error:usage:")
     assert err.count("\n") == 1
     assert next(iter(values)) in err
+
+
+@pytest.mark.parametrize("command", ["synth", "prepare", "train", "report"])
+def test_negative_seed_is_one_usage_line(synth_dir, prepared_dir, tmp_path, capsys,
+                                         command):
+    # a config file's "seed": -1 is test_config_file_wrong_type_is_usage_error's
+    data = ("--data", str(prepared_dir))
+    argv = {"synth": ("synth", "--out", str(tmp_path / "s")),
+            "prepare": ("prepare", "--spots", str(synth_dir / "spots.csv"),
+                        "--genes", str(synth_dir / "genes.txt"),
+                        "--labels", str(synth_dir / "labels.tsv"), "--radius", "0.3",
+                        "--holdout-k", "2", "--min-classes", "3",
+                        "--out", str(tmp_path / "p")),
+            "train": ("train", *data, "--model", "lr", "--epochs", "1", "--runs", "1",
+                      "--out", str(tmp_path / "t")),
+            "report": ("report", *data, "--models", "lr", "--epochs", "1", "--runs", "1")
+            }[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--seed", "-1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:usage:") and err.count("\n") == 1, err
+    assert "non-negative" in err and "-1" in err, err
+    assert not any(tmp_path.glob("[spt]"))
 
 
 def test_config_file_values_read_like_flags(prepared_dir, tmp_path):

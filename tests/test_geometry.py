@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from stgno import autodiff as ad
 from stgno.cli import _auto_radius
-from stgno.errors import ContractError, DimensionError, ParameterError
-from stgno.geometry import (KernelWeights, RadiusGraph, apply_kernel,
-                            build_radius_graph, edge_attributes,
+from stgno.errors import DimensionError, ParameterError
+from stgno.geometry import (RadiusGraph, build_radius_graph, edge_attributes,
                             gaussian_kernel_weights, row_mixer)
 from stgno.pipeline import SyntheticConfig, generate_synthetic
 
-from oracles import (brute_force_radius_edges, cell_loop_radius_edges,
+from oracles import (brute_force_radius_edges, cell_loop_radius_edges, coo_weights,
                      dense_gaussian_weights, dense_weight_matrix)
 
 RNG = np.random.default_rng(777)
@@ -153,15 +152,16 @@ def test_edge_attribute_distance_column_exact():
 def test_zero_distance_weight_is_one():
     # a coincident neighbour weighs exactly as much as the node itself
     pts = [(0.0, 0.0), (0.0, 0.0)]
-    kw = gaussian_kernel_weights(pts, [(0, 1), (1, 0)], bandwidth=0.5)
-    assert np.array_equal(kw.weights, [0.5, 0.5, 0.5, 0.5])
-    assert np.array_equal(dense_weight_matrix(kw),
-                          dense_gaussian_weights(pts, 1.0, 0.5))
+    edge_w, self_w = gaussian_kernel_weights(pts, [(0, 1), (1, 0)], bandwidth=0.5)
+    assert np.array_equal(edge_w, [0.5, 0.5]) and np.array_equal(self_w, [0.5, 0.5])
+    K = dense_weight_matrix(coo_weights([(0, 1), (1, 0)], edge_w, self_w))
+    assert np.array_equal(K, dense_gaussian_weights(pts, 1.0, 0.5))
 
 
 def test_one_neighbor_normalization_sums_to_one():
     pts = [(0.0, 0.0), (0.3, 0.0)]
-    kw = gaussian_kernel_weights(pts, [(0, 1), (1, 0)], bandwidth=0.5)
+    edges = [(0, 1), (1, 0)]
+    kw = coo_weights(edges, *gaussian_kernel_weights(pts, edges, bandwidth=0.5))
     for node in range(2):
         assert kw.weights[kw.dst == node].sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -170,7 +170,7 @@ def test_kernel_weights_match_dense_formula():
     pts = RNG.uniform(size=(20, 2))
     radius, bandwidth = 0.4, 0.2
     g = build_radius_graph(pts, radius)
-    kw = gaussian_kernel_weights(pts, g.edges, bandwidth)
+    kw = coo_weights(g.edges, *gaussian_kernel_weights(pts, g.edges, bandwidth))
     K = dense_weight_matrix(kw)
     want = dense_gaussian_weights(pts, radius, bandwidth)
     assert np.abs(K - want).max() < 1e-12
@@ -181,7 +181,7 @@ def test_kernel_symmetry_before_normalization():
     # symmetric Gaussian matrix
     pts = RNG.uniform(size=(25, 2))
     g = build_radius_graph(pts, 0.35)
-    kw = gaussian_kernel_weights(pts, g.edges, 0.2)
+    kw = coo_weights(g.edges, *gaussian_kernel_weights(pts, g.edges, 0.2))
     raw = dense_gaussian_weights(pts, 0.35, 0.2, row_normalize=False)
     assert np.array_equal(raw, raw.T)
     unnormalized = dense_weight_matrix(kw) * raw.sum(axis=1, keepdims=True)
@@ -191,7 +191,7 @@ def test_kernel_symmetry_before_normalization():
 def test_isolated_node_keeps_only_its_self_weight():
     pts = [(0.0, 0.0), (0.1, 0.0), (5.0, 5.0)]
     g = build_radius_graph(pts, 0.5)
-    kw = gaussian_kernel_weights(pts, g.edges, 0.5)
+    kw = coo_weights(g.edges, *gaussian_kernel_weights(pts, g.edges, 0.5))
     K = dense_weight_matrix(kw)
     assert np.array_equal(K[2], [0.0, 0.0, 1.0])
     assert np.abs(K - dense_gaussian_weights(pts, 0.5, 0.5)).max() < 1e-15
@@ -203,58 +203,58 @@ def test_bad_bandwidth():
 
 
 # ---------------------------------------------------------------------------
-# apply_kernel
+# row mixing
 
 
 def _self_only_mixer(n):
     """Weight 1 on every node's self loop, on an edgeless graph."""
     graph = RadiusGraph(positions=np.zeros((n, 2)),
                         edges=np.zeros((0, 2), dtype=np.int64), radius=1.0)
-    loop = np.arange(n, dtype=np.int64)
-    return row_mixer(graph, KernelWeights(num_nodes=n, src=loop, dst=loop,
-                                          weights=np.ones(n)))
+    return row_mixer(graph, np.zeros(0), np.ones(n))
 
 
 def test_apply_kernel_identity_weights():
     x = RNG.uniform(-1, 1, (6, 4))
-    out = apply_kernel(ad.Tape(), _self_only_mixer(6), ad.constant(x))
+    out = ad.mix_rows(ad.Tape(), ad.constant(x), _self_only_mixer(6))
     assert np.array_equal(out.data, x)
 
 
 def test_apply_kernel_uniform_two_nodes_averages():
     graph = RadiusGraph(positions=np.array([[0.0, 0.0], [0.5, 0.0]]),
                         edges=np.array([[0, 1], [1, 0]]), radius=1.0)
-    w = KernelWeights(num_nodes=2,
-                      src=np.array([0, 1, 0, 1]),
-                      dst=np.array([1, 0, 0, 1]),
-                      weights=np.full(4, 0.5))
     x = np.array([[2.0, 0.0], [4.0, 6.0]])
-    out = apply_kernel(ad.Tape(), row_mixer(graph, w), ad.constant(x))
+    out = ad.mix_rows(ad.Tape(), ad.constant(x),
+                      row_mixer(graph, np.full(2, 0.5), np.full(2, 0.5)))
     assert np.allclose(out.data, [[3.0, 3.0], [3.0, 3.0]], atol=1e-15)
 
 
 def test_apply_kernel_matches_dense_matmul():
     pts = RNG.uniform(size=(15, 2))
     g = build_radius_graph(pts, 0.4)
-    kw = gaussian_kernel_weights(pts, g.edges, 0.2)
+    edge_w, self_w = gaussian_kernel_weights(pts, g.edges, 0.2)
     x = RNG.uniform(-1, 1, (15, 5))
-    out = apply_kernel(ad.Tape(), row_mixer(g, kw), ad.constant(x))
-    assert np.abs(out.data - dense_weight_matrix(kw) @ x).max() < 1e-12
+    out = ad.mix_rows(ad.Tape(), ad.constant(x), row_mixer(g, edge_w, self_w))
+    K = dense_weight_matrix(coo_weights(g.edges, edge_w, self_w))
+    assert np.abs(out.data - K @ x).max() < 1e-12
 
 
 def test_apply_kernel_node_count_mismatch():
     with pytest.raises(DimensionError):
-        apply_kernel(ad.Tape(), _self_only_mixer(4), ad.constant(np.zeros((3, 2))))
+        ad.mix_rows(ad.Tape(), ad.constant(np.zeros((3, 2))), _self_only_mixer(4))
 
 
 def test_row_mixer_rejects_weights_off_the_edge_support():
+    # one weight per edge and one per node: any other count is refused
     g = build_radius_graph(RNG.uniform(size=(8, 2)), 0.5)
-    kw = gaussian_kernel_weights(g.positions, g.edges, 0.25)
-    assert g.num_edges > 0
-    with pytest.raises(ContractError):
-        row_mixer(g, dataclasses.replace(kw, src=kw.src[::-1].copy()))
-    with pytest.raises(ContractError):
-        row_mixer(g, dataclasses.replace(kw, num_nodes=9))
+    edge_w, self_w = gaussian_kernel_weights(g.positions, g.edges, 0.25)
+    m, n = g.num_edges, g.num_nodes
+    assert m > 0 and edge_w.shape == (m,) and self_w.shape == (n,)
+    for bad_edge_w, bad_self_w in ((edge_w[:-1], self_w),
+                                   (np.append(edge_w, 0.5), self_w),
+                                   (edge_w, np.append(self_w, 0.5))):
+        with pytest.raises(DimensionError, match=rf"\({m},\) edge weights and "
+                                                 rf"\({n},\) self weights"):
+            row_mixer(g, bad_edge_w, bad_self_w)
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -263,9 +263,9 @@ def test_row_normalized_kernel_is_averaging(seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(size=(12, 2))
     g = build_radius_graph(pts, 0.5)
-    kw = gaussian_kernel_weights(pts, g.edges, 0.25)
+    mixer = row_mixer(g, *gaussian_kernel_weights(pts, g.edges, 0.25))
     x = rng.uniform(-3, 3, (12, 2))
-    out = apply_kernel(ad.Tape(), row_mixer(g, kw), ad.constant(x)).data
+    out = ad.mix_rows(ad.Tape(), ad.constant(x), mixer).data
     for col in range(x.shape[1]):
         assert out[:, col].min() >= x[:, col].min() - 1e-12
         assert out[:, col].max() <= x[:, col].max() + 1e-12

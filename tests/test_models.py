@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from stgno import autodiff as ad
 from stgno import geometry, models
 from stgno.errors import ContractError, DimensionError, ParameterError
-from stgno.geometry import (RadiusGraph, apply_kernel, build_radius_graph,
-                            edge_attributes, gaussian_kernel_weights, row_mixer)
+from stgno.geometry import (RadiusGraph, build_radius_graph, edge_attributes,
+                            gaussian_kernel_weights, row_mixer)
 from stgno.autodiff import Parameter
 from stgno.models import (graphpde_forward, graphpde_layer, init_params,
                           kernel_net_forward, make_config, model_forward,
@@ -17,10 +17,10 @@ from stgno.models import (graphpde_forward, graphpde_layer, init_params,
 
 from stgno.train import class_weights, weighted_cross_entropy
 
-from oracles import (coo_apply_kernel, dense_graphpde_layer, finite_difference_grads,
-                     kernel_net_reference, reference_graphpde_forward, rel_err,
-                     single_block_layout, slot_attributes, two_stage_graphpde_forward,
-                     unfused_dense)
+from oracles import (coo_apply_kernel, coo_weights, dense_graphpde_layer,
+                     finite_difference_grads, kernel_net_reference,
+                     reference_graphpde_forward, rel_err, single_block_layout,
+                     slot_attributes, two_stage_graphpde_forward, unfused_dense)
 
 RNG = np.random.default_rng(99)
 
@@ -205,8 +205,8 @@ def test_gcn_two_node_normalization():
     # one edge, self loops: every entry of S-hat is 1/2
     _pts, graph = two_node_graph()
     v = np.array([[2.0, 0.0], [0.0, 4.0]])
-    out = apply_kernel(ad.Tape(), row_mixer(graph, symmetric_norm_weights(graph)),
-                       ad.constant(v))
+    out = ad.mix_rows(ad.Tape(), ad.constant(v),
+                      row_mixer(graph, *symmetric_norm_weights(graph)))
     assert np.allclose(out.data, [[1.0, 2.0], [1.0, 2.0]], atol=1e-15)
 
 
@@ -328,14 +328,14 @@ def test_edge_attributes_are_computed_once_per_graph_and_only_for_graphpde(
 
 
 def test_gaussian_and_norm_weights_share_one_support():
-    # every edge in order, then one self loop per node: the support that
-    # row_mixer spreads over the layout
+    # one weight per edge in edge order, then one self weight per node: the
+    # support that row_mixer spreads over the layout
     for graph in (random_graph(12, radius=0.4, seed=2)[1],
                   edgeless_graph(3, RNG.uniform(size=(3, 2)))):
-        gauss = gaussian_kernel_weights(graph.positions, graph.edges, 0.1)
-        norm = symmetric_norm_weights(graph)
-        assert np.array_equal(gauss.src, norm.src)
-        assert np.array_equal(gauss.dst, norm.dst)
+        for edge_w, self_w in (gaussian_kernel_weights(graph.positions, graph.edges, 0.1),
+                               symmetric_norm_weights(graph)):
+            assert edge_w.shape == (graph.num_edges,)
+            assert self_w.shape == (graph.num_nodes,)
 
 
 def _mixer_graphs():
@@ -353,16 +353,17 @@ def _mixer_graphs():
 def test_row_mixer_is_bit_identical_to_coo_oracle(graph_index, which, d):
     graph = _mixer_graphs()[graph_index]
     n = graph.num_nodes
-    weights = (symmetric_norm_weights(graph) if which == "norm" else
-               gaussian_kernel_weights(graph.positions, graph.edges, 0.15))
-    mixer = row_mixer(graph, weights)
+    edge_w, self_w = (symmetric_norm_weights(graph) if which == "norm" else
+                      gaussian_kernel_weights(graph.positions, graph.edges, 0.15))
+    mixer = row_mixer(graph, edge_w, self_w)
+    weights = coo_weights(graph.edges, edge_w, self_w)
     # one array when the weights are symmetric: always for the normalization,
     # and for the Gaussian only on the edgeless and two-node graphs
     assert (mixer.transposed is mixer.weights) == (which == "norm" or graph_index > 0)
     rng = np.random.default_rng(d)
     x, coeffs = rng.uniform(-1, 1, (n, d)), rng.uniform(-1, 1, (n, d))
     results = []
-    for mix in (lambda t, v: apply_kernel(t, mixer, v),
+    for mix in (lambda t, v: ad.mix_rows(t, v, mixer),
                 lambda t, v: coo_apply_kernel(t, weights, v)):
         v = ad.Value(x.copy())
         tape = ad.Tape()
@@ -383,7 +384,7 @@ def test_row_mixer_needs_every_reverse_edge():
     one_way = RadiusGraph(positions=pts, edges=np.array([[0, 1], [0, 2], [2, 0]]),
                           radius=1.0)
     with pytest.raises(ContractError, match="reverse"):
-        row_mixer(one_way, symmetric_norm_weights(one_way))
+        row_mixer(one_way, *symmetric_norm_weights(one_way))
 
 
 @pytest.mark.parametrize("kind", ["gcn", "spatial_kernel", "spatial_gcn"])
@@ -399,10 +400,11 @@ def test_stack_step_is_bit_identical_to_coo_oracle(monkeypatch, kind):
     labels = rng.integers(0, 3, 303)
     logits = model_forward(ad.Tape(record=False), cfg, params, x, graph=graph).data
     _, loss, grads = _training_step(cfg, params, graph, x, labels)
-    monkeypatch.setattr(models, "_norm_weights_for", symmetric_norm_weights)
-    monkeypatch.setattr(models, "_gaussian_weights_for", lambda c, g: (
-        gaussian_kernel_weights(g.positions, g.edges, g.radius / 2.0)))
-    monkeypatch.setattr(models, "apply_kernel", coo_apply_kernel)
+    monkeypatch.setattr(models, "_norm_weights_for", lambda g: coo_weights(
+        g.edges, *symmetric_norm_weights(g)))
+    monkeypatch.setattr(models, "_gaussian_weights_for", lambda c, g: coo_weights(
+        g.edges, *gaussian_kernel_weights(g.positions, g.edges, g.radius / 2.0)))
+    monkeypatch.setattr(models.ad, "mix_rows", lambda t, v, w: coo_apply_kernel(t, w, v))
     fresh = build_radius_graph(graph.positions, graph.radius)
     want = model_forward(ad.Tape(record=False), cfg, params, x, graph=fresh).data
     _, want_loss, want_grads = _training_step(cfg, params, fresh, x, labels)

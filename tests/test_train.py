@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -211,8 +212,22 @@ def test_divergence_raises_with_context():
     tc = TrainConfig(epochs=3, learning_rate=1e200, optimizer="sgd", num_runs=1,
                      seed=0)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(DivergenceError, match="epoch"):
+            pytest.raises(DivergenceError, match=r"^non-finite loss at epoch \d+, sample "
+                                                 r"'s\d+'; last finite loss [\d.e+-]+ at "
+                                                 r"epoch \d+$"):
         train(cfg, train_g, tc)
+
+
+def test_divergence_on_the_first_step_says_no_finite_loss_came_before():
+    # infinite features make the very first loss non-finite
+    train_g, _ = tiny_dataset()
+    huge = [dataclasses.replace(g, node_features=np.full_like(g.node_features, np.inf))
+            for g in train_g]
+    cfg = make_config("fcn", input_dim=6, hidden_dim=4, init_seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError, match=r"^non-finite loss at epoch 0, sample "
+                                                 r"'s\d+'; no finite loss before it$"):
+        train(cfg, huge, TrainConfig(epochs=1, num_runs=1, seed=0))
 
 
 def test_empty_train_set_rejected():
@@ -368,7 +383,8 @@ def test_run_experiment_divergence_names_model_run_and_seed():
     tc = TrainConfig(epochs=2, learning_rate=1e200, optimizer="sgd", num_runs=2,
                      seed=7)
     with pytest.raises(DivergenceError, match=r"^fcn run 0 \(seed 7\): non-finite "
-                                              r"loss at epoch \d+, sample "):
+                                              r"loss at epoch \d+, sample 's\d+'; last "
+                                              r"finite loss [\d.e+-]+ at epoch \d+$"):
         run_experiment([make_config("fcn", input_dim=6, hidden_dim=4)],
                        train_g, hold_g, tc)
 
