@@ -603,22 +603,6 @@ def coo_matmul(tape: Tape, features: Value, src, dst, weights, num_rows: int) ->
     return out
 
 
-def mul(tape: Tape, a: Value, b: Value) -> Value:
-    """Elementwise product of two same-shape matrices."""
-    if a.data.shape != b.data.shape:
-        raise DimensionError(
-            f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Value(a.data * b.data)
-
-    def bwd():
-        g = out.grad
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    tape.record("mul", (a, b), out, bwd)
-    return out
-
-
 def mul_const(tape: Tape, a: Value, const) -> Value:
     """Elementwise product with a constant scalar or same-shape array."""
     c = np.asarray(const, dtype=np.float64)

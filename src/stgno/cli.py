@@ -279,8 +279,7 @@ def _cmd_train(args, argv):
                                  args.activation)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    preprocess = {key: manifest.get(key) for key in
-                  ("gene_names", "radius", "standardization", "class_names")}
+    preprocess = {key: manifest.get(key) for key in pl.PREPROCESS_KEYS}
     log_lines: list[str] = []
     summary_runs: list[dict] = []
     started = time.monotonic()
@@ -369,44 +368,25 @@ def _cmd_report(args, argv):
 
 def _cmd_predict(args, argv):
     params, config, pre = load_checkpoint(args.checkpoint)
-    gene_names = pre.get("gene_names")
-    radius = pre.get("radius")
+    gene_names, radius = pre.get("gene_names"), pre.get("radius")
     if gene_names is None or radius is None:
         raise CheckpointError(f"{args.checkpoint}: checkpoint has no preprocess "
                               "block; re-train with this version")
-    if (not isinstance(gene_names, list) or not gene_names
-            or not all(isinstance(name, str) for name in gene_names)):
-        raise CheckpointError(f"{args.checkpoint}: preprocess.gene_names must be a "
-                              "non-empty list of gene names (strings)")
-    if (isinstance(radius, bool) or not isinstance(radius, (int, float))
-            or not (math.isfinite(radius) and radius > 0)):
-        raise CheckpointError(f"{args.checkpoint}: preprocess.radius must be a "
-                              f"positive number, got {radius!r}")
     class_names = pre.get("class_names", [str(i) for i in range(config.num_classes)])
-    if (not isinstance(class_names, list) or len(class_names) != config.num_classes
-            or not all(isinstance(name, str) for name in class_names)):
-        raise CheckpointError(f"{args.checkpoint}: preprocess.class_names must be a "
-                              f"list of {config.num_classes} class names (strings)")
     table = pl.filter_genes(pl.load_spot_table(args.spots, gene_names), gene_names)
-    if table.gene_names != list(gene_names):
+    if table.gene_names != gene_names:
         raise DataError("spot file does not provide every gene the model needs")
     features = table.expression
     scaler = pre.get("standardization")
-    if scaler:
-        stats = []
-        for key in ("mean", "std"):
-            arr = pl.numeric_array(scaler.get(key) if isinstance(scaler, dict) else None)
-            if (arr is None or arr.shape != (len(gene_names),) or not np.isfinite(arr).all()
-                    or (key == "std" and not (arr > 0).all())):
-                raise CheckpointError(
-                    f"{args.checkpoint}: preprocess.standardization.{key} must hold "
-                    f"{len(gene_names)} finite numbers{' > 0' if key == 'std' else ''}, "
-                    "one per gene")
-            stats.append(arr.astype(np.float64))
-        features = (features - stats[0]) / stats[1]
+    if scaler is not None:
+        features = (features - np.asarray(scaler["mean"])) / np.asarray(scaler["std"])
 
+    # csv quotes "\n" but not a bare "\r" under a "\n" line end: a file with
+    # one in a sample id or class name gets every field quoted
+    carriage = any("\r" in name for name in [*table.sample_order(), *class_names])
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n",
+                        quoting=csv.QUOTE_ALL if carriage else csv.QUOTE_MINIMAL)
     writer.writerow(["sample_id", "x", "y", "predicted_class"])
     for sid in table.sample_order():
         rows = table.rows_for(sid)

