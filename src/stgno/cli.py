@@ -20,12 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import pipeline as pl
 from . import train as tr
 from .errors import (CheckpointError, ContractError, DataError, DimensionError,
                      DivergenceError, ParameterError)
 from .ioutil import atomic_write_text, dump_json, read_json
-from .models import MODEL_KINDS, make_config
+from .models import _DEFAULT_LAYERS, MODEL_KINDS, ModelConfig, check_kind, make_config
 from .train import TrainConfig, evaluate, load_checkpoint, run_experiment, save_checkpoint
 
 
@@ -66,19 +67,22 @@ def _parse_seed(text: str) -> int:
 
 def _add_run_flags(p) -> None:
     """The model, optimizer and seeded-run flags that train and report share."""
-    p.add_argument("--hidden", type=int, default=16, help="hidden width")
-    p.add_argument("--kernel-hidden", type=_parse_int_list, default=(64,),
-                   metavar="LIST", help="kernel network hidden widths (graphpde)")
-    p.add_argument("--bandwidth", type=float, default=None,
+    p.add_argument("--hidden", type=int, default=ModelConfig.hidden_dim, help="hidden width")
+    p.add_argument("--kernel-hidden", type=_parse_int_list, metavar="LIST",
+                   default=ModelConfig.kernel_net_hidden,
+                   help="kernel network hidden widths (graphpde)")
+    p.add_argument("--bandwidth", type=float, default=ModelConfig.bandwidth,
                    help="Gaussian bandwidth (spatial models; default radius/2)")
-    p.add_argument("--epochs", type=int, default=100, help="training epochs")
-    p.add_argument("--lr", type=float, default=1e-3, help="learning rate")
-    p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam",
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="training epochs")
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
+                   help="learning rate")
+    p.add_argument("--optimizer", choices=tr.OPTIMIZERS, default=TrainConfig.optimizer,
                    help="optimizer")
-    p.add_argument("--runs", type=int, default=10, help="independent seeded runs")
-    p.add_argument("--class-weighting", type=_parse_bool, default=True,
-                   metavar="BOOL", help="balanced class weighting")
-    p.add_argument("--seed", type=_parse_seed, default=0, help="base seed")
+    p.add_argument("--runs", type=int, default=TrainConfig.num_runs,
+                   help="independent seeded runs")
+    p.add_argument("--class-weighting", type=_parse_bool, metavar="BOOL",
+                   default=TrainConfig.class_weighting, help="balanced class weighting")
+    p.add_argument("--seed", type=_parse_seed, default=TrainConfig.seed, help="base seed")
 
 
 def build_parser():
@@ -96,24 +100,30 @@ def build_parser():
 
     p = add("synth", "generate a synthetic spot dataset (CSV + gene list + label map)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--samples", type=int, default=20, help="number of samples")
-    p.add_argument("--spots", type=int, default=300, help="spots per sample")
-    p.add_argument("--genes", type=int, default=32, help="number of genes")
-    p.add_argument("--mode", choices=["informative", "noise_only"],
-                   default="informative", help="expression mode")
-    p.add_argument("--separation", type=float, default=1.0,
+    p.add_argument("--samples", type=int, default=pl.SyntheticConfig.num_samples,
+                   help="number of samples")
+    p.add_argument("--spots", type=int, default=pl.SyntheticConfig.spots_per_sample,
+                   help="spots per sample")
+    p.add_argument("--genes", type=int, default=pl.SyntheticConfig.num_genes,
+                   help="number of genes")
+    p.add_argument("--mode", choices=pl.EXPRESSION_MODES,
+                   default=pl.SyntheticConfig.expression_mode, help="expression mode")
+    p.add_argument("--separation", type=float, default=pl.SyntheticConfig.class_separation,
                    help="class separation of the expression patterns")
-    p.add_argument("--noise", type=float, default=1.0, help="expression noise scale")
-    p.add_argument("--region-seeds", type=int, default=4,
+    p.add_argument("--noise", type=float, default=pl.SyntheticConfig.noise_scale,
+                   help="expression noise scale")
+    p.add_argument("--region-seeds", type=int,
+                   default=pl.SyntheticConfig.region_seeds_per_class,
                    help="region seed sites per class")
-    p.add_argument("--seed", type=_parse_seed, default=0, help="generator seed")
+    p.add_argument("--seed", type=_parse_seed, default=pl.SyntheticConfig.seed,
+                   help="generator seed")
 
     p = add("prepare", "filter, bin, split and assemble a prepared graph dataset")
     p.add_argument("--spots", required=True, help="spot CSV path")
     p.add_argument("--genes", required=True, help="gene list path")
     p.add_argument("--labels", required=True, help="label map TSV path")
-    p.add_argument("--radius", type=float, default=None,
-                   help="neighbor radius (default: tuned for median degree ~6)")
+    p.add_argument("--radius", type=float, default=None, help="neighbor radius (default: "
+                   f"tuned for median degree ~{_TARGET_DEGREE})")
     p.add_argument("--holdout-k", type=int, default=7, help="samples to hold out")
     p.add_argument("--min-classes", type=int, default=10,
                    help="raw-label coverage threshold for holdout candidates")
@@ -125,9 +135,9 @@ def build_parser():
     p = add("train", "train one model over repeated seeded runs")
     p.add_argument("--data", required=True, help="prepared dataset directory")
     p.add_argument("--model", required=True, help=f"one of {', '.join(MODEL_KINDS)}")
-    p.add_argument("--layers", type=int, default=None,
-                   help="depth (default per model; graphpde: 6)")
-    p.add_argument("--activation", choices=["relu", "tanh"], default="relu",
+    p.add_argument("--layers", type=int, default=None, help="depth (default per model; "
+                   f"graphpde: {_DEFAULT_LAYERS['graphpde']})")
+    p.add_argument("--activation", choices=ad.ACTIVATIONS, default=ModelConfig.activation,
                    help="activation function")
     _add_run_flags(p)
     p.add_argument("--out", required=True, help="output directory")
@@ -140,7 +150,7 @@ def build_parser():
     p.add_argument("--data", required=True, help="prepared dataset directory")
     p.add_argument("--models", default=",".join(MODEL_KINDS),
                    help="comma-separated model kinds")
-    p.add_argument("--f1", choices=["macro", "weighted"], default="macro",
+    p.add_argument("--f1", choices=tr.F1_KEYS, default="macro",
                    help="F1 flavor for the table")
     _add_run_flags(p)
     p.add_argument("--out", default=None, help="directory for report.txt/report.json")
@@ -174,8 +184,12 @@ def _cmd_synth(args, argv):
     return 0
 
 
-def _auto_radius(table: pl.SpotTable, target_degree: float = 6.0) -> float:
-    """Radius giving expected degree ~ target under uniform density,
+# prepare tunes the radius for this median degree, and warns outside the range
+_TARGET_DEGREE, _DEGREE_RANGE = 6, (3, 12)
+
+
+def _auto_radius(table: pl.SpotTable) -> float:
+    """Radius giving expected degree ~ _TARGET_DEGREE under uniform density,
     averaged over samples: pi r^2 rho = target."""
     densities = []
     for sid in table.sample_order():
@@ -188,7 +202,7 @@ def _auto_radius(table: pl.SpotTable, target_degree: float = 6.0) -> float:
     if not densities:
         raise DataError("cannot tune a radius: no sample with positive area")
     rho = float(np.mean(densities))
-    return math.sqrt(target_degree / (math.pi * rho))
+    return math.sqrt(_TARGET_DEGREE / (math.pi * rho))
 
 
 def _graph_statistics(graph) -> dict:
@@ -246,22 +260,18 @@ def _cmd_prepare(args, argv):
     print("class counts: " + ", ".join(
         f"{name}={int(c)}" for name, c in zip(label_map.class_names, counts)))
     print(f"radius: {radius:.6g}  median train degree: {median_degree:.1f}")
-    if not 3.0 <= median_degree <= 12.0:
-        print(f"warning: median degree {median_degree:.1f} outside [3, 12]; "
+    if not _DEGREE_RANGE[0] <= median_degree <= _DEGREE_RANGE[1]:
+        print(f"warning: median degree {median_degree:.1f} outside {list(_DEGREE_RANGE)}; "
               "consider adjusting --radius", file=sys.stderr)
     return 0
 
 
-def _model_config_from_args(args, manifest: dict, kind: str,
-                            layers: int | None = None, activation: str = "relu"):
+def _model_config_from_args(args, manifest: dict, kind: str, **overrides):
     """Model flags plus the dataset's widths: one input per kept gene and
     one output per coarse class."""
-    overrides = dict(hidden_dim=args.hidden, activation=activation,
-                     kernel_net_hidden=args.kernel_hidden, bandwidth=args.bandwidth,
-                     num_classes=len(manifest["class_names"]), init_seed=args.seed)
-    if layers is not None:
-        overrides["num_layers"] = layers
-    return make_config(kind, len(manifest["gene_names"]), **overrides)
+    return make_config(kind, len(manifest["gene_names"]), hidden_dim=args.hidden,
+                       kernel_net_hidden=args.kernel_hidden, bandwidth=args.bandwidth,
+                       num_classes=len(manifest["class_names"]), **overrides)
 
 
 def _train_config_from_args(args) -> TrainConfig:
@@ -271,12 +281,10 @@ def _train_config_from_args(args) -> TrainConfig:
 
 
 def _cmd_train(args, argv):
-    if args.model not in MODEL_KINDS:
-        raise ParameterError(
-            f"unknown model {args.model!r}; valid: {', '.join(MODEL_KINDS)}")
+    check_kind(args.model)
     train_graphs, holdout_graphs, manifest = pl.load_prepared(args.data)
-    mc = _model_config_from_args(args, manifest, args.model, args.layers,
-                                 args.activation)
+    mc = _model_config_from_args(args, manifest, args.model, num_layers=args.layers,
+                                 activation=args.activation)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     preprocess = {key: manifest.get(key) for key in pl.PREPROCESS_KEYS}
@@ -345,9 +353,7 @@ def _cmd_report(args, argv):
     if not kinds:
         raise ParameterError(f"--models names no model kind; valid: {', '.join(MODEL_KINDS)}")
     for i, kind in enumerate(kinds):
-        if kind not in MODEL_KINDS:
-            raise ParameterError(
-                f"unknown model {kind!r}; valid: {', '.join(MODEL_KINDS)}")
+        check_kind(kind)
         if kind in kinds[:i]:
             raise ParameterError(f"--models names {kind!r} more than once")
     train_graphs, holdout_graphs, manifest = pl.load_prepared(args.data)

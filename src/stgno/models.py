@@ -1,9 +1,9 @@
 """Model definitions: baselines and the spatial / graph operator networks.
 
-Six kinds share one config and parameter scheme. Five of them are one
-linear stack (:func:`stack_forward`): blocks of row mixing, then a linear
-layer and the activation, then a linear readout. They differ only in the
-mixers each block applies, in this order:
+Six kinds share one config, checked when built (by ``replace`` too), and
+one parameter scheme. Five are one linear stack (:func:`stack_forward`):
+blocks of row mixing, then a linear layer and the activation, then a
+linear readout. They differ only in the mixers each block applies, in order:
 
 * ``lr``             none, and no blocks: logits = X W + b, graph-free.
 * ``fcn``            none.
@@ -98,6 +98,12 @@ _STACK_MIXERS = {"lr": (), "fcn": (), "gcn": ("norm",), "spatial_kernel": ("gaus
                  "spatial_gcn": ("gaussian", "norm")}
 
 
+def check_kind(kind: str) -> None:
+    if kind not in MODEL_KINDS:
+        raise ParameterError(
+            f"unknown model kind {kind!r}; valid: {', '.join(MODEL_KINDS)}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     kind: str
@@ -110,12 +116,12 @@ class ModelConfig:
     bandwidth: float | None = None
     init_seed: int = 0
 
-    def validate(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise ParameterError(
-                f"unknown model kind {self.kind!r}; valid: {', '.join(MODEL_KINDS)}")
+    def __post_init__(self) -> None:
+        check_kind(self.kind)
         if self.num_layers < 1 or self.hidden_dim < 1 or self.input_dim < 1:
             raise ParameterError("num_layers, hidden_dim and input_dim must be >= 1")
+        if self.num_classes < 2:
+            raise ParameterError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.activation not in ad.ACTIVATIONS:
             raise ParameterError(f"unknown activation {self.activation!r}")
         if self.bandwidth is not None and not self.bandwidth > 0:
@@ -130,19 +136,15 @@ class ModelConfig:
 
 
 def make_config(kind: str, input_dim: int, **overrides) -> ModelConfig:
-    """Build a config with the per-kind default depth applied."""
-    if kind not in MODEL_KINDS:
-        raise ParameterError(
-            f"unknown model kind {kind!r}; valid: {', '.join(MODEL_KINDS)}")
-    overrides.setdefault("num_layers", _DEFAULT_LAYERS[kind])
-    cfg = ModelConfig(kind=kind, input_dim=input_dim, **overrides)
-    cfg.validate()
-    return cfg
+    """Build a config, with the kind's default depth if ``num_layers`` is absent or None."""
+    check_kind(kind)
+    if overrides.get("num_layers") is None:
+        overrides["num_layers"] = _DEFAULT_LAYERS[kind]
+    return ModelConfig(kind=kind, input_dim=input_dim, **overrides)
 
 
 def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, int]]]:
     """The full (name, shape) list for a config, in init order."""
-    config.validate()
     d, h, c, layers = (config.input_dim, config.hidden_dim,
                        config.num_classes, config.num_layers)
     shapes: list[tuple[str, tuple[int, int]]] = []
@@ -295,6 +297,4 @@ def model_forward(tape: Tape, config: ModelConfig, params: Params,
         raise ContractError(f"{config.kind} requires a graph")
     if config.kind == "graphpde":
         return graphpde_forward(tape, config, params, graph, x)
-    if config.kind not in _STACK_MIXERS:
-        raise ParameterError(f"unknown model kind {config.kind!r}")
     return stack_forward(tape, config, params, graph, x)

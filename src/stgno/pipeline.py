@@ -29,13 +29,15 @@ Every text file is read as UTF-8; an undecodable byte is a DataError
 naming the file.
 
 The pipeline is deterministic: the same (file, flags, seed) produces a
-bit-identical prepared dataset.
+bit-identical prepared dataset. A :class:`SyntheticConfig` is checked when
+built (by ``replace`` too), as the model and training configs are.
 """
 
 from __future__ import annotations
 
 import array
 import csv
+import itertools
 import operator
 import re
 import sys
@@ -52,6 +54,7 @@ from .ioutil import atomic_write_text, dump_json, open_text, read_json, read_tex
 PREPARED_VERSION = 2
 # what predict replays of prepare; the manifest's are copied to each checkpoint
 PREPROCESS_KEYS = ("gene_names", "radius", "standardization", "class_names")
+EXPRESSION_MODES = ("informative", "noise_only")  # see generate_synthetic
 
 _REQUIRED_COLUMNS = ("sample_id", "x", "y", "label")
 _SAMPLE_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
@@ -138,7 +141,7 @@ class SyntheticConfig:
     noise_scale: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.num_samples, self.spots_per_sample, self.num_genes,
                self.region_seeds_per_class) < 1:
             raise ParameterError("all synthetic counts must be positive")
@@ -146,10 +149,13 @@ class SyntheticConfig:
             raise ParameterError(
                 f"synthetic class count must be 2 to 26 (one letter each), "
                 f"got {self.num_classes}")
-        if self.expression_mode not in ("informative", "noise_only"):
+        if self.expression_mode not in EXPRESSION_MODES:
             raise ParameterError(
-                f"expression_mode must be 'informative' or 'noise_only', "
+                f"expression_mode must be one of {', '.join(EXPRESSION_MODES)}, "
                 f"got {self.expression_mode!r}")
+        if not (np.isfinite(self.class_separation) and 0 <= self.noise_scale < np.inf):
+            raise ParameterError("class_separation must be finite and noise_scale finite "
+                                 f"and >= 0, got {self.class_separation}, {self.noise_scale}")
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +412,6 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[SpotTable, LabelMap]:
     mode it is pure noise, so labels depend on position alone. Per-sample
     streams are split off the root seed, one generator per sample.
     """
-    config.validate()
     seeds = np.random.SeedSequence(config.seed).spawn(config.num_samples + 1)
     root = np.random.default_rng(seeds[0])
     num_sites = config.num_classes * config.region_seeds_per_class
@@ -464,12 +469,16 @@ def _graph_sample_to_json(sample: GraphSample) -> dict:
 
 def save_prepared(out_dir, train: list[GraphSample], holdout: list[GraphSample],
                   manifest: dict) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for sample in [*train, *holdout]:
+    """Every id is checked before the first write, so a refused dataset
+    leaves ``out_dir`` as it was."""
+    samples = [*train, *holdout]
+    for sample in samples:
         if not _SAMPLE_ID_RE.match(sample.sample_id):
             raise DataError(
                 f"sample id {sample.sample_id!r} is not filesystem-safe")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for sample in samples:
         atomic_write_text(out_dir / f"{sample.sample_id}.graph.json",
                           dump_json(_graph_sample_to_json(sample)))
     atomic_write_text(out_dir / "manifest.json",
@@ -491,18 +500,25 @@ def numeric_array(value, ndim: int, integer: bool = False) -> np.ndarray | None:
         return None
     if arr.ndim != ndim or (arr.size and arr.dtype.kind not in ("iu" if integer else "iuf")):
         return None
+    if ((arr == 0) | (arr == 1)).any():  # numpy reads a bool among numbers as 1 or 0
+        flat = value
+        for _ in range(ndim - 1):
+            flat = itertools.chain.from_iterable(flat)
+        if bool in map(type, flat):
+            return None
     arr = arr.astype(np.int64 if integer else np.float64, copy=False)
     return arr if np.isfinite(arr).all() else None
 
 
 def check_preprocess(block: dict, where, error) -> None:
     """Check the PREPROCESS_KEYS that ``block`` (a manifest or a checkpoint's
-    preprocess block) holds: non-empty lists of strings for names, a positive
-    finite radius, a null scaler or a ``mean`` and a ``std`` > 0 of one finite
-    number per gene each. A fault raises ``error`` naming ``where(key)``."""
-    for key in ("gene_names", "class_names"):
-        if key in block and not (_is_name_list(block[key]) and block[key]):
-            raise error(f"{where(key)} must be a non-empty list of names (strings)")
+    preprocess block) holds: lists of strings for names (at least 1 gene and
+    2 classes), a positive finite radius, a null scaler or a ``mean`` and a
+    ``std`` > 0 of one finite number per gene each. A fault raises ``error``
+    naming ``where(key)``."""
+    for key, least in (("gene_names", 1), ("class_names", 2)):
+        if key in block and not (_is_name_list(block[key]) and len(block[key]) >= least):
+            raise error(f"{where(key)} must be a list of at least {least} names (strings)")
     radius = block.get("radius")  # an int past the float range would not convert
     if "radius" in block and (isinstance(radius, bool) or not isinstance(
             radius, (int, float)) or not 0 < radius <= sys.float_info.max):

@@ -17,6 +17,8 @@ from .models import (DISPLAY_NAMES, ModelConfig, Params, init_params,
 from .pipeline import GraphSample, check_preprocess, numeric_array
 
 CHECKPOINT_VERSION = 1
+# each F1 flavor's Metrics field
+F1_KEYS = {"macro": "macro_f1", "weighted": "weighted_f1"}
 
 
 @dataclass(frozen=True)
@@ -28,12 +30,12 @@ class TrainConfig:
     num_runs: int = 10
     class_weighting: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 1 or self.num_runs < 1:
             raise ParameterError("epochs and num_runs must be >= 1")
         if not self.learning_rate > 0:
             raise ParameterError("learning_rate must be positive")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ParameterError(f"unknown optimizer {self.optimizer!r}")
 
 
@@ -145,10 +147,7 @@ class Sgd:
             p.zero_grad()
 
 
-def make_optimizer(config: TrainConfig, params: Params):
-    if config.optimizer == "adam":
-        return Adam(params, config.learning_rate)
-    return Sgd(params, config.learning_rate)
+OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
 
 
 def forward_sample(tape: Tape, config: ModelConfig, params: Params,
@@ -168,8 +167,6 @@ def train(model_config: ModelConfig, graphs: list[GraphSample],
     numpy's overflow warnings are off: a non-finite loss raises
     DivergenceError naming the epoch and sample, and the previous step's
     loss and epoch, instead."""
-    train_config.validate()
-    model_config.validate()
     if not graphs:
         raise ContractError("training requires a non-empty graph list")
     all_labels = np.concatenate([g.labels for g in graphs])
@@ -178,7 +175,7 @@ def train(model_config: ModelConfig, graphs: list[GraphSample],
     else:
         weights = np.ones(model_config.num_classes)
     params = init_params(model_config)
-    optimizer = make_optimizer(train_config, params)
+    optimizer = OPTIMIZERS[train_config.optimizer](params, train_config.learning_rate)
     rng = np.random.default_rng(train_config.seed)
     history: list[float] = []
     last_finite = "no finite loss before it"
@@ -239,8 +236,7 @@ class RunReport:
         }
 
     def table(self) -> str:
-        f1_label = "Macro-F1" if self.f1_flavor == "macro" else "Weighted-F1"
-        header = ["Model", "Accuracy", f1_label, "Params"]
+        header = ["Model", "Accuracy", f"{self.f1_flavor.capitalize()}-F1", "Params"]
         lines = []
         for row in self.rows:
             lines.append([
@@ -270,8 +266,7 @@ def run_experiment(model_configs: list[ModelConfig], train_graphs,
     run's ``train`` epoch_callback; ``run_hook`` gets (run config, run index,
     params, loss history, holdout Metrics) after each run. A divergence is
     re-raised prefixed with the model kind, run index and seed."""
-    train_config.validate()
-    if f1_flavor not in ("macro", "weighted"):
+    if f1_flavor not in F1_KEYS:
         raise ParameterError(f"unknown f1 flavor {f1_flavor!r}")
     rows = []
     trained: dict[str, list[Params]] = {}
@@ -281,7 +276,7 @@ def run_experiment(model_configs: list[ModelConfig], train_graphs,
         for r in range(train_config.num_runs):
             seed = train_config.seed + r
             mc_r = replace(mc, init_seed=seed)
-            tc_r = replace(train_config, seed=seed, num_runs=1)
+            tc_r = replace(train_config, seed=seed)
             try:
                 params, history = train(mc_r, train_graphs, tc_r, epoch_hook)
             except DivergenceError as exc:
@@ -293,9 +288,8 @@ def run_experiment(model_configs: list[ModelConfig], train_graphs,
             params_per_run.append(params)
             runs.append({"seed": seed, **metrics.to_json_dict(),
                          "loss_history": history})
-        f1_key = "macro_f1" if f1_flavor == "macro" else "weighted_f1"
         accs = [run["accuracy"] for run in runs]
-        f1s = [run[f1_key] for run in runs]
+        f1s = [run[F1_KEYS[f1_flavor]] for run in runs]
         rows.append({
             "model": DISPLAY_NAMES[mc.kind],
             "kind": mc.kind,
@@ -324,8 +318,8 @@ def _config_to_json(config: ModelConfig) -> dict:
 
 
 def _config_from_json(doc: dict) -> ModelConfig:
-    doc = dict(doc)
-    doc["kernel_net_hidden"] = tuple(doc.get("kernel_net_hidden", ()))
+    if "kernel_net_hidden" in doc:  # an absent key takes the field's default
+        doc = {**doc, "kernel_net_hidden": tuple(doc["kernel_net_hidden"])}
     return ModelConfig(**doc)
 
 

@@ -75,6 +75,16 @@ def test_synth_single_spot_samples(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag,value", [("--noise", "nan"), ("--noise", "inf"),
+                                        ("--noise", "-1"), ("--separation", "nan")])
+def test_synth_non_finite_expression_setting_is_one_usage_line(tmp_path, capsys,
+                                                               flag, value):
+    assert run_cli("synth", "--out", str(tmp_path / "x"), f"{flag}={value}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:usage:") and err.count("\n") == 1, err
+    assert not (tmp_path / "x").exists()
+
+
 def test_synth_defaults_documented():
     _parser, subparsers = build_parser()
     defaults = {a.dest: a.default for a in subparsers["synth"]._actions}
@@ -97,6 +107,31 @@ def test_prepare_manifest_records_flags(prepared_dir):
     assert flags["seed"] == 0
     assert len(manifest["split"]["holdout"]) == 2
     assert not set(manifest["split"]["train"]) & set(manifest["split"]["holdout"])
+
+
+def test_refused_prepare_leaves_an_existing_dataset_unchanged(synth_dir, prepared_dir,
+                                                             tmp_path, capsys):
+    # the same spots, standardized, so every file would change; the last
+    # holdout slide, written last, gets an id that is not filesystem-safe
+    prep = tmp_path / "prep"
+    shutil.copytree(prepared_dir, prep)
+    before = {p.name: p.read_bytes() for p in prep.iterdir()}
+    last = json.loads((prep / "manifest.json").read_text())["split"]["holdout"][-1]
+    with open(synth_dir / "spots.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[0] = "s 99" if row[0] == last else row[0]
+    spots = tmp_path / "spots.csv"
+    with open(spots, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    capsys.readouterr()
+    assert run_cli("prepare", "--spots", str(spots), "--genes", str(synth_dir / "genes.txt"),
+                   "--labels", str(synth_dir / "labels.tsv"), "--radius", "0.3",
+                   "--holdout-k", "2", "--min-classes", "3", "--standardize", "true",
+                   "--seed", "0", "--out", str(prep)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:data:") and "'s 99'" in err and err.count("\n") == 1, err
+    assert {p.name: p.read_bytes() for p in prep.iterdir()} == before
 
 
 def test_prepare_writes_positions_not_edges(prepared_dir):
@@ -594,7 +629,11 @@ BOTH = ("eval", "predict")
     # a scaler that is not null must be one: none of these skips it
     ("preprocess", "standardization", {}, BOTH),
     ("preprocess", "standardization", False, BOTH),
-    ("preprocess", "standardization", 0, BOTH)])
+    ("preprocess", "standardization", 0, BOTH),
+    # a bool among numbers, which numpy would read as 1.0
+    ("params", "readout_w", [[True, 0.5, 0.5]] + [[0.5] * 3] * 3, BOTH),
+    # a model of one class
+    ("config", "num_classes", 1, BOTH)])
 def test_malformed_checkpoint_is_one_data_error_line(graphpde_run, tmp_path, capsys,
                                                      block, key, value, commands):
     ckpt = _tampered_checkpoint(graphpde_run, tmp_path, block, key, value)
@@ -694,6 +733,7 @@ def _break_sample(prep, edit):
     ("radius past the float range", "manifest.json", "radius"),
     ("split id unsafe", "manifest.json", "split"),
     ("gene_names not a list", "manifest.json", "gene_names"),
+    ("one class name", "manifest.json", "class_names"),
     ("sample id not its split id", "sample", "sample_id"),
     ("sample without features", "sample", "features"),
     ("non-numeric feature", "sample", "features"),
@@ -702,6 +742,8 @@ def _break_sample(prep, edit):
     ("positions short", "sample", "positions"),
     ("label out of range", "sample", "labels"),
     ("label not an integer", "sample", "labels"),
+    ("bool among features", "sample", "features"),
+    ("bool among labels", "sample", "labels"),
     ("sample a JSON list", "sample", None),
     ("scaler mean short", "manifest.json", "standardization.mean")])
 def test_malformed_prepared_dataset_is_one_data_error_line(graphpde_run, tmp_path,
@@ -723,6 +765,8 @@ def test_malformed_prepared_dataset_is_one_data_error_line(graphpde_run, tmp_pat
             prep, lambda m: m["split"]["train"].append("../x")),
         "gene_names not a list": lambda: _break_manifest(
             prep, lambda m: m.update(gene_names="g000")),
+        "one class name": lambda: _break_manifest(
+            prep, lambda m: m.update(class_names=["region_a"])),
         "sample id not its split id": lambda: _break_sample(
             prep, lambda d: d.update(sample_id="zzz")),
         "sample without features": lambda: _break_sample(prep, lambda d: d.pop("features")),
@@ -736,6 +780,10 @@ def test_malformed_prepared_dataset_is_one_data_error_line(graphpde_run, tmp_pat
             prep, lambda d: d["labels"].__setitem__(0, 7)),
         "label not an integer": lambda: _break_sample(
             prep, lambda d: d["labels"].__setitem__(0, 0.5)),
+        "bool among features": lambda: _break_sample(
+            prep, lambda d: d["features"][0].__setitem__(0, True)),
+        "bool among labels": lambda: _break_sample(
+            prep, lambda d: d["labels"].__setitem__(0, True)),
         "sample a JSON list": lambda: sample.write_text("[]"),
         "scaler mean short": lambda: _break_manifest(
             prep, lambda m: m.update(standardization={"mean": [0.0] * 7,

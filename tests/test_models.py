@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from stgno.errors import ContractError, DimensionError, ParameterError
 from stgno.geometry import (RadiusGraph, build_radius_graph, edge_attributes,
                             gaussian_kernel_weights, row_mixer)
 from stgno.autodiff import Parameter
-from stgno.models import (graphpde_forward, graphpde_layer, init_params,
+from stgno.models import (ModelConfig, graphpde_forward, graphpde_layer, init_params,
                           kernel_net_forward, make_config, model_forward,
                           parameter_shapes, symmetric_norm_weights)
 
@@ -68,6 +69,28 @@ def explicit_kernels(graph, kernel_rows):
 def test_unknown_kind_rejected():
     with pytest.raises(ParameterError, match="graphpde"):
         make_config("transformer", input_dim=4)
+    with pytest.raises(ParameterError, match="unknown model kind 'transformer'"):
+        ModelConfig(kind="transformer", input_dim=4)
+    with pytest.raises(ParameterError, match="unknown model kind 'transformer'"):
+        dataclasses.replace(make_config("lr", input_dim=4), kind="transformer")
+
+
+@pytest.mark.parametrize("change,match", [
+    ({"num_classes": 1}, "num_classes must be >= 2"), ({"num_classes": 0}, "num_classes"),
+    ({"num_classes": -1}, "num_classes"), ({"num_layers": 0}, "num_layers"),
+    ({"activation": "gelu"}, "activation"), ({"kernel_net_hidden": (0,)}, "kernel network"),
+    ({"bandwidth": -1.0}, "bandwidth")])
+def test_invalid_config_cannot_be_built_or_replaced_into(change, match):
+    with pytest.raises(ParameterError, match=match):
+        make_config("graphpde", input_dim=4, **change)
+    with pytest.raises(ParameterError, match=match):
+        dataclasses.replace(make_config("graphpde", input_dim=4), **change)
+
+
+def test_make_config_none_layers_is_the_kind_default():
+    for kind, depth in models._DEFAULT_LAYERS.items():
+        assert make_config(kind, input_dim=4, num_layers=None).num_layers == depth
+        assert make_config(kind, input_dim=4).num_layers == depth
 
 
 @pytest.mark.parametrize("widths", [(-1,), (0,), (8, 0)])

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import re
 
 import numpy as np
@@ -427,10 +428,16 @@ def test_synthetic_determinism():
 
 
 def test_synthetic_config_validation():
-    with pytest.raises(ParameterError):
-        SyntheticConfig(expression_mode="nope").validate()
-    with pytest.raises(ParameterError):
-        SyntheticConfig(num_samples=0).validate()
+    for change in ({"expression_mode": "nope"}, {"num_samples": 0},
+                   {"noise_scale": float("nan")}, {"noise_scale": float("inf")},
+                   {"noise_scale": -0.5}, {"class_separation": float("nan")},
+                   {"class_separation": float("-inf")}):
+        with pytest.raises(ParameterError):
+            SyntheticConfig(**change)
+        # replace builds a new config, so it checks too
+        with pytest.raises(ParameterError):
+            dataclasses.replace(SyntheticConfig(), **change)
+    SyntheticConfig(noise_scale=0.0, class_separation=-2.0)  # zero noise, negated patterns
 
 
 @pytest.mark.parametrize("num_classes", [2, 4])
@@ -445,7 +452,7 @@ def test_synthetic_class_count_covers_every_class(num_classes):
 @pytest.mark.parametrize("num_classes", [1, 27])
 def test_synthetic_class_count_outside_2_to_26_rejected(num_classes):
     with pytest.raises(ParameterError, match="2 to 26"):
-        SyntheticConfig(num_classes=num_classes).validate()
+        SyntheticConfig(num_classes=num_classes)
 
 
 def test_spot_table_groups_rows_once_in_file_order():

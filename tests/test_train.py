@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from stgno import autodiff as ad
 from stgno.errors import (CheckpointError, ContractError, DataError,
-                          DivergenceError)
+                          DivergenceError, ParameterError)
 from stgno.models import init_params, make_config, model_forward
 from stgno.pipeline import (SyntheticConfig, bin_labels, generate_synthetic,
                             select_holdout, assemble_graphs)
-from stgno.train import (Adam, TrainConfig, class_weights, evaluate,
+from stgno.train import (F1_KEYS, Adam, TrainConfig, class_weights, evaluate,
                          load_checkpoint, metrics_from_confusion,
                          run_experiment, save_checkpoint, train,
                          weighted_cross_entropy)
@@ -409,6 +409,30 @@ def test_report_table_format():
     lines = table.strip().splitlines()
     assert lines[0].startswith("Model")
     assert "LR" in lines[1] and "%" in lines[1]
+
+
+def test_weighted_f1_report_reads_the_weighted_field():
+    train_g, hold_g = tiny_dataset()
+    report, _ = run_experiment([make_config("lr", input_dim=6)], train_g, hold_g,
+                               TrainConfig(epochs=1, num_runs=2, seed=0),
+                               f1_flavor="weighted")
+    row = report.rows[0]
+    assert row["mean_f1"] == np.mean([run["weighted_f1"] for run in row["runs"]])
+    assert report.table().split()[:4] == ["Model", "Accuracy", "Weighted-F1", "Params"]
+    with pytest.raises(ParameterError, match="f1 flavor"):
+        run_experiment([make_config("lr", input_dim=6)], train_g, hold_g, TrainConfig(),
+                       f1_flavor="micro")
+    assert set(F1_KEYS) == {"macro", "weighted"}
+
+
+@pytest.mark.parametrize("change", [{"epochs": 0}, {"num_runs": 0}, {"learning_rate": 0.0},
+                                    {"learning_rate": float("nan")},
+                                    {"optimizer": "rmsprop"}])
+def test_train_config_checked_when_built_and_replaced(change):
+    with pytest.raises(ParameterError):
+        TrainConfig(**change)
+    with pytest.raises(ParameterError):
+        dataclasses.replace(TrainConfig(), **change)
 
 
 # ---------------------------------------------------------------------------
