@@ -104,13 +104,17 @@ def check_kind(kind: str) -> None:
             f"unknown model kind {kind!r}; valid: {', '.join(MODEL_KINDS)}")
 
 
+def _is_int_at_least(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     kind: str
     input_dim: int
     hidden_dim: int = 16
     num_classes: int = 3
-    num_layers: int = 2
+    num_layers: int | None = None  # None: the kind's default, _DEFAULT_LAYERS
     activation: str = "relu"
     kernel_net_hidden: tuple[int, ...] = (64,)
     bandwidth: float | None = None
@@ -118,17 +122,20 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         check_kind(self.kind)
-        if self.num_layers < 1 or self.hidden_dim < 1 or self.input_dim < 1:
-            raise ParameterError("num_layers, hidden_dim and input_dim must be >= 1")
-        if self.num_classes < 2:
-            raise ParameterError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.num_layers is None:
+            object.__setattr__(self, "num_layers", _DEFAULT_LAYERS[self.kind])
+        for name, least in (("input_dim", 1), ("hidden_dim", 1), ("num_classes", 2),
+                            ("num_layers", 1), ("init_seed", 0)):
+            if not _is_int_at_least(getattr(self, name), least):
+                raise ParameterError(
+                    f"{name} must be >= {least} (an integer), got {getattr(self, name)!r}")
         if self.activation not in ad.ACTIVATIONS:
             raise ParameterError(f"unknown activation {self.activation!r}")
         if self.bandwidth is not None and not self.bandwidth > 0:
             raise ParameterError("bandwidth must be positive when given")
-        if any(width < 1 for width in self.kernel_net_hidden):
-            raise ParameterError(
-                f"kernel network widths must be >= 1, got {tuple(self.kernel_net_hidden)}")
+        if not all(_is_int_at_least(width, 1) for width in self.kernel_net_hidden):
+            raise ParameterError("kernel network widths must be integers >= 1, "
+                                 f"got {tuple(self.kernel_net_hidden)}")
 
     @property
     def needs_graph(self) -> bool:
@@ -136,10 +143,6 @@ class ModelConfig:
 
 
 def make_config(kind: str, input_dim: int, **overrides) -> ModelConfig:
-    """Build a config, with the kind's default depth if ``num_layers`` is absent or None."""
-    check_kind(kind)
-    if overrides.get("num_layers") is None:
-        overrides["num_layers"] = _DEFAULT_LAYERS[kind]
     return ModelConfig(kind=kind, input_dim=input_dim, **overrides)
 
 

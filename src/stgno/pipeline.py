@@ -500,12 +500,11 @@ def numeric_array(value, ndim: int, integer: bool = False) -> np.ndarray | None:
         return None
     if arr.ndim != ndim or (arr.size and arr.dtype.kind not in ("iu" if integer else "iuf")):
         return None
-    if ((arr == 0) | (arr == 1)).any():  # numpy reads a bool among numbers as 1 or 0
-        flat = value
-        for _ in range(ndim - 1):
-            flat = itertools.chain.from_iterable(flat)
-        if bool in map(type, flat):
-            return None
+    flat = value  # numpy reads a bool among numbers as 1 or 0
+    for _ in range(ndim - 1):
+        flat = itertools.chain.from_iterable(flat)
+    if bool in set(map(type, flat)):  # hashing each type beats comparing it to bool
+        return None
     arr = arr.astype(np.int64 if integer else np.float64, copy=False)
     return arr if np.isfinite(arr).all() else None
 

@@ -633,7 +633,9 @@ BOTH = ("eval", "predict")
     # a bool among numbers, which numpy would read as 1.0
     ("params", "readout_w", [[True, 0.5, 0.5]] + [[0.5] * 3] * 3, BOTH),
     # a model of one class
-    ("config", "num_classes", 1, BOTH)])
+    ("config", "num_classes", 1, BOTH),
+    # a count that is not an integer, though its shapes would compare equal
+    ("config", "num_classes", 3.0, BOTH)])
 def test_malformed_checkpoint_is_one_data_error_line(graphpde_run, tmp_path, capsys,
                                                      block, key, value, commands):
     ckpt = _tampered_checkpoint(graphpde_run, tmp_path, block, key, value)

@@ -79,7 +79,9 @@ def test_unknown_kind_rejected():
     ({"num_classes": 1}, "num_classes must be >= 2"), ({"num_classes": 0}, "num_classes"),
     ({"num_classes": -1}, "num_classes"), ({"num_layers": 0}, "num_layers"),
     ({"activation": "gelu"}, "activation"), ({"kernel_net_hidden": (0,)}, "kernel network"),
-    ({"bandwidth": -1.0}, "bandwidth")])
+    ({"bandwidth": -1.0}, "bandwidth"), ({"num_classes": 3.0}, "num_classes"),
+    ({"hidden_dim": True}, "hidden_dim"), ({"hidden_dim": "16"}, "hidden_dim"),
+    ({"init_seed": -1}, "init_seed"), ({"kernel_net_hidden": (64.0,)}, "kernel network")])
 def test_invalid_config_cannot_be_built_or_replaced_into(change, match):
     with pytest.raises(ParameterError, match=match):
         make_config("graphpde", input_dim=4, **change)
@@ -91,6 +93,8 @@ def test_make_config_none_layers_is_the_kind_default():
     for kind, depth in models._DEFAULT_LAYERS.items():
         assert make_config(kind, input_dim=4, num_layers=None).num_layers == depth
         assert make_config(kind, input_dim=4).num_layers == depth
+        assert ModelConfig(kind=kind, input_dim=4).num_layers == depth
+        assert ModelConfig(kind=kind, input_dim=4, num_layers=None).num_layers == depth
 
 
 @pytest.mark.parametrize("widths", [(-1,), (0,), (8, 0)])
