@@ -282,6 +282,7 @@ def _train_config_from_args(args) -> TrainConfig:
 
 def _cmd_train(args, argv):
     check_kind(args.model)
+    tc = _train_config_from_args(args)
     train_graphs, holdout_graphs, manifest = pl.load_prepared(args.data)
     mc = _model_config_from_args(args, manifest, args.model, num_layers=args.layers,
                                  activation=args.activation)
@@ -314,7 +315,7 @@ def _cmd_train(args, argv):
               f"holdout macro-F1 {holdout_metrics.macro_f1:.4f}")
         started = time.monotonic()
 
-    run_experiment([mc], train_graphs, holdout_graphs, _train_config_from_args(args),
+    run_experiment([mc], train_graphs, holdout_graphs, tc,
                    epoch_hook=log_epoch, run_hook=finish_run)
     # selection by train macro-F1 (first run on ties) never looks at the holdout
     best_run = max(summary_runs, key=lambda run: run["train_macro_f1"])["run"]
@@ -356,9 +357,9 @@ def _cmd_report(args, argv):
         check_kind(kind)
         if kind in kinds[:i]:
             raise ParameterError(f"--models names {kind!r} more than once")
+    tc = _train_config_from_args(args)
     train_graphs, holdout_graphs, manifest = pl.load_prepared(args.data)
     configs = [_model_config_from_args(args, manifest, kind) for kind in kinds]
-    tc = _train_config_from_args(args)
     report, _trained = run_experiment(configs, train_graphs, holdout_graphs, tc,
                                       f1_flavor=args.f1)
     table = report.table()

@@ -14,13 +14,21 @@ from pathlib import Path
 from .errors import DataError
 
 
-def atomic_write_text(path: Path | str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    partial file."""
+@contextmanager
+def atomic_writer(path: Path | str):
+    """A binary file open at a sibling temp path, renamed over ``path``
+    when the block ends without error, so readers never see a partial
+    file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "wb") as fh:
+        yield fh
     os.replace(tmp, path)
+
+
+def atomic_write_text(path: Path | str, text: str) -> None:
+    with atomic_writer(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def dump_json(obj) -> str:

@@ -10,20 +10,21 @@ File contracts:
   least 2 coarse classes; coarse class order is defined by first
   appearance.
 * Prepared dataset (format version ``PREPARED_VERSION``): a directory
-  with ``manifest.json`` plus one ``<sample_id>.graph.json`` per sample
-  holding its id, positions, features and labels as nested numeric
-  arrays. No edges are stored: every graph is rebuilt on load from its
+  with ``manifest.json`` plus one uncompressed ``<sample_id>.npz`` per
+  sample holding ``sample_id`` (a 0-d string array), ``positions``
+  (n x 2 float64), ``features`` (n x genes float64) and ``labels`` (n
+  int64). No edges are stored: every graph is rebuilt on load from its
   positions and the manifest's ``radius``, which then owns them
   (``sample.graph.positions``). Directories written by an earlier format
-  version are refused; re-run ``stgno prepare``. Any other malformed
-  content (see :func:`load_prepared`) is a DataError naming the file and
-  the key.
+  version are refused; re-run ``stgno prepare``. A sample file that
+  cannot be read as an npz archive, or any other malformed content (see
+  :func:`load_prepared`), is a DataError naming the file and the key.
 * Preprocess block: the manifest's ``PREPROCESS_KEYS`` (gene names,
   radius, scaler, class names), which ``train`` copies into every
   checkpoint for ``predict`` to replay. :func:`check_preprocess` checks
   them in both files on load, and :func:`numeric_array` is the one check
-  of an array read back from JSON (sample files, checkpoint parameters,
-  scaler statistics).
+  of an array read back from JSON (checkpoint parameters, scaler
+  statistics).
 
 Every text file is read as UTF-8; an undecodable byte is a DataError
 naming the file.
@@ -42,6 +43,7 @@ import operator
 import re
 import sys
 import warnings
+import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -49,15 +51,20 @@ import numpy as np
 
 from .errors import ContractError, DataError, ParameterError
 from .geometry import RadiusGraph, build_radius_graph
-from .ioutil import atomic_write_text, dump_json, open_text, read_json, read_text
+from .ioutil import (atomic_write_text, atomic_writer, dump_json, open_text, read_json,
+                     read_text)
+from .models import _is_int_at_least
 
-PREPARED_VERSION = 2
+PREPARED_VERSION = 3
 # what predict replays of prepare; the manifest's are copied to each checkpoint
 PREPROCESS_KEYS = ("gene_names", "radius", "standardization", "class_names")
 EXPRESSION_MODES = ("informative", "noise_only")  # see generate_synthetic
 
 _REQUIRED_COLUMNS = ("sample_id", "x", "y", "label")
 _SAMPLE_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+# the arrays of a prepared sample file besides its id: key, dtype, ndim
+_SAMPLE_ARRAYS = (("features", np.float64, 2), ("positions", np.float64, 2),
+                  ("labels", np.int64, 1))
 
 
 @dataclass
@@ -142,13 +149,15 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.num_samples, self.spots_per_sample, self.num_genes,
-               self.region_seeds_per_class) < 1:
-            raise ParameterError("all synthetic counts must be positive")
-        if not 2 <= self.num_classes <= 26:
+        for name, least in (("num_samples", 1), ("spots_per_sample", 1), ("num_genes", 1),
+                            ("region_seeds_per_class", 1), ("seed", 0)):
+            if not _is_int_at_least(getattr(self, name), least):
+                raise ParameterError(
+                    f"{name} must be >= {least} (an integer), got {getattr(self, name)!r}")
+        if not (_is_int_at_least(self.num_classes, 2) and self.num_classes <= 26):
             raise ParameterError(
                 f"synthetic class count must be 2 to 26 (one letter each), "
-                f"got {self.num_classes}")
+                f"got {self.num_classes!r}")
         if self.expression_mode not in EXPRESSION_MODES:
             raise ParameterError(
                 f"expression_mode must be one of {', '.join(EXPRESSION_MODES)}, "
@@ -458,19 +467,10 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[SpotTable, LabelMap]:
 # prepared-dataset directory
 
 
-def _graph_sample_to_json(sample: GraphSample) -> dict:
-    return {
-        "sample_id": sample.sample_id,
-        "positions": sample.graph.positions.tolist(),
-        "features": sample.node_features.tolist(),
-        "labels": sample.labels.tolist(),
-    }
-
-
 def save_prepared(out_dir, train: list[GraphSample], holdout: list[GraphSample],
                   manifest: dict) -> None:
     """Every id is checked before the first write, so a refused dataset
-    leaves ``out_dir`` as it was."""
+    leaves ``out_dir`` as it was. The same samples give the same bytes."""
     samples = [*train, *holdout]
     for sample in samples:
         if not _SAMPLE_ID_RE.match(sample.sample_id):
@@ -479,8 +479,11 @@ def save_prepared(out_dir, train: list[GraphSample], holdout: list[GraphSample],
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for sample in samples:
-        atomic_write_text(out_dir / f"{sample.sample_id}.graph.json",
-                          dump_json(_graph_sample_to_json(sample)))
+        # np.savez dates every zip entry 1980-01-01, so no clock reaches the bytes
+        with atomic_writer(out_dir / f"{sample.sample_id}.npz") as fh:
+            np.savez(fh, sample_id=np.array(sample.sample_id),
+                     positions=sample.graph.positions, features=sample.node_features,
+                     labels=sample.labels)
     atomic_write_text(out_dir / "manifest.json",
                       dump_json({**manifest, "format_version": PREPARED_VERSION}))
 
@@ -489,23 +492,23 @@ def _is_name_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def numeric_array(value, ndim: int, integer: bool = False) -> np.ndarray | None:
-    """Nested JSON lists as a float64 array (int64 when ``integer``) of
-    exactly ``ndim`` dimensions and finite values, or None when they are
-    ragged or hold anything else: a string, a bool, a non-finite number
-    or, when ``integer``, a fraction."""
+def numeric_array(value, ndim: int) -> np.ndarray | None:
+    """Nested JSON lists (a checkpoint parameter or scaler statistic) as a
+    float64 array of exactly ``ndim`` dimensions and finite values, or None
+    when they are ragged or hold anything else: a string, a bool or a
+    non-finite number."""
     try:
         arr = np.array(value)
     except ValueError:  # ragged nesting
         return None
-    if arr.ndim != ndim or (arr.size and arr.dtype.kind not in ("iu" if integer else "iuf")):
+    if arr.ndim != ndim or (arr.size and arr.dtype.kind not in "iuf"):
         return None
     flat = value  # numpy reads a bool among numbers as 1 or 0
     for _ in range(ndim - 1):
         flat = itertools.chain.from_iterable(flat)
     if bool in set(map(type, flat)):  # hashing each type beats comparing it to bool
         return None
-    arr = arr.astype(np.int64 if integer else np.float64, copy=False)
+    arr = arr.astype(np.float64, copy=False)
     return arr if np.isfinite(arr).all() else None
 
 
@@ -528,6 +531,23 @@ def check_preprocess(block: dict, where, error) -> None:
         if arr is None or arr.shape != (num_genes,) or (key == "std" and not (arr > 0).all()):
             raise error(f"{where('standardization.' + key)} must hold {num_genes} finite "
                         f"numbers{' > 0' if key == 'std' else ''}, one per gene")
+
+
+def _read_npz(path) -> dict[str, np.ndarray]:
+    """Every array of the npz archive at ``path`` by key. A missing file is
+    an OSError; any other file that does not read as a zip archive of plain
+    arrays (empty, truncated, a single array, text, object data) is a
+    DataError naming it."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":  # what np.load takes for a zip; else npy or pickle
+            raise DataError(f"{path}: not an .npz archive")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                # a member not named *.npy reads as bytes
+                return {key: np.asarray(archive[key]) for key in archive.files}
+        except (ValueError, zipfile.BadZipFile) as exc:
+            raise DataError(f"{path}: not a readable .npz archive ({exc})") from None
 
 
 def load_prepared(data_dir):
@@ -561,24 +581,25 @@ def load_prepared(data_dir):
     num_genes, num_classes = len(manifest["gene_names"]), len(manifest["class_names"])
 
     def read_sample(sid) -> GraphSample:
-        path = data_dir / f"{sid}.graph.json"
-        doc = read_json(path)
-        if not isinstance(doc, dict):
-            raise DataError(f"{path}: must hold a JSON object")
+        path = data_dir / f"{sid}.npz"
+        arrays = _read_npz(path)
         for key in ("sample_id", "positions", "features", "labels"):
-            if key not in doc:
+            if key not in arrays:
                 raise DataError(f"{path}: no {key!r}; re-run stgno prepare")
-        if doc["sample_id"] != sid:
-            raise DataError(f"{path}: 'sample_id' is {doc['sample_id']!r}, the "
+        stored_id = arrays["sample_id"]
+        if not (stored_id.dtype.kind == "U" and stored_id.shape == ()
+                and stored_id.item() == sid):
+            raise DataError(f"{path}: 'sample_id' is {stored_id.tolist()!r}, the "
                             f"manifest's split names {sid!r}")
-        arrays = []
-        for key, ndim in (("features", 2), ("positions", 2), ("labels", 1)):
-            arr = numeric_array(doc[key], ndim, integer=key == "labels")
-            if arr is None:
+        for key, dtype, ndim in _SAMPLE_ARRAYS:
+            arr = arrays[key]
+            if arr.dtype != dtype:
+                raise DataError(f"{path}: {key!r} must be {np.dtype(dtype)}, "
+                                f"got {arr.dtype}")
+            if arr.ndim != ndim or not np.isfinite(arr).all():
                 raise DataError(f"{path}: {key!r} must be a {ndim}-D array of finite "
                                 f"{'integers' if key == 'labels' else 'numbers'}")
-            arrays.append(arr)
-        features, positions, labels = arrays
+        features, positions, labels = (arrays[key] for key, _, _ in _SAMPLE_ARRAYS)
         n, width = features.shape
         if width != num_genes:
             raise DataError(f"{path}: 'features' has {width} columns, the manifest "
@@ -591,7 +612,7 @@ def load_prepared(data_dir):
         if n and not 0 <= labels.min() <= labels.max() < num_classes:
             raise DataError(f"{path}: 'labels' must lie in [0, {num_classes}) for "
                             f"{num_classes} classes, got {labels.min()}..{labels.max()}")
-        return graph_sample(doc["sample_id"], features, positions, labels, radius)
+        return graph_sample(sid, features, positions, labels, radius)
 
     return ([read_sample(sid) for sid in split["train"]],
             [read_sample(sid) for sid in split["holdout"]], manifest)

@@ -12,7 +12,7 @@ from .autodiff import Parameter, Tape
 from .errors import (CheckpointError, ContractError, DataError,
                      DivergenceError, ParameterError)
 from .ioutil import atomic_write_text, dump_json, read_json
-from .models import (DISPLAY_NAMES, ModelConfig, Params, init_params,
+from .models import (DISPLAY_NAMES, ModelConfig, Params, _is_int_at_least, init_params,
                      model_forward, parameter_shapes)
 from .pipeline import GraphSample, check_preprocess, numeric_array
 
@@ -31,10 +31,13 @@ class TrainConfig:
     class_weighting: bool = True
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.num_runs < 1:
-            raise ParameterError("epochs and num_runs must be >= 1")
-        if not self.learning_rate > 0:
-            raise ParameterError("learning_rate must be positive")
+        for name, least in (("epochs", 1), ("num_runs", 1), ("seed", 0)):
+            if not _is_int_at_least(getattr(self, name), least):
+                raise ParameterError(
+                    f"{name} must be >= {least} (an integer), got {getattr(self, name)!r}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
+            raise ParameterError(f"learning_rate must be positive and finite, got {lr!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ParameterError(f"unknown optimizer {self.optimizer!r}")
 

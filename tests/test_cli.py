@@ -136,11 +136,20 @@ def test_refused_prepare_leaves_an_existing_dataset_unchanged(synth_dir, prepare
 
 def test_prepare_writes_positions_not_edges(prepared_dir):
     manifest = json.loads((prepared_dir / "manifest.json").read_text())
-    assert manifest["format_version"] == PREPARED_VERSION
+    assert manifest["format_version"] == PREPARED_VERSION == 3
     ids = [*manifest["split"]["train"], *manifest["split"]["holdout"]]
+    assert sorted(p.name for p in prepared_dir.iterdir()) == sorted(
+        ["manifest.json", *(f"{sid}.npz" for sid in ids)])
     for sid in ids:
-        doc = json.loads((prepared_dir / f"{sid}.graph.json").read_text())
+        with np.load(prepared_dir / f"{sid}.npz", allow_pickle=False) as npz:
+            doc = {key: npz[key] for key in npz.files}
         assert set(doc) == {"sample_id", "positions", "features", "labels"}
+        assert doc["sample_id"].shape == () and doc["sample_id"].item() == sid
+        n = len(doc["labels"])
+        for key, dtype, shape in (("positions", np.float64, (n, 2)),
+                                  ("features", np.float64, (n, 8)),
+                                  ("labels", np.int64, (n,))):
+            assert doc[key].dtype == dtype and doc[key].shape == shape, key
 
 
 def test_prepare_defaults_match_documented_values():
@@ -276,6 +285,18 @@ def test_train_nonpositive_kernel_width_is_usage_error(prepared_dir, tmp_path,
     assert "kernel network widths" in err
 
 
+@pytest.mark.parametrize("command", ["train", "report"])
+def test_infinite_learning_rate_is_one_usage_line(prepared_dir, tmp_path, capsys, command):
+    kinds = ("--model", "lr") if command == "train" else ("--models", "lr")
+    capsys.readouterr()
+    assert run_cli(command, "--data", str(prepared_dir), *kinds, "--epochs", "1",
+                   "--runs", "1", "--lr", "inf", "--out", str(tmp_path / "x")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:usage:") and err.count("\n") == 1, err
+    assert "learning_rate" in err, err
+    assert not (tmp_path / "x").exists()
+
+
 def test_eval_deterministic_bytes(prepared_dir, trained_dir, capsys):
     args = ("eval", "--data", str(prepared_dir),
             "--checkpoint", str(trained_dir / "best.ckpt.json"))
@@ -397,7 +418,7 @@ def test_predict_runs_on_non_recording_tapes(synth_dir, trained_dir, tmp_path,
     assert all(not tape.recording and len(tape) == 0 for tape in tapes)
 
 
-@pytest.mark.parametrize("version", [1, None])
+@pytest.mark.parametrize("version", [1, 2, None])
 def test_old_prepared_format_is_data_error(prepared_dir, trained_dir, tmp_path,
                                            capsys, version):
     old = tmp_path / "old"
@@ -720,10 +741,24 @@ def _break_manifest(prep, edit):
 
 
 def _break_sample(prep, edit):
-    path = prep / f"{_train_id(prep)}.graph.json"
-    doc = json.loads(path.read_text())
+    path = prep / f"{_train_id(prep)}.npz"
+    with np.load(path, allow_pickle=False) as npz:
+        doc = {key: npz[key] for key in npz.files}
     edit(doc)
-    path.write_text(json.dumps(doc))
+    with open(path, "wb") as fh:
+        np.savez(fh, **doc)
+
+
+def _write_npy(path, arr):
+    with open(path, "wb") as fh:  # np.save would append ".npy" to a path
+        np.save(fh, arr)
+
+
+def _set_entry(doc, key, index, value, dtype=None):
+    """``doc[key]`` with entry ``index`` set to ``value``, as ``dtype``."""
+    arr = doc[key].astype(dtype or doc[key].dtype)
+    arr[index] = value
+    doc[key] = arr
 
 
 @pytest.mark.parametrize("case,file,key", [
@@ -737,23 +772,31 @@ def _break_sample(prep, edit):
     ("gene_names not a list", "manifest.json", "gene_names"),
     ("one class name", "manifest.json", "class_names"),
     ("sample id not its split id", "sample", "sample_id"),
+    ("sample id not a string", "sample", "sample_id"),
     ("sample without features", "sample", "features"),
     ("non-numeric feature", "sample", "features"),
+    ("features float32", "sample", "features"),
     ("feature width off", "sample", "features"),
+    ("features 1-D", "sample", "features"),
     ("non-finite position", "sample", "positions"),
     ("positions short", "sample", "positions"),
     ("label out of range", "sample", "labels"),
     ("label not an integer", "sample", "labels"),
     ("bool among features", "sample", "features"),
     ("bool among labels", "sample", "labels"),
-    ("sample a JSON list", "sample", None),
+    ("sample not npz", "sample", None),
+    ("sample file empty", "sample", None),
+    ("sample file truncated", "sample", None),
+    ("sample a plain npy", "sample", None),
+    ("sample holds an object array", "sample", None),
+    ("sample file missing", "sample", None),
     ("scaler mean short", "manifest.json", "standardization.mean")])
 def test_malformed_prepared_dataset_is_one_data_error_line(graphpde_run, tmp_path,
                                                            capsys, case, file, key):
     prep = tmp_path / "prep"
     shutil.copytree(graphpde_run / "prep", prep)
-    sample = prep / f"{_train_id(prep)}.graph.json"
-    drop_column = lambda d: d.update(features=[row[:-1] for row in d["features"]])
+    sample = prep / f"{_train_id(prep)}.npz"
+    drop_column = lambda d: d.update(features=d["features"][:, :-1])
     edits = {
         "manifest not JSON": lambda: (prep / "manifest.json").write_text("{not json"),
         "manifest a JSON list": lambda: (prep / "manifest.json").write_text("[]"),
@@ -770,23 +813,37 @@ def test_malformed_prepared_dataset_is_one_data_error_line(graphpde_run, tmp_pat
         "one class name": lambda: _break_manifest(
             prep, lambda m: m.update(class_names=["region_a"])),
         "sample id not its split id": lambda: _break_sample(
-            prep, lambda d: d.update(sample_id="zzz")),
+            prep, lambda d: d.update(sample_id=np.array("zzz"))),
+        "sample id not a string": lambda: _break_sample(
+            prep, lambda d: d.update(sample_id=np.array([d["sample_id"].item()]))),
         "sample without features": lambda: _break_sample(prep, lambda d: d.pop("features")),
         "non-numeric feature": lambda: _break_sample(
-            prep, lambda d: d["features"][0].__setitem__(0, "x")),
+            prep, lambda d: _set_entry(d, "features", (0, 0), "x", str)),
+        "features float32": lambda: _break_sample(
+            prep, lambda d: d.update(features=d["features"].astype(np.float32))),
         "feature width off": lambda: _break_sample(prep, drop_column),
+        "features 1-D": lambda: _break_sample(
+            prep, lambda d: d.update(features=d["features"].ravel())),
         "non-finite position": lambda: _break_sample(
-            prep, lambda d: d["positions"][0].__setitem__(0, float("nan"))),
-        "positions short": lambda: _break_sample(prep, lambda d: d["positions"].pop()),
+            prep, lambda d: _set_entry(d, "positions", (0, 0), float("nan"))),
+        "positions short": lambda: _break_sample(
+            prep, lambda d: d.update(positions=d["positions"][:-1])),
         "label out of range": lambda: _break_sample(
-            prep, lambda d: d["labels"].__setitem__(0, 7)),
+            prep, lambda d: _set_entry(d, "labels", 0, 7)),
         "label not an integer": lambda: _break_sample(
-            prep, lambda d: d["labels"].__setitem__(0, 0.5)),
+            prep, lambda d: _set_entry(d, "labels", 0, 0.5, np.float64)),
         "bool among features": lambda: _break_sample(
-            prep, lambda d: d["features"][0].__setitem__(0, True)),
+            prep, lambda d: _set_entry(d, "features", (0, 0), True, bool)),
         "bool among labels": lambda: _break_sample(
-            prep, lambda d: d["labels"].__setitem__(0, True)),
-        "sample a JSON list": lambda: sample.write_text("[]"),
+            prep, lambda d: _set_entry(d, "labels", 0, True, bool)),
+        "sample not npz": lambda: sample.write_text("[]"),
+        "sample file empty": lambda: sample.write_bytes(b""),
+        "sample file truncated": lambda: sample.write_bytes(
+            sample.read_bytes()[:sample.stat().st_size // 2]),
+        "sample a plain npy": lambda: _write_npy(sample, np.zeros((3, 8))),
+        "sample holds an object array": lambda: _break_sample(
+            prep, lambda d: d.update(features=np.array([[1.0, "x", None]], dtype=object))),
+        "sample file missing": sample.unlink,
         "scaler mean short": lambda: _break_manifest(
             prep, lambda m: m.update(standardization={"mean": [0.0] * 7,
                                                       "std": [1.0] * 8})),

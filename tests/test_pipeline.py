@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import re
+import time
 
 import numpy as np
 import pytest
@@ -431,7 +432,9 @@ def test_synthetic_config_validation():
     for change in ({"expression_mode": "nope"}, {"num_samples": 0},
                    {"noise_scale": float("nan")}, {"noise_scale": float("inf")},
                    {"noise_scale": -0.5}, {"class_separation": float("nan")},
-                   {"class_separation": float("-inf")}):
+                   {"class_separation": float("-inf")}, {"num_samples": 2.5},
+                   {"spots_per_sample": True}, {"num_classes": 3.0}, {"seed": -1},
+                   {"seed": 1.5}, {"num_genes": "8"}, {"region_seeds_per_class": None}):
         with pytest.raises(ParameterError):
             SyntheticConfig(**change)
         # replace builds a new config, so it checks too
@@ -571,6 +574,25 @@ def test_prepared_dataset_bytes_deterministic(tmp_path):
     for name in files:
         assert (tmp_path / "one" / name).read_bytes() == \
             (tmp_path / "two" / name).read_bytes()
+
+
+def test_save_prepared_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    # zip members may carry a write time: a day later, the same samples
+    # must still give the same bytes
+    _table, split, train, hold, _ = prepared_pair()
+    manifest = {"split": {"train": list(split.train_sample_ids),
+                          "holdout": list(split.holdout_sample_ids)}}
+    save_prepared(tmp_path / "now", train, hold, manifest)
+    later = time.time() + 86400.0
+    monkeypatch.setattr(time, "time", lambda: later)
+    save_prepared(tmp_path / "later", train, hold, manifest)
+    names = sorted(p.name for p in (tmp_path / "now").iterdir())
+    assert names == sorted(["manifest.json", *(f"{sid}.npz" for sid in
+                                               [*split.train_sample_ids,
+                                                *split.holdout_sample_ids])])
+    for name in names:
+        assert (tmp_path / "now" / name).read_bytes() == \
+            (tmp_path / "later" / name).read_bytes(), name
 
 
 @given(st.integers(0, 10 ** 6))

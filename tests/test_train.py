@@ -427,7 +427,10 @@ def test_weighted_f1_report_reads_the_weighted_field():
 
 @pytest.mark.parametrize("change", [{"epochs": 0}, {"num_runs": 0}, {"learning_rate": 0.0},
                                     {"learning_rate": float("nan")},
-                                    {"optimizer": "rmsprop"}])
+                                    {"optimizer": "rmsprop"}, {"epochs": 2.5},
+                                    {"num_runs": 1.0}, {"epochs": True}, {"seed": -1},
+                                    {"seed": 1.5}, {"learning_rate": float("inf")},
+                                    {"learning_rate": True}, {"learning_rate": "0.1"}])
 def test_train_config_checked_when_built_and_replaced(change):
     with pytest.raises(ParameterError):
         TrainConfig(**change)
