@@ -19,9 +19,15 @@ theirs.
 kernel network: ``act(x W + b)`` in one output buffer and one tape entry,
 with the bits of the unfused ``matmul`` -> ``add_row_broadcast`` ->
 ``relu`` / ``tanh`` chain. :func:`kernel_message_mean` runs the kernel
-network's hidden layers the same way, but one degree block of slots at a
-time inside its own forward and backward passes, recomputing them and
-the block's contraction in the backward instead of keeping them.
+network's hidden layers with the same bits, but one degree block of slots
+at a time inside its own forward and backward passes, recomputing them
+and the block's contraction in the backward instead of keeping them.
+There every row carries a trailing ones column, so each hidden layer is
+one product with [[W, 0], [b, 1]] and the contraction yields the
+neighbour sums with it; the bias gradients come out of the same
+products as the weight gradients. Each forward and each backward call
+works in views of one workspace of its own, sized to the largest block,
+so no array spans every slot.
 :func:`mix_rows` is the row mixing of the other graph models, on the
 same degree-blocked neighbour layout, so every model uses one sparse
 neighbour representation; :func:`coo_matmul` over an edge list remains
@@ -364,18 +370,26 @@ def edge_matvec(tape: Tape, mats: Value, vecs: Value) -> Value:
     return out
 
 
-def _kernel_chain(x: np.ndarray, layers, activation: str | None) -> list[np.ndarray]:
-    """The hidden kernel layers on one block's attribute rows, each
-    act(x W + b) in one buffer as in :func:`dense`: the input, then every
-    layer's output."""
-    chain = [x]
-    for w, b in layers:
-        y = chain[-1] @ w
-        y += b
+def _kernel_chain(x: np.ndarray, layers, activation: str | None,
+                  buffers) -> list[np.ndarray]:
+    """The hidden kernel layers on one block's attribute rows, each row
+    carrying a trailing ones column: the input, then every layer's output,
+    as views of ``buffers`` (the first with its ones column set). Each layer
+    is one product with [[W_j, 0], [b_j, 1]], so the bias is the last term
+    of every sum, as in :func:`dense`'s x W then += b, and the ones column
+    comes through. The activation runs on the whole contiguous buffer
+    (faster than on a strided view); relu keeps the ones, and tanh's are
+    written back."""
+    rows = x.shape[0]
+    chain = [buffers[0][:rows]]
+    chain[0][:, :-1] = x
+    for layer, buf in zip(layers, buffers[1:]):
+        y = np.matmul(chain[-1], layer, out=buf[:rows])
         if activation == "relu":
             np.maximum(y, 0.0, out=y)
         else:
             np.tanh(y, out=y)
+            y[:, -1] = 1.0
         chain.append(y)
     return chain
 
@@ -398,21 +412,34 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     ``weight`` is k x h^2, ``bias`` 1 x h^2 and ``v`` n x h. The last
     kernel layer is linear, so the mean reorders exactly into
 
-        S_x   = sum_s z_(x,s) outer v_nbr(x,s)         (k x h per node)
+        S'_x  = sum_s [z_(x,s), 1] outer v_nbr(x,s)    ((k+1) x h per node)
         out_x = (vec(S_x) W~ + (sum_s v_nbr(x,s)) B^T) / deg(x)
 
     with W~[c*h + j, i] = W[c, i*h + j] and B[i, j] = b[i*h + j]: per-slot
-    work is k*h multiply-adds instead of k*h^2. z, S, the neighbour sums
-    and the output rows are computed one degree block at a time, each
-    block padded only to its own width, and a block's S is dropped once
-    its output rows are made. Only the n x h neighbour sums are kept, in
-    block order; the output is put back in node order at the end. The
-    backward pass recomputes each block's z chain and S instead of keeping
-    them, so no array holds a row per slot of the whole layout (except the
-    gradient of a non-:class:`Constant` ``attr``) or k*h numbers per node.
-    The same code runs on recording and non-recording tapes. Pad slots
-    take a zero v row, so they add nothing and get a zero gradient. Nodes
-    without in-edges get a zero row.
+    work is k*h multiply-adds instead of k*h^2. Every block's attribute
+    rows and hidden activations carry a trailing ones column, so each
+    hidden layer is one product with [[W_j, 0], [b_j, 1]], and the last h
+    columns of S' are the neighbour sums; the output is still the two
+    products above, S_x being the first k*h columns of S'. In the backward
+    pass the ones column gives the bias rows of the same products: the
+    last rows of S'^T g and of each hidden layer's [z, 1]^T dz are the
+    bias gradients, and the gradient with respect to S' carries g B in its
+    last h columns. z, S' and the output rows are computed one degree
+    block at a time, each block padded only to its own width, in views of
+    one workspace that each forward call and each backward call allocates
+    for its own use, sized to the largest block; the output is put back
+    in node order at the end. The backward pass recomputes each block's z
+    chain and S' instead of keeping them, so no array holds a row per slot
+    of the whole layout (except the gradient of a non-:class:`Constant`
+    ``attr``) or k*h numbers per node. The same code runs on recording and
+    non-recording tapes. Pad slots take a zero v row, so they add nothing
+    and get a zero gradient. Nodes without in-edges get a zero row.
+
+    The output has the bits of running the hidden layers as :func:`dense`
+    over all slots first, and those of a single padded block when every
+    block holds at least two nodes; a one-node block's output product is a
+    matrix-vector product, which the BLAS sums in another order. Gradients
+    match both up to their last bits.
     """
     n, (rows, width), h = layout.num_nodes, attr.data.shape, v.data.shape[1]
     if v.data.shape[0] != n or rows != layout.num_slots:
@@ -422,19 +449,21 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     hidden_layers = tuple(hidden_layers)
     if hidden_layers and activation not in ACTIVATIONS:
         raise ContractError(f"unknown activation {activation!r}")
-    k = width
+    widths = [width]
     for j, (w_j, b_j) in enumerate(hidden_layers):
         cols = w_j.data.shape[1]
-        if w_j.data.shape[0] != k or b_j.data.shape != (1, cols):
+        if w_j.data.shape[0] != widths[-1] or b_j.data.shape != (1, cols):
             raise DimensionError(
-                f"kernel layer {j} weight/bias must be {k}x{cols} and 1x{cols}, "
-                f"got {w_j.data.shape} and {b_j.data.shape}")
-        k = cols
+                f"kernel layer {j} weight/bias must be {widths[-1]}x{cols} and "
+                f"1x{cols}, got {w_j.data.shape} and {b_j.data.shape}")
+        widths.append(cols)
+    k = widths[-1]
     if weight.data.shape != (k, h * h) or bias.data.shape != (1, h * h):
         raise DimensionError(
             f"kernel weight/bias must be {k}x{h * h} and 1x{h * h}, got "
             f"{weight.data.shape} and {bias.data.shape}")
-    layers = [(w_j.data, b_j.data) for w_j, b_j in hidden_layers]
+    layers = [np.block([[w_j.data, np.zeros((w_j.data.shape[0], 1))],
+                        [b_j.data, np.ones((1, 1))]]) for w_j, b_j in hidden_layers]
     # per block: its rows of the block-ordered node arrays, its slot rows
     # and its slots' neighbour ids; pad slots point one past the last node,
     # at an appended zero row
@@ -442,29 +471,42 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     blocks = [(slice(blk.lo, blk.hi), slice(blk.start, blk.stop),
                layout.neighbours[blk.start:blk.stop], blk.size, blk.width)
               for blk in layout.blocks if blk.width]
-    w_t = weight.data.reshape(k, h, h).transpose(0, 2, 1).reshape(k * h, h)
-    b_mat = bias.data.reshape(h, h)
+    max_slots = max((b * w for *_, b, w in blocks), default=0)
+    max_nodes = max((b for *_, b, _w in blocks), default=0)
+    # [W~; B^T]: (k+1)*h x h
+    w_t = np.concatenate([weight.data.reshape(k, h, h).transpose(0, 2, 1)
+                          .reshape(k * h, h), bias.data.reshape(h, h).T])
     inv = layout.inv_degree[layout.order, None]
 
-    def gather(nbrs, b, w, z):
-        """A block's neighbour rows, b x w x h, and its S rows, b x k*h."""
-        vb = v_pad[nbrs].reshape(b, w, h)
-        return vb, np.matmul(z.reshape(b, w, k).transpose(0, 2, 1), vb).reshape(b, k * h)
+    def workspace():
+        """One call's buffers, sized to the largest block: the z chain with
+        its ones columns (the products write those of the hidden layers),
+        the gathered neighbour rows and the S' rows."""
+        chain_bufs = [np.empty((max_slots, cols + 1)) for cols in widths]
+        chain_bufs[0][:, -1] = 1.0
+        return chain_bufs, np.empty((max_slots, h)), np.empty((max_nodes, k + 1, h))
+
+    def block(rows_of, nbrs, b, w, work):
+        """A block's z chain, its neighbour rows (b x w x h) and its S'
+        rows (b x (k+1)*h), in views of ``work``."""
+        chain_bufs, vb_buf, s_buf = work
+        chain = _kernel_chain(attr.data[rows_of], layers, activation, chain_bufs)
+        # indices are in range; "clip" lets take write into ``out`` unbuffered
+        vb = np.take(v_pad, nbrs, axis=0, out=vb_buf[:b * w],
+                     mode="clip").reshape(b, w, h)
+        s = np.matmul(chain[-1].reshape(b, w, k + 1).transpose(0, 2, 1), vb,
+                      out=s_buf[:b])
+        return chain, vb, s.reshape(b, (k + 1) * h)
 
     # rows in block order (of ``layout.order``) until the output goes back
     # to node order
-    vsum, rows_out = np.zeros((n, h)), np.zeros((n, h))
-
-    def block_rows(nodes, rows_of, nbrs, b, w):
-        # a block's z, neighbour rows and S are freed on return, before
-        # the next block allocates its own
-        vb, s = gather(nbrs, b, w, _kernel_chain(attr.data[rows_of], layers,
-                                                  activation)[-1])
-        vb.sum(axis=1, out=vsum[nodes])
-        rows_out[nodes] = inv[nodes] * (s @ w_t + vsum[nodes] @ b_mat.T)
-
-    for block in blocks:
-        block_rows(*block)
+    rows_out = np.zeros((n, h))
+    work = workspace()
+    for nodes, rows_of, nbrs, b, w in blocks:
+        _chain, _vb, s = block(rows_of, nbrs, b, w, work)
+        rows_out[nodes] = inv[nodes] * (s[:, :k * h] @ w_t[:k * h]
+                                        + s[:, k * h:] @ w_t[k * h:])
+    del work
     y = np.empty((n, h))
     y[layout.order] = rows_out
     out = Value(y)
@@ -472,49 +514,56 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     def bwd():
         g = out.grad[layout.order]
         g *= inv
-        _accumulate(bias, (g.T @ vsum).reshape(1, h * h))
         want_attr = not isinstance(attr, Constant)
         # every slot row lies in exactly one block of nonzero width
         d_attr = np.empty((rows, width)) if want_attr else None
-        d_layers = [(np.zeros_like(w_j), np.zeros_like(b_j)) for w_j, b_j in layers]
-        d_weight = np.zeros((k * h, h))
+        # per hidden layer, the gradient of [[W_j, 0], [b_j, 1]]; and of
+        # [W~; B^T]
+        d_layers = [np.zeros_like(layer) for layer in layers]
+        d_weight = np.zeros(((k + 1) * h, h))
         # pad rows land in the extra bucket n, which is dropped
         dv = np.zeros((n + 1) * h)
         cols = np.arange(h)
-        # column sums as a product with ones: under half the time of sum(axis=0)
-        ones = np.ones(max((b * w for *_, b, w in blocks), default=0))
+        work = workspace()
+        ds_buf, dvb_buf = np.empty((max_nodes, (k + 1) * h)), np.empty((max_slots, h))
+        # the gradient of each hidden activation, its ones column included:
+        # a finite value that only feeds entries which are dropped
+        dz_bufs = [np.empty((max_slots, cols_j + 1)) for cols_j in widths[1:]]
         for nodes, rows_of, nbrs, b, w in blocks:
-            chain = _kernel_chain(attr.data[rows_of], layers, activation)
-            vb, s = gather(nbrs, b, w, chain[-1])
+            chain, vb, s = block(rows_of, nbrs, b, w, work)
             g_b = g[nodes]
             d_weight += s.T @ g_b
-            ds = (g_b @ w_t.T).reshape(b, k, h)
-            dvb = np.matmul(chain[-1].reshape(b, w, k), ds)
-            dvb += (g_b @ b_mat)[:, None, :]
+            ds = np.matmul(g_b, w_t.T, out=ds_buf[:b]).reshape(b, k + 1, h)
+            dvb = np.matmul(chain[-1].reshape(b, w, k + 1), ds,
+                            out=dvb_buf[:b * w].reshape(b, w, h))
             scattered = np.bincount((nbrs[:, None] * h + cols).ravel(),
                                     weights=dvb.ravel())
             dv[:scattered.size] += scattered
-            if not (layers or want_attr):
+            if not layers:
+                if want_attr:
+                    np.matmul(vb, ds[:, :k].transpose(0, 2, 1),
+                              out=d_attr[rows_of].reshape(b, w, k))
                 continue
-            dz = np.matmul(vb, ds.transpose(0, 2, 1)).reshape(b * w, k)
+            dz = np.matmul(vb, ds.transpose(0, 2, 1),
+                           out=dz_bufs[-1][:b * w].reshape(b, w, k + 1))
+            dz = dz.reshape(b * w, k + 1)
             for j in reversed(range(len(layers))):
                 y_j = chain[j + 1]
                 if activation == "relu":
                     dz *= y_j > 0.0
                 else:
                     dz *= 1.0 - y_j * y_j
-                d_w, d_b = d_layers[j]
-                d_w += chain[j].T @ dz
-                d_b += ones[:b * w] @ dz
-                if j or want_attr:
-                    dz = dz @ layers[j][0].T
-            if want_attr:
-                d_attr[rows_of] = dz
-        _accumulate(weight, d_weight.reshape(k, h, h).transpose(0, 2, 1)
-                    .reshape(k, h * h))
-        for (w_j, b_j), (d_w, d_b) in zip(hidden_layers, d_layers):
-            _accumulate(w_j, d_w)
-            _accumulate(b_j, d_b)
+                d_layers[j] += chain[j].T @ dz
+                if j:
+                    dz = np.matmul(dz, layers[j].T, out=dz_bufs[j - 1][:b * w])
+                elif want_attr:
+                    np.matmul(dz, layers[0][:-1].T, out=d_attr[rows_of])
+        d_weight = d_weight.reshape(k + 1, h, h).transpose(0, 2, 1).reshape(k + 1, h * h)
+        _accumulate(weight, d_weight[:k])
+        _accumulate(bias, d_weight[k:])
+        for (w_j, b_j), d_layer in zip(hidden_layers, d_layers):
+            _accumulate(w_j, d_layer[:-1, :-1].copy())
+            _accumulate(b_j, d_layer[-1:, :-1].copy())
         if want_attr:
             _accumulate(attr, d_attr)
         _accumulate(v, dv.reshape(n + 1, h)[:n])

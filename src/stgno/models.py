@@ -41,7 +41,15 @@ layout and reads the radius-scaled edge attributes of its slots from
 ``RadiusGraph.slot_attr`` (only graphpde builds them). It evaluates the
 hidden kernel layers (:func:`kernel_net_forward` names their parameters) one
 degree block at a time and recomputes them in the backward pass, so no
-per-slot array of the whole layout is kept or built. Every other
+per-slot array of the whole layout is kept or built. Each block's
+attribute rows and hidden activations carry a trailing ones column:
+a hidden layer is one product with [[W, 0], [b, 1]], the contraction
+with the neighbour states gives the neighbour sums in its last h
+columns, and the output is still the two products W~2 . S + B2 . sum.
+Each forward and each backward call of the op works in one workspace of
+its own, sized to the largest block. The logits keep the bits of x W
+then + b; gradients move in their last bits, because the bias terms are
+summed per block. Every other
 linear+activation pair of every kind is a single fused :func:`ad.dense`
 tape entry; the constant edge attributes and node features get no
 gradient.
