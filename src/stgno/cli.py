@@ -16,6 +16,7 @@ import math
 import shlex
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,7 +289,7 @@ def _cmd_train(args, argv):
                                  activation=args.activation)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    preprocess = {key: manifest.get(key) for key in pl.PREPROCESS_KEYS}
+    preprocess = {key: manifest[key] for key in pl.PREPROCESS_KEYS}
     log_lines: list[str] = []
     summary_runs: list[dict] = []
     started = time.monotonic()
@@ -330,20 +331,13 @@ def _cmd_train(args, argv):
 def _cmd_eval(args, argv):
     _train_graphs, holdout_graphs, manifest = pl.load_prepared(args.data)
     params, config, pre = load_checkpoint(args.checkpoint)
-    input_dim = len(manifest["gene_names"])
-    if config.input_dim != input_dim:
-        raise ContractError(
-            f"checkpoint expects {config.input_dim} features, dataset has {input_dim}")
-    num_classes = len(manifest["class_names"])
-    if config.num_classes != num_classes:
-        raise ContractError(
-            f"checkpoint predicts {config.num_classes} classes, dataset has {num_classes}")
-    # equal widths are not enough: the features must be the same genes in
-    # the same order, and class i must name the same class
-    for key in ("gene_names", "class_names"):
-        if key in pre and pre[key] != manifest[key]:
-            raise ContractError(f"{args.checkpoint}: preprocess.{key} differs from "
-                                f"the {key} of the dataset in {args.data}")
+    # the checkpoint's widths are its name counts: the features must be the
+    # same genes in the same order, and class i must name the same class
+    for key, noun in (("gene_names", "genes"), ("class_names", "classes")):
+        if pre[key] != manifest[key]:
+            raise ContractError(
+                f"{args.checkpoint}: preprocess.{key} ({len(pre[key])} {noun}) differs from "
+                f"the {key} of the dataset in {args.data} ({len(manifest[key])} {noun})")
     metrics = evaluate(params, config, holdout_graphs)
     print(dump_json(metrics.to_json_dict()), end="")
     return 0
@@ -375,16 +369,13 @@ def _cmd_report(args, argv):
 
 def _cmd_predict(args, argv):
     params, config, pre = load_checkpoint(args.checkpoint)
-    gene_names, radius = pre.get("gene_names"), pre.get("radius")
-    if gene_names is None or radius is None:
-        raise CheckpointError(f"{args.checkpoint}: checkpoint has no preprocess "
-                              "block; re-train with this version")
-    class_names = pre.get("class_names", [str(i) for i in range(config.num_classes)])
-    table = pl.filter_genes(pl.load_spot_table(args.spots, gene_names), gene_names)
-    if table.gene_names != gene_names:
-        raise DataError("spot file does not provide every gene the model needs")
-    features = table.expression
-    scaler = pre.get("standardization")
+    gene_names, class_names = pre["gene_names"], pre["class_names"]
+    table = pl.load_spot_table(args.spots, gene_names)
+    missing = sorted(set(gene_names) - set(table.gene_names))
+    if missing:
+        raise DataError(f"{args.spots}: no column for the checkpoint's gene(s) {missing}")
+    table = pl.filter_genes(table, gene_names)
+    features, scaler = table.expression, pre["standardization"]
     if scaler is not None:
         features = (features - np.asarray(scaler["mean"])) / np.asarray(scaler["std"])
 
@@ -398,7 +389,7 @@ def _cmd_predict(args, argv):
     for sid in table.sample_order():
         rows = table.rows_for(sid)
         sample = pl.graph_sample(sid, features[rows], table.positions[rows],
-                                 np.zeros(rows.size, dtype=np.int64), radius)
+                                 np.zeros(rows.size, dtype=np.int64), pre["radius"])
         logits = tr.forward_sample(tr.Tape(record=False), config, params, sample)
         preds = logits.data.argmax(axis=1)
         writer.writerows([sid, repr(float(table.positions[row, 0])),
@@ -461,30 +452,31 @@ def _config_value(action, key: str, value):
     return converted
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    """A library warning that the filters let through, as one stderr line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, _subparsers = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        args = _apply_config_file(argv, args)
-        return _COMMANDS[args.command](args, argv)
-    except UsageError as exc:
-        print(f"error:usage: {exc}", file=sys.stderr)
-        return 1
-    except ParameterError as exc:
-        print(f"error:usage: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, CheckpointError, ContractError, DimensionError,
-            IndexError) as exc:
-        print(f"error:data: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error:data: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"error:divergence: {exc} (reproduce: stgno {shlex.join(argv)})",
-              file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():  # keeps the filters, restores showwarning
+        warnings.showwarning = _warning_line
+        try:
+            args = parser.parse_args(argv)
+            args = _apply_config_file(argv, args)
+            return _COMMANDS[args.command](args, argv)
+        except (UsageError, ParameterError) as exc:
+            print(f"error:usage: {exc}", file=sys.stderr)
+            return 1
+        except (DataError, CheckpointError, ContractError, DimensionError, IndexError,
+                OSError) as exc:
+            print(f"error:data: {exc}", file=sys.stderr)
+            return 2
+        except DivergenceError as exc:
+            print(f"error:divergence: {exc} (reproduce: stgno {shlex.join(argv)})",
+                  file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

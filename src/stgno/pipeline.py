@@ -21,10 +21,10 @@ File contracts:
   :func:`load_prepared`), is a DataError naming the file and the key.
 * Preprocess block: the manifest's ``PREPROCESS_KEYS`` (gene names,
   radius, scaler, class names), which ``train`` copies into every
-  checkpoint for ``predict`` to replay. :func:`check_preprocess` checks
-  them in both files on load, and :func:`numeric_array` is the one check
-  of an array read back from JSON (checkpoint parameters, scaler
-  statistics).
+  checkpoint for ``predict`` to replay. Both files hold every key;
+  :func:`check_preprocess` checks them in both on load, and
+  :func:`numeric_array` is the one check of an array read back from JSON
+  (checkpoint parameters, scaler statistics).
 
 Every text file is read as UTF-8; an undecodable byte is a DataError
 naming the file.
@@ -37,6 +37,7 @@ built (by ``replace`` too), as the model and training configs are.
 from __future__ import annotations
 
 import array
+import collections
 import csv
 import itertools
 import operator
@@ -512,20 +513,23 @@ def numeric_array(value, ndim: int) -> np.ndarray | None:
     return arr if np.isfinite(arr).all() else None
 
 
-def check_preprocess(block: dict, where, error) -> None:
-    """Check the PREPROCESS_KEYS that ``block`` (a manifest or a checkpoint's
-    preprocess block) holds: lists of strings for names (at least 1 gene and
-    2 classes), a positive finite radius, a null scaler or a ``mean`` and a
-    ``std`` > 0 of one finite number per gene each. A fault raises ``error``
-    naming ``where(key)``."""
+def check_preprocess(doc: dict, where, error) -> None:
+    """Check that ``doc`` (a manifest or a checkpoint's preprocess block)
+    holds every PREPROCESS_KEYS key: lists of strings for names (at least 1
+    gene and 2 classes), a positive finite radius, a null scaler or a
+    ``mean`` and a ``std`` > 0 of one finite number per gene each. A missing
+    key or a fault raises ``error`` naming ``where(key)``."""
+    for key in PREPROCESS_KEYS:
+        if key not in doc:
+            raise error(f"{where(key)} is missing")
     for key, least in (("gene_names", 1), ("class_names", 2)):
-        if key in block and not (_is_name_list(block[key]) and len(block[key]) >= least):
+        if not (_is_name_list(doc[key]) and len(doc[key]) >= least):
             raise error(f"{where(key)} must be a list of at least {least} names (strings)")
-    radius = block.get("radius")  # an int past the float range would not convert
-    if "radius" in block and (isinstance(radius, bool) or not isinstance(
-            radius, (int, float)) or not 0 < radius <= sys.float_info.max):
+    radius = doc["radius"]  # an int past the float range would not convert
+    if isinstance(radius, bool) or not isinstance(
+            radius, (int, float)) or not 0 < radius <= sys.float_info.max:
         raise error(f"{where('radius')} must be a positive finite number, got {radius!r}")
-    scaler, num_genes = block.get("standardization"), len(block.get("gene_names", ()))
+    scaler, num_genes = doc["standardization"], len(doc["gene_names"])
     for key in ("mean", "std") if scaler is not None else ():
         arr = numeric_array(scaler.get(key) if isinstance(scaler, dict) else None, 1)
         if arr is None or arr.shape != (num_genes,) or (key == "std" and not (arr > 0).all()):
@@ -566,18 +570,17 @@ def load_prepared(data_dir):
         raise DataError(
             f"{data_dir}: prepared format version {version!r}, expected "
             f"{PREPARED_VERSION}; re-run stgno prepare")
-    missing = [key for key in ("radius", "split", "gene_names", "class_names")
-               if key not in manifest]
-    if missing:
-        raise DataError(f"{data_dir}: manifest.json has no {', '.join(missing)}; "
-                        "re-run stgno prepare")
     check_preprocess(manifest, lambda key: f"{manifest_path}: {key!r}", DataError)
-    radius, split = manifest["radius"], manifest["split"]
+    radius, split = manifest["radius"], manifest.get("split")
     if not (isinstance(split, dict) and all(
-            _is_name_list(split.get(part)) and all(map(_SAMPLE_ID_RE.match, split[part]))
-            for part in ("train", "holdout"))):
+            _is_name_list(split.get(part)) and split[part]
+            and all(map(_SAMPLE_ID_RE.match, split[part])) for part in ("train", "holdout"))):
         raise DataError(f"{manifest_path}: 'split' must map 'train' and 'holdout' "
-                        "to lists of sample ids")
+                        "to non-empty lists of sample ids")
+    counts = collections.Counter([*split["train"], *split["holdout"]])
+    repeated = sorted(sid for sid, count in counts.items() if count > 1)
+    if repeated:
+        raise DataError(f"{manifest_path}: 'split' names {repeated} more than once")
     num_genes, num_classes = len(manifest["gene_names"]), len(manifest["class_names"])
 
     def read_sample(sid) -> GraphSample:

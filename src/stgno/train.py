@@ -326,15 +326,14 @@ def _config_from_json(doc: dict) -> ModelConfig:
     return ModelConfig(**doc)
 
 
-def save_checkpoint(path, params: Params, config: ModelConfig,
-                    preprocess: dict | None = None) -> None:
-    """Versioned JSON: config block plus named parameter arrays. The
-    optional preprocess block carries whatever the prediction path needs
-    (gene list, radius, scaler, class names)."""
+def save_checkpoint(path, params: Params, config: ModelConfig, preprocess: dict) -> None:
+    """Versioned JSON: config block, the preprocess block that ``predict``
+    replays (every PREPROCESS_KEYS key: gene list, radius, scaler, class
+    names) and named parameter arrays."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "config": _config_to_json(config),
-        "preprocess": preprocess or {},
+        "preprocess": preprocess,
         "params": {name: p.data.tolist() for name, p in params.items()},
     }
     atomic_write_text(path, dump_json(doc))
@@ -343,8 +342,8 @@ def save_checkpoint(path, params: Params, config: ModelConfig,
 def load_checkpoint(path):
     """Load and validate -> (params by name, config, preprocess). Values reproduce
     the saved ones bit-for-bit. The preprocess block passes ``check_preprocess``
-    and names, if any, one class per output. Malformed content raises a
-    :class:`CheckpointError` that names the file and the key."""
+    and names one gene per input and one class per output. Malformed content
+    raises a :class:`CheckpointError` that names the file and the key."""
     try:
         doc = read_json(path)
     except DataError as exc:  # not UTF-8, or not JSON; the message names the file
@@ -365,10 +364,10 @@ def load_checkpoint(path):
         if not isinstance(block, dict):
             raise CheckpointError(f"{path}: {key!r} must hold a JSON object")
     check_preprocess(preprocess, lambda key: f"{path}: preprocess.{key}", CheckpointError)
-    class_names = preprocess.get("class_names")
-    if class_names is not None and len(class_names) != config.num_classes:
-        raise CheckpointError(f"{path}: preprocess.class_names lists {len(class_names)} "
-                              f"classes, the config {config.num_classes}")
+    for key, field in (("gene_names", "input_dim"), ("class_names", "num_classes")):
+        if len(preprocess[key]) != getattr(config, field):
+            raise CheckpointError(f"{path}: preprocess.{key} lists {len(preprocess[key])} "
+                                  f"names, the config's {field} is {getattr(config, field)}")
     params = {}
     for name, shape in expected:
         if name not in stored:

@@ -62,17 +62,28 @@ def test_synth_outputs_reload_losslessly(synth_dir):
     assert (synth_dir / "labels.tsv").exists()
 
 
-def test_synth_single_spot_samples(tmp_path):
-    with pytest.warns(UserWarning):
-        code = run_cli("synth", "--out", str(tmp_path / "one"), "--samples", "3",
-                       "--spots", "1", "--genes", "4", "--seed", "0")
-        assert code == 0
-        code = run_cli("prepare", "--spots", str(tmp_path / "one" / "spots.csv"),
-                       "--genes", str(tmp_path / "one" / "genes.txt"),
-                       "--labels", str(tmp_path / "one" / "labels.tsv"),
-                       "--radius", "0.3", "--holdout-k", "1", "--min-classes", "1",
-                       "--seed", "0", "--out", str(tmp_path / "prep1"))
+def test_synth_single_spot_samples(tmp_path, capsys):
+    code = run_cli("synth", "--out", str(tmp_path / "one"), "--samples", "3",
+                   "--spots", "1", "--genes", "4", "--seed", "0")
     assert code == 0
+    argv = ("prepare", "--spots", str(tmp_path / "one" / "spots.csv"),
+            "--genes", str(tmp_path / "one" / "genes.txt"),
+            "--labels", str(tmp_path / "one" / "labels.tsv"),
+            "--radius", "0.3", "--holdout-k", "1", "--min-classes", "1",
+            "--seed", "0", "--out", str(tmp_path / "prep1"))
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    # each library warning is one line, as the degree warning is
+    err = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("warning: ") for line in err), err
+    assert sorted(line for line in err if "edgeless" in line) == [
+        f"warning: sample 's0{i}' has 1 spot(s); kept as an edgeless graph"
+        for i in range(3)]
+    # the filters still decide: a warning made an error is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="edgeless"):
+            run_cli(*argv)
 
 
 @pytest.mark.parametrize("flag,value", [("--noise", "nan"), ("--noise", "inf"),
@@ -177,6 +188,19 @@ def test_prepare_warns_on_extreme_median_degree(synth_dir, tmp_path, capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert "outside [3, 12]" in captured.err
+
+
+def test_prepare_warns_of_an_absent_listed_gene_in_one_line(synth_dir, tmp_path, capsys):
+    genes = tmp_path / "genes.txt"
+    genes.write_text((synth_dir / "genes.txt").read_text() + "g999\n")
+    capsys.readouterr()
+    assert run_cli("prepare", "--spots", str(synth_dir / "spots.csv"), "--genes", str(genes),
+                   "--labels", str(synth_dir / "labels.tsv"), "--radius", "0.3",
+                   "--holdout-k", "2", "--min-classes", "3",
+                   "--out", str(tmp_path / "prep")) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("warning: ") for line in err), err
+    assert "warning: 1 listed gene(s) not present in the table; skipped" in err, err
 
 
 def test_prepare_degree_summary_printed(synth_dir, tmp_path, capsys):
@@ -440,7 +464,8 @@ def test_old_prepared_format_is_data_error(prepared_dir, trained_dir, tmp_path,
         assert str(old) in err and "re-run stgno prepare" in err
 
 
-@pytest.mark.parametrize("key", ["radius", "split", "gene_names", "class_names"])
+@pytest.mark.parametrize("key", ["radius", "split", "gene_names", "class_names",
+                                 "standardization"])
 def test_missing_manifest_key_is_data_error(prepared_dir, trained_dir, tmp_path,
                                             capsys, key):
     broken = tmp_path / "broken"
@@ -621,9 +646,15 @@ def graphpde_run(tmp_path_factory):
     return root
 
 
+DELETE = object()  # a _tampered_checkpoint value that deletes the key
+
+
 def _tampered_checkpoint(graphpde_run, tmp_path, block, key, value):
     doc = json.loads((graphpde_run / "run" / "best.ckpt.json").read_text())
-    doc[block][key] = value
+    if value is DELETE:
+        del doc[block][key]
+    else:
+        doc[block][key] = value
     path = tmp_path / "tampered.ckpt.json"
     path.write_text(json.dumps(doc))
     return path
@@ -656,7 +687,14 @@ BOTH = ("eval", "predict")
     # a model of one class
     ("config", "num_classes", 1, BOTH),
     # a count that is not an integer, though its shapes would compare equal
-    ("config", "num_classes", 3.0, BOTH)])
+    ("config", "num_classes", 3.0, BOTH),
+    # every key of the preprocess block must be there
+    ("preprocess", "gene_names", DELETE, BOTH),
+    ("preprocess", "radius", DELETE, BOTH),
+    ("preprocess", "standardization", DELETE, BOTH),
+    ("preprocess", "class_names", DELETE, BOTH),
+    # one gene name per input: the fixture's model reads 8 genes
+    ("preprocess", "gene_names", [f"g{i:03d}" for i in range(7)], BOTH)])
 def test_malformed_checkpoint_is_one_data_error_line(graphpde_run, tmp_path, capsys,
                                                      block, key, value, commands):
     ckpt = _tampered_checkpoint(graphpde_run, tmp_path, block, key, value)
@@ -695,6 +733,21 @@ def test_graphpde_train_and_predict_are_byte_identical(graphpde_run, tmp_path):
                        "--out", str(out)) == 0
         predictions.append(out.read_bytes())
     assert predictions[0] == predictions[1]
+
+
+def test_predict_needs_every_gene_of_the_checkpoint(graphpde_run, tmp_path, capsys):
+    with open(graphpde_run / "data" / "spots.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index("g003")
+    spots = tmp_path / "spots.csv"
+    with open(spots, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(row[:drop] + row[drop + 1:]
+                                                      for row in rows)
+    capsys.readouterr()
+    assert run_cli("predict", "--checkpoint", str(graphpde_run / "run" / "best.ckpt.json"),
+                   "--spots", str(spots), "--out", str(tmp_path / "preds.csv")) == 2
+    _one_data_error(capsys, spots, "'g003'")
+    assert not (tmp_path / "preds.csv").exists()
 
 
 @pytest.mark.parametrize("case", ["reversed_genes", "renamed_classes", "disjoint_genes"])
@@ -769,6 +822,9 @@ def _set_entry(doc, key, index, value, dtype=None):
     ("radius infinite", "manifest.json", "radius"),
     ("radius past the float range", "manifest.json", "radius"),
     ("split id unsafe", "manifest.json", "split"),
+    ("split holdout empty", "manifest.json", "split"),
+    ("split id twice", "manifest.json", "split"),
+    ("split id in both parts", "manifest.json", "split"),
     ("gene_names not a list", "manifest.json", "gene_names"),
     ("one class name", "manifest.json", "class_names"),
     ("sample id not its split id", "sample", "sample_id"),
@@ -808,6 +864,12 @@ def test_malformed_prepared_dataset_is_one_data_error_line(graphpde_run, tmp_pat
             prep, lambda m: m.update(radius=10 ** 400)),
         "split id unsafe": lambda: _break_manifest(
             prep, lambda m: m["split"]["train"].append("../x")),
+        "split holdout empty": lambda: _break_manifest(
+            prep, lambda m: m["split"].update(holdout=[])),
+        "split id twice": lambda: _break_manifest(
+            prep, lambda m: m["split"]["train"].append(m["split"]["train"][0])),
+        "split id in both parts": lambda: _break_manifest(
+            prep, lambda m: m["split"]["train"].append(m["split"]["holdout"][0])),
         "gene_names not a list": lambda: _break_manifest(
             prep, lambda m: m.update(gene_names="g000")),
         "one class name": lambda: _break_manifest(

@@ -442,15 +442,22 @@ def test_train_config_checked_when_built_and_replaced(change):
 # checkpoints
 
 
+def whole_preprocess(cfg):
+    """A preprocess block with every key, one name per input and per class."""
+    return {"gene_names": [f"g{i}" for i in range(cfg.input_dim)], "radius": 0.25,
+            "standardization": None,
+            "class_names": [f"c{i}" for i in range(cfg.num_classes)]}
+
+
 def test_checkpoint_round_trip_bit_identical(tmp_path):
     cfg = make_config("graphpde", input_dim=4, hidden_dim=4,
                       kernel_net_hidden=(8,), init_seed=12)
     params = init_params(cfg)
     path = tmp_path / "model.ckpt.json"
-    save_checkpoint(path, params, cfg, preprocess={"radius": 0.25})
+    save_checkpoint(path, params, cfg, preprocess=whole_preprocess(cfg))
     loaded, cfg2, pre = load_checkpoint(path)
     assert cfg2 == cfg
-    assert pre == {"radius": 0.25}
+    assert pre == whole_preprocess(cfg)
     for name in params:
         assert loaded[name].data.tobytes() == params[name].data.tobytes()
 
@@ -459,7 +466,7 @@ def test_checkpoint_tampered_shape_names_parameter(tmp_path):
     import json
     cfg = make_config("lr", input_dim=3, init_seed=0)
     path = tmp_path / "model.ckpt.json"
-    save_checkpoint(path, init_params(cfg), cfg)
+    save_checkpoint(path, init_params(cfg), cfg, whole_preprocess(cfg))
     doc = json.loads(path.read_text())
     doc["params"]["readout_w"] = [[1.0, 2.0]]
     path.write_text(json.dumps(doc))
@@ -471,7 +478,7 @@ def test_checkpoint_version_mismatch(tmp_path):
     import json
     cfg = make_config("lr", input_dim=3, init_seed=0)
     path = tmp_path / "model.ckpt.json"
-    save_checkpoint(path, init_params(cfg), cfg)
+    save_checkpoint(path, init_params(cfg), cfg, whole_preprocess(cfg))
     doc = json.loads(path.read_text())
     doc["format_version"] = 99
     path.write_text(json.dumps(doc))
@@ -483,7 +490,7 @@ def test_checkpoint_missing_parameter(tmp_path):
     import json
     cfg = make_config("lr", input_dim=3, init_seed=0)
     path = tmp_path / "model.ckpt.json"
-    save_checkpoint(path, init_params(cfg), cfg)
+    save_checkpoint(path, init_params(cfg), cfg, whole_preprocess(cfg))
     doc = json.loads(path.read_text())
     del doc["params"]["readout_b"]
     path.write_text(json.dumps(doc))
@@ -496,7 +503,7 @@ def test_loaded_checkpoint_evaluates_identically(tmp_path):
     cfg = make_config("fcn", input_dim=6, hidden_dim=4, init_seed=2)
     params, _ = train(cfg, train_g, TrainConfig(epochs=2, num_runs=1, seed=2))
     path = tmp_path / "model.ckpt.json"
-    save_checkpoint(path, params, cfg)
+    save_checkpoint(path, params, cfg, whole_preprocess(cfg))
     loaded, cfg2, _ = load_checkpoint(path)
     m1, m2 = evaluate(params, cfg, hold_g), evaluate(loaded, cfg2, hold_g)
     assert np.array_equal(m1.confusion, m2.confusion)
