@@ -11,9 +11,9 @@ backward calls (repeated backward without zeroing doubles them); the
 optimizer owns zeroing. :func:`constant` makes a :class:`Constant` leaf
 (inputs such as node features and edge attributes); :func:`dense` skips
 its gradient instead of computing one nobody reads, as do
-:func:`mix_rows`, :func:`coo_matmul` and :func:`kernel_message_mean`,
-while plain :class:`Value` and :class:`Parameter` inputs always get
-theirs.
+:func:`coo_matmul` and :func:`kernel_message_mean`, while plain
+:class:`Value` and :class:`Parameter` inputs always get theirs.
+:func:`mix_rows` of a Constant is a Constant with no tape entry.
 
 :func:`dense` is the one op behind every linear layer outside the graphpde
 kernel network: ``act(x W + b)`` in one output buffer and one tape entry,
@@ -30,8 +30,10 @@ works in views of one workspace of its own, sized to the largest block,
 so no array spans every slot.
 :func:`mix_rows` is the row mixing of the other graph models, on the
 same degree-blocked neighbour layout, so every model uses one sparse
-neighbour representation; :func:`coo_matmul` over an edge list remains
-only as its oracle and as a name the benchmark's tracer lists.
+neighbour representation; the mixer holds the mix of the last Constant
+it was given and hands it back while the same array comes again.
+:func:`coo_matmul` over an edge list remains only as its oracle and as
+a name the benchmark's tracer lists.
 ``Tape(record=False)`` runs ops without keeping anything for the
 backward pass (inference): each intermediate is freed as soon as the
 forward no longer holds it, and ``backward`` on such a tape raises.
@@ -587,7 +589,7 @@ def _mix_blocks(x: np.ndarray, layout, slot_weights: np.ndarray,
     mixed = np.zeros((n, d))  # block order
     for blk in layout.blocks:
         if blk.width:
-            rows = x_pad[layout.neighbours[blk.start:blk.stop]]
+            rows = np.take(x_pad, layout.neighbours[blk.start:blk.stop], axis=0)
             np.einsum("bw,bwd->bd",
                       slot_weights[blk.start:blk.stop].reshape(blk.size, blk.width),
                       rows.reshape(blk.size, blk.width, d), out=mixed[blk.lo:blk.hi])
@@ -611,18 +613,33 @@ def mix_rows(tape: Tape, features: Value, mixer) -> Value:
     is the same routine with the transposed weights, which needs a
     symmetric edge list; there is no scatter. The weights are constants,
     and a :class:`Constant` input gets no gradient.
+
+    The mix of a :class:`Constant` is itself a read-only Constant, made
+    without a tape entry. ``mixer`` holds it, one n x d array for as long
+    as the mixer (and so its graph) lives, next to the input array it was
+    made from, and returns the same object while that same array object
+    comes back; any other array is mixed afresh and replaces it. So a
+    slide's fixed expression is mixed once, not on every step, as long as
+    nobody writes into an array after mixing it as a Constant.
     """
     layout = mixer.layout
     if features.data.shape[0] != layout.num_nodes:
         raise DimensionError(
             f"features have {features.data.shape[0]} rows for "
             f"{layout.num_nodes} nodes")
+    if isinstance(features, Constant):
+        held = mixer.held
+        if held is None or held[0] is not features.data:
+            mixed = Constant(_mix_blocks(features.data, layout, mixer.weights,
+                                         mixer.self_weights))
+            mixed.data.flags.writeable = False
+            held = mixer.held = (features.data, mixed)
+        return held[1]
     out = Value(_mix_blocks(features.data, layout, mixer.weights, mixer.self_weights))
 
     def bwd():
-        if not isinstance(features, Constant):
-            _accumulate(features, _mix_blocks(out.grad, layout, mixer.transposed,
-                                              mixer.self_weights))
+        _accumulate(features, _mix_blocks(out.grad, layout, mixer.transposed,
+                                          mixer.self_weights))
 
     tape.record("mix_rows", (features,), out, bwd)
     return out

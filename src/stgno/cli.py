@@ -329,7 +329,7 @@ def _cmd_train(args, argv):
 
 
 def _cmd_eval(args, argv):
-    _train_graphs, holdout_graphs, manifest = pl.load_prepared(args.data)
+    _train, holdout_graphs, manifest = pl.load_prepared(args.data, parts=("holdout",))
     params, config, pre = load_checkpoint(args.checkpoint)
     # the checkpoint's widths are its name counts: the features must be the
     # same genes in the same order, and class i must name the same class

@@ -19,9 +19,10 @@ runs on it with the radius-scaled edge attributes spread over its slots
 (:class:`RowMixer`, built by :func:`row_mixer` from one weight per edge,
 in edge order, and one self weight per node) keep one weight per slot.
 The layout, the slot attributes and the mixers are computed on first use
-and cached on the instance. A built graph is immutable by convention;
-concurrent first uses may compute a constant twice, with identical
-results.
+and cached on the instance; a mixer also holds its mix of the last
+Constant input it was given (see :class:`RowMixer`). A built graph is
+immutable by convention; concurrent first uses may compute a constant
+twice, with identical results.
 """
 
 from __future__ import annotations
@@ -265,12 +266,17 @@ class RowMixer:
     """Constant row-mixing weights on a graph's :class:`NeighbourLayout`:
     out_i = sum over i's slots of weights[s] x_nbr(s) + self_weights[i] x_i.
     ``transposed`` holds each slot's reverse-edge weight, for the backward
-    pass; it is ``weights`` itself when the operator is symmetric."""
+    pass; it is ``weights`` itself when the operator is symmetric.
+    ``held`` is ``ad.mix_rows``'s one slot: the last Constant input array
+    and its mix, a read-only Constant returned without a tape entry while
+    that array object comes back. It costs one n x d array per mixer for
+    as long as the mixer, cached on its graph, lives."""
 
     layout: NeighbourLayout
     weights: np.ndarray       # (num_slots,) w(dst, src) per slot, 0 in pads
     transposed: np.ndarray    # (num_slots,) w(src, dst) per slot, 0 in pads
     self_weights: np.ndarray  # (n,) w(i, i)
+    held: tuple | None = field(default=None, init=False, repr=False)
 
 
 def row_mixer(graph: RadiusGraph, edge_weights, self_weights) -> RowMixer:

@@ -24,7 +24,11 @@ per-edge and per-node self weights of :func:`symmetric_norm_weights` or
 :func:`ad.mix_rows` tape entry applies it. All six kinds thus share one
 sparse neighbour representation; ``ad.coo_matmul`` over the per-edge
 weights remains only as the tests' oracle and a name the benchmark's
-tracer lists.
+tracer lists. The first block's mixes take the slide's constant features
+(and, in spatial_gcn, the Gaussian mix of them), so they are Constants
+made without a tape entry and held on the mixer, one n x d array each
+for as long as the graph lives: a slide's expression is mixed once, not
+on every step.
 
 The sixth, ``graphpde``, is a linear lift to the hidden width, num_layers
 (default 6) message-passing updates
@@ -233,7 +237,8 @@ def stack_forward(tape: Tape, config: ModelConfig, params: Params,
     """Every kind but graphpde: each block applies the kind's row mixers
     in order, then a linear layer and the activation; the readout is
     linear, and spatial_kernel mixes once more before it. The row mixers
-    are cached on the graph and shared by every block."""
+    are cached on the graph and shared by every block; each holds its mix
+    of a Constant input (see :func:`ad.mix_rows`)."""
     mixers = [_gaussian_weights_for(config, graph) if name == "gaussian"
               else _norm_weights_for(graph) for name in _STACK_MIXERS[config.kind]]
     x = features

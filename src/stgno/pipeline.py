@@ -15,10 +15,12 @@ File contracts:
   (n x 2 float64), ``features`` (n x genes float64) and ``labels`` (n
   int64). No edges are stored: every graph is rebuilt on load from its
   positions and the manifest's ``radius``, which then owns them
-  (``sample.graph.positions``). Directories written by an earlier format
-  version are refused; re-run ``stgno prepare``. A sample file that
-  cannot be read as an npz archive, or any other malformed content (see
-  :func:`load_prepared`), is a DataError naming the file and the key.
+  (``sample.graph.positions``); a caller that needs one split part only
+  (``eval``: the holdout) loads and builds that part alone. Directories
+  written by an earlier format version are refused; re-run ``stgno
+  prepare``. A sample file that cannot be read as an npz archive, or any
+  other malformed content (see :func:`load_prepared`), is a DataError
+  naming the file and the key.
 * Preprocess block: the manifest's ``PREPROCESS_KEYS`` (gene names,
   radius, scaler, class names), which ``train`` copies into every
   checkpoint for ``predict`` to replay. Both files hold every key;
@@ -554,9 +556,11 @@ def _read_npz(path) -> dict[str, np.ndarray]:
             raise DataError(f"{path}: not a readable .npz archive ({exc})") from None
 
 
-def load_prepared(data_dir):
+def load_prepared(data_dir, parts=("train", "holdout")):
     """Read a prepared dataset directory -> (train, holdout, manifest),
-    rebuilding each slide's graph at the manifest radius. Malformed
+    rebuilding each slide's graph at the manifest radius. Only the split
+    parts named in ``parts`` are read and built; any other is None. The
+    manifest and its split are checked in full either way. Malformed
     content raises a DataError naming the file and the key."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
@@ -617,5 +621,6 @@ def load_prepared(data_dir):
                             f"{num_classes} classes, got {labels.min()}..{labels.max()}")
         return graph_sample(sid, features, positions, labels, radius)
 
-    return ([read_sample(sid) for sid in split["train"]],
-            [read_sample(sid) for sid in split["holdout"]], manifest)
+    train, holdout = ([read_sample(sid) for sid in split[part]] if part in parts else None
+                      for part in ("train", "holdout"))
+    return train, holdout, manifest

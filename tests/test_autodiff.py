@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from stgno import autodiff as ad
 from stgno.errors import ContractError, DimensionError
-from stgno.geometry import RadiusGraph, build_radius_graph
+from stgno.geometry import (RadiusGraph, build_radius_graph, gaussian_kernel_weights,
+                            row_mixer)
+from stgno.models import symmetric_norm_weights
 
-from oracles import (finite_difference_grads, mul, rel_err, single_block_layout,
-                     two_stage_kernel_message_mean, unfused_dense)
+from oracles import (coo_weights, finite_difference_grads, mul, rel_err,
+                     single_block_layout, two_stage_kernel_message_mean, unfused_dense)
 
 RNG = np.random.default_rng(12345)
 
@@ -662,6 +664,42 @@ def test_coo_matmul_gradient():
     check_op_gradient(
         lambda t: weighted_sum_loss(t, ad.coo_matmul(t, x, src, dst, w, n), coeffs),
         [x])
+
+
+@pytest.mark.parametrize("which", ["gaussian", "norm"])
+def test_mix_rows_of_a_constant_is_held_and_exact(which):
+    rng = np.random.default_rng(71)
+    graph = build_radius_graph(rng.uniform(size=(80, 2)), 0.2)
+    edge_w, self_w = (symmetric_norm_weights(graph) if which == "norm" else
+                      gaussian_kernel_weights(graph.positions, graph.edges, 0.1))
+    mixer = row_mixer(graph, edge_w, self_w)
+    coo = coo_weights(graph.edges, edge_w, self_w)
+    x, y = rng.uniform(-1, 1, (80, 5)), rng.uniform(-1, 1, (80, 5))
+
+    def oracle(arr):
+        return ad.coo_matmul(ad.Tape(), ad.constant(arr), coo.src, coo.dst,
+                             coo.weights, coo.num_nodes).data
+
+    tape = ad.Tape()
+    first = ad.mix_rows(tape, ad.constant(x), mixer)
+    assert isinstance(first, ad.Constant) and len(tape) == 0
+    assert not first.data.flags.writeable
+    # a new Constant over the same array object gets the held one back
+    assert ad.mix_rows(tape, ad.constant(x), mixer) is first
+    assert np.array_equal(first.data, oracle(x))
+    fresh = row_mixer(graph, edge_w, self_w)
+    assert np.array_equal(first.data, ad.mix_rows(ad.Tape(), ad.Value(x), fresh).data)
+    # any other array, even an equal copy, is mixed afresh and replaces it
+    other = ad.mix_rows(tape, ad.constant(y), mixer)
+    assert other is not first and np.array_equal(other.data, oracle(y))
+    again = ad.mix_rows(tape, ad.constant(x), mixer)
+    assert again is not first and np.array_equal(again.data, first.data)
+    copied = ad.mix_rows(tape, ad.constant(x.copy()), mixer)
+    assert copied is not again and np.array_equal(copied.data, first.data)
+    assert len(tape) == 0
+    # a differentiable input is never served from the slot
+    out = ad.mix_rows(tape, ad.Value(x), mixer)
+    assert len(tape) == 1 and out is not copied and np.array_equal(out.data, first.data)
 
 
 def test_mul_elementwise_gradient():

@@ -11,8 +11,12 @@ import numpy as np
 import pytest
 
 from stgno import autodiff as ad
+from stgno import pipeline
 from stgno.cli import build_parser, main
+from stgno.errors import DataError
+from stgno.ioutil import dump_json
 from stgno.pipeline import PREPARED_VERSION, load_prepared, load_spot_table
+from stgno.train import evaluate, load_checkpoint
 
 
 def run_cli(*args):
@@ -331,6 +335,32 @@ def test_eval_deterministic_bytes(prepared_dir, trained_dir, capsys):
     assert first == second
     doc = json.loads(first)
     assert set(doc) >= {"confusion", "accuracy", "macro_f1", "per_class_f1"}
+
+
+def test_eval_reads_and_builds_only_the_holdout(prepared_dir, trained_dir, tmp_path,
+                                                monkeypatch, capsys):
+    checkpoint = trained_dir / "best.ckpt.json"
+    _train, holdout, _ = load_prepared(prepared_dir)
+    params, config, _pre = load_checkpoint(checkpoint)
+    want = dump_json(evaluate(params, config, holdout).to_json_dict())
+    built = []
+    build = pipeline.build_radius_graph
+    monkeypatch.setattr(pipeline, "build_radius_graph",
+                        lambda points, radius: built.append(points) or build(points, radius))
+    assert run_cli("eval", "--data", str(prepared_dir), "--checkpoint", str(checkpoint)) == 0
+    assert capsys.readouterr().out == want
+    assert len(built) == len(holdout)
+    for points, sample in zip(built, holdout):
+        assert np.array_equal(points, sample.graph.positions)
+    # so a broken train sample file does not stop eval
+    copy = tmp_path / "prep"
+    shutil.copytree(prepared_dir, copy)
+    broken = json.loads((copy / "manifest.json").read_text())["split"]["train"][0]
+    (copy / f"{broken}.npz").write_bytes(b"PK\x03\x04 truncated")
+    with pytest.raises(DataError, match=broken):
+        load_prepared(copy)
+    assert run_cli("eval", "--data", str(copy), "--checkpoint", str(checkpoint)) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_eval_dimension_mismatch_is_data_error(trained_dir, tmp_path, capsys):
@@ -783,8 +813,10 @@ def test_eval_refuses_other_gene_or_class_names_of_equal_width(graphpde_run, tmp
     assert capsys.readouterr().out == ""
 
 
-def _train_id(prep):
-    return json.loads((prep / "manifest.json").read_text())["split"]["train"][0]
+def _holdout_id(prep):
+    """A holdout slide: train reads every slide and eval only the holdout
+    ones, so a fault in its file stops both."""
+    return json.loads((prep / "manifest.json").read_text())["split"]["holdout"][0]
 
 
 def _break_manifest(prep, edit):
@@ -794,7 +826,7 @@ def _break_manifest(prep, edit):
 
 
 def _break_sample(prep, edit):
-    path = prep / f"{_train_id(prep)}.npz"
+    path = prep / f"{_holdout_id(prep)}.npz"
     with np.load(path, allow_pickle=False) as npz:
         doc = {key: npz[key] for key in npz.files}
     edit(doc)
@@ -851,7 +883,7 @@ def test_malformed_prepared_dataset_is_one_data_error_line(graphpde_run, tmp_pat
                                                            capsys, case, file, key):
     prep = tmp_path / "prep"
     shutil.copytree(graphpde_run / "prep", prep)
-    sample = prep / f"{_train_id(prep)}.npz"
+    sample = prep / f"{_holdout_id(prep)}.npz"
     drop_column = lambda d: d.update(features=d["features"][:, :-1])
     edits = {
         "manifest not JSON": lambda: (prep / "manifest.json").write_text("{not json"),

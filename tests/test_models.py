@@ -446,7 +446,9 @@ def test_stack_step_allocates_no_edge_sized_arrays(kind):
     # 32 genes at the CLI's hidden width on a 300-spot r = 0.25 slide
     # (13.9k edges): coo_matmul's (m + n) x d temporaries took a step to a
     # traced peak of 7.5 MB (gcn) and 7.9 MB (spatial_gcn); row mixing on
-    # the layout peaks at 0.8 and 1.2 MB
+    # the layout peaked at 0.8 and 1.2 MB while each step mixed the
+    # features again, and peaks at 0.58 and 0.62 MB with the first block's
+    # mixes held on the mixers
     rng = np.random.default_rng(61)
     graph = build_radius_graph(rng.uniform(size=(300, 2)), 0.25)
     x = rng.uniform(-1, 1, (300, 32))

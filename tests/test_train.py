@@ -389,12 +389,15 @@ def test_run_experiment_divergence_names_model_run_and_seed():
                        train_g, hold_g, tc)
 
 
-def test_run_experiment_deterministic_report_bytes():
+@pytest.mark.parametrize("kind", ["gcn", "spatial_kernel", "spatial_gcn"])
+def test_run_experiment_deterministic_report_bytes(kind):
+    # the second pass runs on the same graphs, whose mixers now hold the
+    # mix of each slide's features
     from stgno.ioutil import dump_json
     train_g, hold_g = tiny_dataset()
     blobs = []
     for _ in range(2):
-        report, _ = run_experiment([make_config("gcn", input_dim=6, hidden_dim=4)],
+        report, _ = run_experiment([make_config(kind, input_dim=6, hidden_dim=4)],
                                    train_g, hold_g,
                                    TrainConfig(epochs=2, num_runs=2, seed=7))
         blobs.append(dump_json(report.to_json_dict()).encode())
