@@ -207,9 +207,11 @@ def _linear(tape: Tape, params: Params, name: str, x: Value,
 def symmetric_norm_weights(graph: RadiusGraph) -> tuple[np.ndarray, np.ndarray]:
     """Self-looped symmetric normalization D^-1/2 (A + I) D^-1/2: one weight
     per edge in edge order, then the n self weights."""
-    deg = np.bincount(graph.edges[:, 1], minlength=graph.num_nodes)
-    inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
-    return inv_sqrt[graph.edges[:, 0]] * inv_sqrt[graph.edges[:, 1]], inv_sqrt ** 2
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(dst, minlength=graph.num_nodes) + 1.0)
+    w = np.take(inv_sqrt, src)
+    w *= np.take(inv_sqrt, dst)
+    return w, inv_sqrt ** 2
 
 
 def _norm_weights_for(graph: RadiusGraph) -> RowMixer:

@@ -9,8 +9,12 @@ before the message op, instead of inside it one degree block at a time;
 :func:`coo_weights` lists a row mixer's per-edge and self weights as COO
 entries, the edges in order and then one self loop per node, and
 :func:`coo_apply_kernel` mixes rows with ``ad.coo_matmul`` over them, the
-path the models' row mixers replaced. :func:`mul` is a tape op that no
-library path needs, kept for the gradient checks.
+path the models' row mixers replaced. :func:`searchsorted_mixer_slots`
+builds a mixer's per-slot weights with the reverse-edge search that the
+library's linear pass replaced, and :func:`fancy_edge_attributes` /
+:func:`fancy_pad_edge_rows` are the fancy-index gathers that ``np.take``
+replaced. :func:`mul` is a tape op that no library path needs, kept for
+the gradient checks.
 """
 
 from typing import NamedTuple
@@ -18,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from stgno import autodiff as ad
+from stgno.errors import ContractError
 from stgno.geometry import DegreeBlock, NeighbourLayout
 
 
@@ -144,6 +149,46 @@ def single_block_layout(graph):
         order=np.arange(n), blocks=(DegreeBlock(lo=0, hi=n, start=0, width=width),),
         neighbours=neighbours, slot_edge=slot_edge,
         inv_degree=1.0 / np.maximum(deg, 1))
+
+
+def searchsorted_mixer_slots(graph, edge_weights):
+    """A row mixer's per-slot ``(weights, transposed)`` built as the library
+    once did: each edge's reverse found by a ``searchsorted`` of the
+    reversed (src, dst) keys in the sorted key list, and both spreads by
+    masked fancy indexing. Raises the library's ContractError when an edge
+    has no reverse."""
+    n, m = graph.num_nodes, graph.num_edges
+    w = np.asarray(edge_weights, dtype=np.float64)
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+    keys = src * n + dst
+    reverse = np.searchsorted(keys, dst * n + src)
+    if m and not np.array_equal(keys[np.minimum(reverse, m - 1)], dst * n + src):
+        raise ContractError("row mixing needs a symmetric edge list: an edge has "
+                            "no reverse")
+    layout = graph.layout
+    real = layout.mask
+    edge_of = layout.slot_edge[real]
+    forward = np.zeros(layout.num_slots)
+    forward[real] = w[edge_of]
+    transposed = np.zeros(layout.num_slots)
+    transposed[real] = w[reverse[edge_of]]
+    return forward, transposed
+
+
+def fancy_edge_attributes(points, edges):
+    """(dx, dy, distance) per edge by fancy indexing of the positions."""
+    pos = np.asarray(points, dtype=np.float64)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    delta = pos[edges[:, 1]] - pos[edges[:, 0]]
+    return np.column_stack([delta, np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)])
+
+
+def fancy_pad_edge_rows(layout, rows):
+    """Per-edge rows spread over ``layout``'s slots by a masked fancy
+    assignment, zero in pads."""
+    out = np.zeros((layout.num_slots, rows.shape[1]))
+    out[layout.mask] = rows[layout.slot_edge[layout.mask]]
+    return out
 
 
 def slot_attributes(graph, layout):

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from stgno import autodiff as ad
 from stgno.cli import _auto_radius
-from stgno.errors import DimensionError, ParameterError
+from stgno.errors import ContractError, DimensionError, ParameterError
 from stgno.geometry import (RadiusGraph, build_radius_graph, edge_attributes,
-                            gaussian_kernel_weights, row_mixer)
+                            gaussian_kernel_weights, row_mixer, stable_order)
+from stgno.models import symmetric_norm_weights
 from stgno.pipeline import SyntheticConfig, generate_synthetic
 
 from oracles import (brute_force_radius_edges, cell_loop_radius_edges, coo_weights,
-                     dense_gaussian_weights, dense_weight_matrix)
+                     dense_gaussian_weights, dense_weight_matrix, fancy_edge_attributes,
+                     fancy_pad_edge_rows, searchsorted_mixer_slots)
 
 RNG = np.random.default_rng(777)
 
@@ -257,6 +259,32 @@ def test_row_mixer_rejects_weights_off_the_edge_support():
             row_mixer(g, bad_edge_w, bad_self_w)
 
 
+@pytest.mark.parametrize("n", [61, 255, 256])
+def test_row_mixer_slots_equal_the_searchsorted_oracle(n):
+    # random radius graphs with one isolated node; 255 and 256 nodes put
+    # the sorted destination ids on either side of the 8/16-bit edge
+    rng = np.random.default_rng(n)
+    g = build_radius_graph(np.vstack([rng.uniform(size=(n - 1, 2)), [[5.0, 5.0]]]), 0.2)
+    assert g.num_nodes == n and not (g.edges == n - 1).any()
+    for edge_w, self_w in (symmetric_norm_weights(g),
+                           gaussian_kernel_weights(g.positions, g.edges, 0.1)):
+        mixer = row_mixer(g, edge_w, self_w)
+        weights, transposed = searchsorted_mixer_slots(g, edge_w)
+        assert np.array_equal(mixer.weights, weights)
+        assert np.array_equal(mixer.transposed, transposed)
+
+
+def test_row_mixer_refuses_a_degree_balanced_directed_cycle():
+    # every node has in- and out-degree 1, but no edge has its reverse
+    g = RadiusGraph(positions=np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]),
+                    edges=np.array([[0, 1], [1, 2], [2, 0]]), radius=1.0)
+    edge_w, self_w = symmetric_norm_weights(g)
+    with pytest.raises(ContractError, match="reverse"):
+        row_mixer(g, edge_w, self_w)
+    with pytest.raises(ContractError, match="reverse"):
+        searchsorted_mixer_slots(g, edge_w)
+
+
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_row_normalized_kernel_is_averaging(seed):
@@ -335,6 +363,43 @@ def test_layout_edge_attributes_are_scaled_and_zero_padded():
     assert np.array_equal(attr[~valid], np.zeros(((~valid).sum(), 3)))
     assert np.array_equal(layout.pad_edge_rows(g.edge_attr / g.radius), attr)
     assert g.slot_attr is attr
+
+
+def test_pad_edge_rows_needs_one_row_per_edge():
+    g = build_radius_graph(RNG.uniform(size=(30, 2)), 0.35)
+    m, layout = g.num_edges, g.layout
+    assert m > 0
+    for bad in (np.zeros((m + 5, 3)), np.zeros((m - 1, 3)), np.zeros(m)):
+        with pytest.raises(DimensionError, match=rf"\({m}, c\) per-edge matrix"):
+            layout.pad_edge_rows(bad)
+
+
+@pytest.mark.parametrize("n, width", [(255, 1), (256, 2), (65535, 2), (65536, 4)])
+def test_stable_order_equals_the_int64_stable_argsort(n, width):
+    # destination ids as an edge array holds them: a strided int64 column
+    assert np.min_scalar_type(n).itemsize == width
+    rng = np.random.default_rng(n)
+    dst = rng.integers(0, n, 3 * n)
+    dst[:2] = n - 1, 0
+    column = np.stack([np.zeros_like(dst), dst], axis=1)[:, 1]
+    assert np.array_equal(stable_order(column, n), np.argsort(dst, kind="stable"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 300])
+def test_gathers_equal_the_fancy_index_oracles(n):
+    # n = 1 is a one-spot slide, m = 0; two spots in the unit square are
+    # always within 1.5
+    rng = np.random.default_rng(n)
+    g = build_radius_graph(rng.uniform(size=(n, 2)), 0.3 if n > 2 else 1.5)
+    assert (g.num_edges == 0) == (n == 1)
+    pairs = rng.integers(0, n, (5 * n, 2))
+    for edges in (g.edges, pairs):
+        assert np.array_equal(edge_attributes(g.positions, edges),
+                              fancy_edge_attributes(g.positions, edges))
+    for c in (1, 3):
+        rows = rng.uniform(-1, 1, (g.num_edges, c))
+        assert np.array_equal(g.layout.pad_edge_rows(rows),
+                              fancy_pad_edge_rows(g.layout, rows))
 
 
 def test_layout_of_edgeless_graph_has_no_slots():
