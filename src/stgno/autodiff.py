@@ -22,12 +22,14 @@ with the bits of the unfused ``matmul`` -> ``add_row_broadcast`` ->
 network's hidden layers with the same bits, but one degree block of slots
 at a time inside its own forward and backward passes, recomputing them
 and the block's contraction in the backward instead of keeping them.
-There every row carries a trailing ones column, so each hidden layer is
-one product with [[W, 0], [b, 1]] and the contraction yields the
-neighbour sums with it; the bias gradients come out of the same
-products as the weight gradients. Each forward and each backward call
-works in views of one workspace of its own, sized to the largest block,
-so no array spans every slot.
+Its input rows end in a ones column, built once per graph by the caller
+(``models`` caches graphpde's), so a block reads its rows in place. The
+column runs through every hidden activation, so each hidden layer is one
+product with [[W, 0], [b, 1]] and the contraction yields the neighbour
+sums with it; the bias gradients come out of the same products as the
+weight gradients, on one backward path for every kernel depth. Each
+call works in views of one workspace of its own, sized to the largest
+block, so no array spans every slot.
 :func:`mix_rows` is the row mixing of the other graph models, on the
 same degree-blocked neighbour layout, so every model uses one sparse
 neighbour representation; the mixer holds the mix of the last Constant
@@ -374,19 +376,16 @@ def edge_matvec(tape: Tape, mats: Value, vecs: Value) -> Value:
 
 def _kernel_chain(x: np.ndarray, layers, activation: str | None,
                   buffers) -> list[np.ndarray]:
-    """The hidden kernel layers on one block's attribute rows, each row
-    carrying a trailing ones column: the input, then every layer's output,
-    as views of ``buffers`` (the first with its ones column set). Each layer
-    is one product with [[W_j, 0], [b_j, 1]], so the bias is the last term
-    of every sum, as in :func:`dense`'s x W then += b, and the ones column
-    comes through. The activation runs on the whole contiguous buffer
-    (faster than on a strided view); relu keeps the ones, and tanh's are
-    written back."""
-    rows = x.shape[0]
-    chain = [buffers[0][:rows]]
-    chain[0][:, :-1] = x
-    for layer, buf in zip(layers, buffers[1:]):
-        y = np.matmul(chain[-1], layer, out=buf[:rows])
+    """The hidden kernel layers on one block's input rows ``x``, which end
+    in a ones column: ``x`` itself, then every layer's output in a view of
+    ``buffers``. Each layer is one product with [[W_j, 0], [b_j, 1]], so
+    the bias is the last term of every sum, as in :func:`dense`'s x W then
+    += b, and the ones column comes through. The activation runs on the
+    whole contiguous buffer (faster than on a strided view); relu keeps
+    the ones, and tanh's are written back."""
+    chain = [x]
+    for layer, buf in zip(layers, buffers):
+        y = np.matmul(chain[-1], layer, out=buf[:x.shape[0]])
         if activation == "relu":
             np.maximum(y, 0.0, out=y)
         else:
@@ -407,35 +406,39 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     ``layout`` is a degree-blocked in-neighbour layout (``order``,
     ``blocks``, per-slot ``neighbours`` with id n in pads, and
     ``inv_degree``; see ``geometry.NeighbourLayout``); ``attr`` holds one
-    row per slot, num_slots x a in the layout's slot order, with any
-    values in pad slots. ``hidden_layers`` is a sequence of (W_j, b_j)
-    pairs: z_e = act(... act(attr_e W_0 + b_0) ... W_j + b_j), with
-    ``activation`` "relu" or "tanh" (z_e = attr_e when there are none).
-    ``weight`` is k x h^2, ``bias`` 1 x h^2 and ``v`` n x h. The last
-    kernel layer is linear, so the mean reorders exactly into
+    row per slot, num_slots x (a + 1) in the layout's slot order: a
+    attributes and a ones column (any values in pad slots), built once
+    by the caller (see ``models``) and read in place, block by block.
+    ``hidden_layers`` is a sequence of (W_j, b_j) pairs: z_e = act(...
+    act(attr_e W_0 + b_0) ... W_j + b_j), with ``activation`` "relu" or
+    "tanh" (z_e = attr_e when there are none). ``weight`` is k x h^2,
+    ``bias`` 1 x h^2 and ``v`` n x h. The last kernel layer is linear, so
+    the mean reorders exactly into
 
         S'_x  = sum_s [z_(x,s), 1] outer v_nbr(x,s)    ((k+1) x h per node)
         out_x = (vec(S_x) W~ + (sum_s v_nbr(x,s)) B^T) / deg(x)
 
     with W~[c*h + j, i] = W[c, i*h + j] and B[i, j] = b[i*h + j]: per-slot
-    work is k*h multiply-adds instead of k*h^2. Every block's attribute
-    rows and hidden activations carry a trailing ones column, so each
-    hidden layer is one product with [[W_j, 0], [b_j, 1]], and the last h
-    columns of S' are the neighbour sums; the output is still the two
-    products above, S_x being the first k*h columns of S'. In the backward
-    pass the ones column gives the bias rows of the same products: the
-    last rows of S'^T g and of each hidden layer's [z, 1]^T dz are the
-    bias gradients, and the gradient with respect to S' carries g B in its
-    last h columns. z, S' and the output rows are computed one degree
-    block at a time, each block padded only to its own width, in views of
-    one workspace that each forward call and each backward call allocates
-    for its own use, sized to the largest block; the output is put back
-    in node order at the end. The backward pass recomputes each block's z
-    chain and S' instead of keeping them, so no array holds a row per slot
-    of the whole layout (except the gradient of a non-:class:`Constant`
-    ``attr``) or k*h numbers per node. The same code runs on recording and
-    non-recording tapes. Pad slots take a zero v row, so they add nothing
-    and get a zero gradient. Nodes without in-edges get a zero row.
+    work is k*h multiply-adds instead of k*h^2. The ones column runs
+    through every hidden activation, so each hidden layer is one product
+    with [[W_j, 0], [b_j, 1]], and the last h columns of S' are the
+    neighbour sums; the output is still the two products above, S_x being
+    the first k*h columns of S'. In the backward pass the ones column
+    gives the bias rows of the same products: the last rows of S'^T g and
+    of each hidden layer's [z, 1]^T dz are the bias gradients, and the
+    gradient with respect to S' carries g B in its last h columns. A
+    non-:class:`Constant` ``attr`` gets the gradient of every column, the
+    ones column included. z, S' and the output rows are computed one
+    degree block at a time, each block padded only to its own width, in
+    views of one workspace that each forward call and each backward call
+    allocates for its own use, sized to the largest block; the output is
+    put back in node order at the end. The backward pass recomputes each
+    block's z chain and S' instead of keeping them, so no array holds a
+    row per slot of the whole layout (except the gradient of a
+    non-Constant ``attr``) or k*h numbers per node. The same code runs on
+    recording and non-recording tapes. Pad slots take a zero v row, so
+    they add nothing and get a zero gradient. Nodes without in-edges get
+    a zero row.
 
     The output has the bits of running the hidden layers as :func:`dense`
     over all slots first, and those of a single padded block when every
@@ -451,7 +454,7 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     hidden_layers = tuple(hidden_layers)
     if hidden_layers and activation not in ACTIVATIONS:
         raise ContractError(f"unknown activation {activation!r}")
-    widths = [width]
+    widths = [width - 1]  # the attributes, less the ones column
     for j, (w_j, b_j) in enumerate(hidden_layers):
         cols = w_j.data.shape[1]
         if w_j.data.shape[0] != widths[-1] or b_j.data.shape != (1, cols):
@@ -481,16 +484,15 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     inv = layout.inv_degree[layout.order, None]
 
     def workspace():
-        """One call's buffers, sized to the largest block: the z chain with
-        its ones columns (the products write those of the hidden layers),
-        the gathered neighbour rows and the S' rows."""
-        chain_bufs = [np.empty((max_slots, cols + 1)) for cols in widths]
-        chain_bufs[0][:, -1] = 1.0
-        return chain_bufs, np.empty((max_slots, h)), np.empty((max_nodes, k + 1, h))
+        """One call's buffers, sized to the largest block: the hidden
+        activations with their ones columns (the products write them), the
+        gathered neighbour rows and the S' rows."""
+        return ([np.empty((max_slots, cols + 1)) for cols in widths[1:]],
+                np.empty((max_slots, h)), np.empty((max_nodes, k + 1, h)))
 
     def block(rows_of, nbrs, b, w, work):
         """A block's z chain, its neighbour rows (b x w x h) and its S'
-        rows (b x (k+1)*h), in views of ``work``."""
+        rows (b x (k+1)*h), in views of ``work`` and of ``attr``."""
         chain_bufs, vb_buf, s_buf = work
         chain = _kernel_chain(attr.data[rows_of], layers, activation, chain_bufs)
         # indices are in range; "clip" lets take write into ``out`` unbuffered
@@ -516,9 +518,8 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     def bwd():
         g = out.grad[layout.order]
         g *= inv
-        want_attr = not isinstance(attr, Constant)
         # every slot row lies in exactly one block of nonzero width
-        d_attr = np.empty((rows, width)) if want_attr else None
+        d_attr = None if isinstance(attr, Constant) else np.empty((rows, width))
         # per hidden layer, the gradient of [[W_j, 0], [b_j, 1]]; and of
         # [W~; B^T]
         d_layers = [np.zeros_like(layer) for layer in layers]
@@ -541,14 +542,13 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
             scattered = np.bincount((nbrs[:, None] * h + cols).ravel(),
                                     weights=dvb.ravel())
             dv[:scattered.size] += scattered
-            if not layers:
-                if want_attr:
-                    np.matmul(vb, ds[:, :k].transpose(0, 2, 1),
-                              out=d_attr[rows_of].reshape(b, w, k))
+            # each chain entry's gradient; the input rows' for a non-Constant attr
+            dz_to = [None if d_attr is None else d_attr[rows_of],
+                     *(buf[:b * w] for buf in dz_bufs)]
+            if dz_to[-1] is None:  # a Constant input and no hidden layers
                 continue
             dz = np.matmul(vb, ds.transpose(0, 2, 1),
-                           out=dz_bufs[-1][:b * w].reshape(b, w, k + 1))
-            dz = dz.reshape(b * w, k + 1)
+                           out=dz_to[-1].reshape(b, w, k + 1)).reshape(b * w, k + 1)
             for j in reversed(range(len(layers))):
                 y_j = chain[j + 1]
                 if activation == "relu":
@@ -556,17 +556,15 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
                 else:
                     dz *= 1.0 - y_j * y_j
                 d_layers[j] += chain[j].T @ dz
-                if j:
-                    dz = np.matmul(dz, layers[j].T, out=dz_bufs[j - 1][:b * w])
-                elif want_attr:
-                    np.matmul(dz, layers[0][:-1].T, out=d_attr[rows_of])
+                if dz_to[j] is not None:
+                    dz = np.matmul(dz, layers[j].T, out=dz_to[j])
         d_weight = d_weight.reshape(k + 1, h, h).transpose(0, 2, 1).reshape(k + 1, h * h)
         _accumulate(weight, d_weight[:k])
         _accumulate(bias, d_weight[k:])
         for (w_j, b_j), d_layer in zip(hidden_layers, d_layers):
             _accumulate(w_j, d_layer[:-1, :-1].copy())
             _accumulate(b_j, d_layer[-1:, :-1].copy())
-        if want_attr:
+        if d_attr is not None:
             _accumulate(attr, d_attr)
         _accumulate(v, dv.reshape(n + 1, h)[:n])
 

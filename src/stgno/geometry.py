@@ -14,15 +14,15 @@ positions, its edges and its radius; the rest is derived. The edge
 attributes (dx, dy, distance, taken dst minus src) are recomputed on each
 access. The degree-blocked in-neighbour layout is the one sparse
 neighbour representation every graph model uses: graphpde's message op
-runs on it with the radius-scaled edge attributes spread over its slots
-(:attr:`RadiusGraph.slot_attr`), and the row mixers of the other kinds
-(:class:`RowMixer`, built by :func:`row_mixer` from one weight per edge,
-in edge order, and one self weight per node) keep one weight per slot.
-The layout, the slot attributes and the mixers are computed on first use
-and cached on the instance; a mixer also holds its mix of the last
-Constant input it was given (see :class:`RowMixer`). A built graph is
-immutable by convention; concurrent first uses may compute a constant
-twice, with identical results.
+runs on it, with per-slot input rows that ``models`` builds through
+:meth:`NeighbourLayout.pad_edge_rows`, and the row mixers of the other
+kinds (:class:`RowMixer`, built by :func:`row_mixer` from one weight per
+edge, in edge order, and one self weight per node) keep one weight per
+slot. The layout, and each constant built through
+:meth:`RadiusGraph.cached`, is computed on first use and cached on the
+instance; a mixer also holds its mix of the last Constant input it was
+given (see :class:`RowMixer`). A built graph is immutable by convention;
+concurrent first uses may compute a constant twice, with identical results.
 
 These per-graph constants are built in linear passes, without a search.
 The layout and each mixer sort the edges stably by destination
@@ -33,11 +33,10 @@ list is symmetric, and then it maps every edge to its reverse (see
 :func:`row_mixer`). Gathers go through ``np.take``, several times faster
 than fancy indexing with an edge array's strided column. On a 300-spot
 slide at r = 0.25 (m = 14,282; 1 BLAS thread, 2-core AMD EPYC VM, timeit
-best of 7), against an int64 sort, a reverse map by binary search and
-fancy indexing: the layout takes 0.13 ms (was 0.50), the norm and
-Gaussian mixers with their weights 0.15 and 0.26 ms (0.77 and 1.10), and
-the layout plus both mixers from a bare graph 0.60 ms (2.4). On a
-50,000-spot slide at degree 6 that last figure is 16–26 ms (was 120–126).
+best of 7) the layout takes 0.13 ms, the norm and Gaussian mixers with
+their weights 0.15 and 0.26 ms, and the layout plus both mixers from a
+bare graph 0.60 ms. On a 50,000-spot slide at degree 6 that last figure
+is 16–26 ms.
 """
 
 from __future__ import annotations
@@ -91,13 +90,6 @@ class RadiusGraph:
     @property
     def layout(self) -> "NeighbourLayout":
         return self.cached("layout", lambda: neighbour_layout(self))
-
-    @property
-    def slot_attr(self) -> np.ndarray:
-        """(num_slots, 3) the layout's edge attributes / radius, 0 in pads;
-        graphpde's kernel-network input, computed on first use and cached."""
-        return self.cached("slot_attr", lambda: self.layout.pad_edge_rows(
-            self.edge_attr / self.radius))
 
 
 # The layout cuts the degree-sorted nodes into this many runs. On twenty
@@ -327,10 +319,7 @@ def row_mixer(graph: RadiusGraph, edge_weights, self_weights) -> RowMixer:
     reversed list row for row exactly when the list is symmetric, and then
     ``order[e]`` is the index of edge e's reverse. One O(m) comparison
     checks it (a ``ContractError`` otherwise), and the two spreads are
-    :meth:`NeighbourLayout.pad_edge_rows` of ``w`` and of ``w[order]``.
-    With its weights, a mixer takes 0.15 ms (norm) or 0.26 ms (Gaussian)
-    on a 300-spot slide of 14,282 edges, against 0.77 and 1.10 ms with the
-    binary search of every reversed (src, dst) key that this replaced."""
+    :meth:`NeighbourLayout.pad_edge_rows` of ``w`` and of ``w[order]``."""
     n, m = graph.num_nodes, graph.num_edges
     w = np.asarray(edge_weights, dtype=np.float64)
     self_w = np.array(self_weights, dtype=np.float64)

@@ -17,12 +17,16 @@ from .errors import DataError
 @contextmanager
 def atomic_writer(path: Path | str):
     """A binary file open at a sibling temp path, renamed over ``path``
-    when the block ends without error, so readers never see a partial
-    file."""
+    when the block ends without error (so readers never see a partial
+    file) and removed when it raises, leaving ``path`` as it was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        yield fh
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 

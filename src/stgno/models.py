@@ -41,19 +41,17 @@ z_e its last hidden activation, so the mean message is evaluated exactly as
 W~2 . mean_e(z_e outer v_e) + B2 . mean_e v_e and no per-edge h x h matrix
 is ever built. The whole kernel network and that contraction are one
 tape entry, :func:`ad.kernel_message_mean`, which runs on the same
-layout and reads the radius-scaled edge attributes of its slots from
-``RadiusGraph.slot_attr`` (only graphpde builds them). It evaluates the
-hidden kernel layers (:func:`kernel_net_forward` names their parameters) one
-degree block at a time and recomputes them in the backward pass, so no
-per-slot array of the whole layout is kept or built. Each block's
-attribute rows and hidden activations carry a trailing ones column:
-a hidden layer is one product with [[W, 0], [b, 1]], the contraction
-with the neighbour states gives the neighbour sums in its last h
-columns, and the output is still the two products W~2 . S + B2 . sum.
-Each forward and each backward call of the op works in one workspace of
-its own, sized to the largest block. The logits keep the bits of x W
-then + b; gradients move in their last bits, because the bias terms are
-summed per block. Every other
+layout. Its input is built here once per graph and cached on it, beside
+the mixers (:func:`_kernel_input_for`, graphpde's alone): per slot, the
+radius-scaled edge attributes and a 1, zero rows in pads. The op runs
+the hidden kernel layers (:func:`kernel_net_forward` names their
+parameters) one degree block at a time on those rows in place, and
+recomputes them in the backward pass, so no per-slot array of the whole
+layout is kept or built. The ones column carries every bias: a hidden
+layer is one product with [[W, 0], [b, 1]], and the contraction with
+the neighbour states gives the neighbour sums in its last h columns.
+The logits keep the bits of x W then + b; gradients move in their last
+bits, because the bias terms are summed per block. Every other
 linear+activation pair of every kind is a single fused :func:`ad.dense`
 tape entry; the constant edge attributes and node features get no
 gradient.
@@ -120,6 +118,20 @@ def _is_int_at_least(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
+def _check_counts(config, minimums) -> None:
+    """Refuse the first (name, least) field of ``config`` not an int >= least."""
+    for name, least in minimums:
+        if not _is_int_at_least(getattr(config, name), least):
+            raise ParameterError(
+                f"{name} must be >= {least} (an integer), got {getattr(config, name)!r}")
+
+
+def _check_positive_real(name: str, x) -> None:
+    """Refuse anything but a positive finite int or float, and any bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not 0 < x < math.inf:
+        raise ParameterError(f"{name} must be positive and finite, got {x!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     kind: str
@@ -136,15 +148,12 @@ class ModelConfig:
         check_kind(self.kind)
         if self.num_layers is None:
             object.__setattr__(self, "num_layers", _DEFAULT_LAYERS[self.kind])
-        for name, least in (("input_dim", 1), ("hidden_dim", 1), ("num_classes", 2),
-                            ("num_layers", 1), ("init_seed", 0)):
-            if not _is_int_at_least(getattr(self, name), least):
-                raise ParameterError(
-                    f"{name} must be >= {least} (an integer), got {getattr(self, name)!r}")
+        _check_counts(self, (("input_dim", 1), ("hidden_dim", 1), ("num_classes", 2),
+                             ("num_layers", 1), ("init_seed", 0)))
         if self.activation not in ad.ACTIVATIONS:
             raise ParameterError(f"unknown activation {self.activation!r}")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ParameterError("bandwidth must be positive when given")
+        if self.bandwidth is not None:
+            _check_positive_real("bandwidth", self.bandwidth)
         if not all(_is_int_at_least(width, 1) for width in self.kernel_net_hidden):
             raise ParameterError("kernel network widths must be integers >= 1, "
                                  f"got {tuple(self.kernel_net_hidden)}")
@@ -226,6 +235,16 @@ def _gaussian_weights_for(config: ModelConfig, graph: RadiusGraph) -> RowMixer:
         graph, *gaussian_kernel_weights(graph.positions, graph.edges, bandwidth)))
 
 
+def _kernel_input_for(graph: RadiusGraph) -> np.ndarray:
+    """graphpde's kernel-network input, cached on the graph: per layout
+    slot, the edge attributes scaled by the build radius (so they sit at
+    O(1) regardless of slide units; the first kernel layer absorbs the
+    factor), then a 1 that carries each kernel layer's bias through
+    :func:`ad.kernel_message_mean`'s products; zero rows in pads."""
+    return graph.cached("kernel_input", lambda: graph.layout.pad_edge_rows(
+        np.hstack([graph.edge_attr / graph.radius, np.ones((graph.num_edges, 1))])))
+
+
 def _stack_blocks(config: ModelConfig) -> int:
     """Linear+activation blocks before the readout: none for lr, and
     num_layers - 1 for spatial_kernel, whose num_layers counts the readout."""
@@ -273,9 +292,9 @@ def graphpde_layer(tape: Tape, config: ModelConfig, params: Params,
     """v' = act(W v + b + mean over in-edges of K_e v_src).
 
     ``attr`` holds the kernel network's input row for every slot of
-    ``graph.layout`` (``graph.slot_attr``, the radius-scaled edge
-    attributes, on the model path); the whole kernel network, hidden
-    layers from :func:`kernel_net_forward` and the final K_e = z_e W2 + b2, runs
+    ``graph.layout``, ending in a ones column (:func:`_kernel_input_for`
+    on the model path); the whole kernel network, hidden layers from
+    :func:`kernel_net_forward` and the final K_e = z_e W2 + b2, runs
     inside one :func:`ad.kernel_message_mean` call, exactly. Nodes with no
     in-edges get a zero mean term, so the update degenerates to
     act(W v + b).
@@ -294,13 +313,10 @@ def graphpde_layer(tape: Tape, config: ModelConfig, params: Params,
 
 def graphpde_forward(tape: Tape, config: ModelConfig, params: Params,
                      graph: RadiusGraph, features: Value) -> Value:
-    # kernel-net inputs are the edge attributes scaled by the build radius
-    # (so they sit at O(1) regardless of slide units), one row per layout
-    # slot; the first kernel layer absorbs the factor
-    edge_attr = ad.constant(graph.slot_attr)
+    attr = ad.constant(_kernel_input_for(graph))
     x = _linear(tape, params, "lift", features)
     for i in range(config.num_layers):
-        x = graphpde_layer(tape, config, params, i, graph, edge_attr, x)
+        x = graphpde_layer(tape, config, params, i, graph, attr, x)
     return _linear(tape, params, "readout", x)
 
 

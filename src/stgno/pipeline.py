@@ -56,7 +56,7 @@ from .errors import ContractError, DataError, ParameterError
 from .geometry import RadiusGraph, build_radius_graph
 from .ioutil import (atomic_write_text, atomic_writer, dump_json, open_text, read_json,
                      read_text)
-from .models import _is_int_at_least
+from .models import _check_counts, _is_int_at_least
 
 PREPARED_VERSION = 3
 # what predict replays of prepare; the manifest's are copied to each checkpoint
@@ -152,11 +152,8 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, least in (("num_samples", 1), ("spots_per_sample", 1), ("num_genes", 1),
-                            ("region_seeds_per_class", 1), ("seed", 0)):
-            if not _is_int_at_least(getattr(self, name), least):
-                raise ParameterError(
-                    f"{name} must be >= {least} (an integer), got {getattr(self, name)!r}")
+        _check_counts(self, (("num_samples", 1), ("spots_per_sample", 1), ("num_genes", 1),
+                             ("region_seeds_per_class", 1), ("seed", 0)))
         if not (_is_int_at_least(self.num_classes, 2) and self.num_classes <= 26):
             raise ParameterError(
                 f"synthetic class count must be 2 to 26 (one letter each), "

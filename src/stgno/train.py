@@ -12,8 +12,8 @@ from .autodiff import Parameter, Tape
 from .errors import (CheckpointError, ContractError, DataError,
                      DivergenceError, ParameterError)
 from .ioutil import atomic_write_text, dump_json, read_json
-from .models import (DISPLAY_NAMES, ModelConfig, Params, _is_int_at_least, init_params,
-                     model_forward, parameter_shapes)
+from .models import (DISPLAY_NAMES, ModelConfig, Params, _check_counts,
+                     _check_positive_real, init_params, model_forward, parameter_shapes)
 from .pipeline import GraphSample, check_preprocess, numeric_array
 
 CHECKPOINT_VERSION = 1
@@ -31,13 +31,8 @@ class TrainConfig:
     class_weighting: bool = True
 
     def __post_init__(self) -> None:
-        for name, least in (("epochs", 1), ("num_runs", 1), ("seed", 0)):
-            if not _is_int_at_least(getattr(self, name), least):
-                raise ParameterError(
-                    f"{name} must be >= {least} (an integer), got {getattr(self, name)!r}")
-        lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
-            raise ParameterError(f"learning_rate must be positive and finite, got {lr!r}")
+        _check_counts(self, (("epochs", 1), ("num_runs", 1), ("seed", 0)))
+        _check_positive_real("learning_rate", self.learning_rate)
         if self.optimizer not in OPTIMIZERS:
             raise ParameterError(f"unknown optimizer {self.optimizer!r}")
 

@@ -5,7 +5,8 @@ shares no code with the library paths under test; :func:`unfused_dense`
 chains the separate autodiff primitives that ``ad.dense`` fuses, and
 :func:`two_stage_kernel_message_mean` / :func:`two_stage_graphpde_forward`
 run the graphpde kernel network as ``ad.dense`` over every layout slot
-before the message op, instead of inside it one degree block at a time;
+before the message op, instead of inside it one degree block at a time,
+and append the ones column that the op reads with :func:`append_ones`;
 :func:`coo_weights` lists a row mixer's per-edge and self weights as COO
 entries, the edges in order and then one self loop per node, and
 :func:`coo_apply_kernel` mixes rows with ``ad.coo_matmul`` over them, the
@@ -13,8 +14,9 @@ path the models' row mixers replaced. :func:`searchsorted_mixer_slots`
 builds a mixer's per-slot weights with the reverse-edge search that the
 library's linear pass replaced, and :func:`fancy_edge_attributes` /
 :func:`fancy_pad_edge_rows` are the fancy-index gathers that ``np.take``
-replaced. :func:`mul` is a tape op that no library path needs, kept for
-the gradient checks.
+replaced. :func:`mul` and :func:`append_ones` are tape ops that no
+library path needs, kept for the gradient checks and the two-stage path;
+:func:`with_ones` appends a ones column to an array.
 """
 
 from typing import NamedTuple
@@ -60,6 +62,28 @@ def mul(tape, a, b):
     return out
 
 
+def with_ones(rows):
+    """``rows`` with a ones column appended, as ``ad.kernel_message_mean``
+    reads its input rows."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return np.hstack([rows, np.ones((rows.shape[0], 1))])
+
+
+def append_ones(tape, x):
+    """:func:`with_ones` as a tape op: the rows are copied exactly and the
+    backward drops the ones column's gradient. A Constant stays a Constant,
+    with no tape entry."""
+    if isinstance(x, ad.Constant):
+        return ad.constant(with_ones(x.data))
+    out = ad.Value(with_ones(x.data))
+
+    def bwd():
+        ad._accumulate(x, out.grad[:, :-1].copy())
+
+    tape.record("append_ones", (x,), out, bwd)
+    return out
+
+
 def rel_err(approx, exact):
     """Relative error between two gradient arrays, on the vector norm."""
     approx = np.asarray(approx, dtype=np.float64)
@@ -78,12 +102,14 @@ def unfused_dense(tape, x, weight, bias, activation=None):
 def two_stage_kernel_message_mean(tape, attr, hidden_layers, weight, bias, v,
                                   layout, activation=None):
     """The kernel network's hidden layers as ``ad.dense`` over the full
-    num_slots-row matrix, then the message op on those rows with no hidden
-    layers of its own."""
+    num_slots-row matrix ``attr`` (the attributes, with no ones column),
+    then the message op on those rows, a ones column appended, with no
+    hidden layers of its own."""
     z = attr
     for w, b in hidden_layers:
         z = ad.dense(tape, z, w, b, activation)
-    return ad.kernel_message_mean(tape, z, (), weight, bias, v, layout)
+    return ad.kernel_message_mean(tape, append_ones(tape, z), (), weight, bias, v,
+                                  layout)
 
 
 def two_stage_graphpde_forward(tape, config, params, graph, features):
@@ -91,7 +117,7 @@ def two_stage_graphpde_forward(tape, config, params, graph, features):
     all slots of ``graph.layout`` before the message op (same parameters,
     same op order otherwise)."""
     act = ad.ACTIVATIONS[config.activation]
-    attr = ad.constant(graph.slot_attr)
+    attr = ad.constant(graph.layout.pad_edge_rows(graph.edge_attr / graph.radius))
     x = ad.dense(tape, features, params["lift_w"], params["lift_b"])
     depth = len(config.kernel_net_hidden)
     for i in range(config.num_layers):
@@ -192,13 +218,14 @@ def fancy_pad_edge_rows(layout, rows):
 
 
 def slot_attributes(graph, layout):
-    """The edge attributes / radius in ``layout``'s slot order, zero in
-    pads, by a loop over the slots."""
+    """graphpde's kernel input in ``layout``'s slot order, by a loop over
+    the slots: the edge attributes / radius, then a 1; zero rows in pads."""
     attr = graph.edge_attr  # derived on each access: read once
-    out = np.zeros((layout.num_slots, 3))
+    out = np.zeros((layout.num_slots, 4))
     for slot, e in enumerate(layout.slot_edge):
         if e >= 0:
-            out[slot] = attr[e] / graph.radius
+            out[slot, :3] = attr[e] / graph.radius
+            out[slot, 3] = 1.0
     return out
 
 

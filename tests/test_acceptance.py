@@ -22,7 +22,8 @@ from stgno.train import (TrainConfig, class_weights, evaluate,
                          weighted_cross_entropy)
 
 from oracles import (coo_weights, dense_gaussian_weights, dense_graphpde_layer,
-                     dense_weight_matrix, finite_difference_grads, mul, rel_err)
+                     dense_weight_matrix, finite_difference_grads, mul, rel_err,
+                     with_ones)
 
 # settings for the synthetic spatial-separation experiment (criteria 7, 8)
 SEPARATION = dict(
@@ -148,7 +149,7 @@ def test_criterion_01_gradient_suite():
     # the fused graphpde mean-message op; its draws come after the model
     # checks so those keep their inputs
     layout = _random_graph(5, radius=0.6, seed=3)[1].layout
-    slots = ad.Parameter("slots", away_from_zero((layout.num_slots, 2)))
+    slots = ad.Parameter("slots", with_ones(away_from_zero((layout.num_slots, 2))))
     kw = ad.Parameter("kw", away_from_zero((2, 9)))
     kb = ad.Parameter("kb", away_from_zero((1, 9)))
     nodes = ad.Parameter("nodes", away_from_zero((5, 3)))
@@ -171,11 +172,12 @@ def test_criterion_01_gradient_suite():
             t, ad.dense(t, const_x, dw, db, activation), c42)), [dw, db])
 
     # the same op running one and two kernel hidden layers itself, with two
-    # isolated nodes; the attribute rows are a plain Value, so they get a
-    # gradient too. Drawn after the checks above so they keep their inputs.
+    # isolated nodes; the attribute rows (with their ones column) are a
+    # plain Value, so they get a gradient too. Drawn after the checks above
+    # so they keep their inputs.
     iso_pts = np.vstack([rng.uniform(size=(5, 2)), [[5.0, 5.0], [8.0, 5.0]]])
     iso_layout = build_radius_graph(iso_pts, 0.6).layout
-    attr = ad.Value(away_from_zero((iso_layout.num_slots, 3)))
+    attr = ad.Value(with_ones(away_from_zero((iso_layout.num_slots, 3))))
     iso_nodes = ad.Parameter("iso_nodes", away_from_zero((7, 2)))
     c72 = rng.uniform(-1, 1, (7, 2))
     for widths in ((3, 4), (3, 4, 3)):
@@ -231,7 +233,8 @@ def test_criterion_03_sparse_vs_dense():
         n = int(rng.integers(3, 13))
         pts, graph = _random_graph(n, radius=0.5, seed=seed)
         # no kernel hidden layers and an identity kernel layer (16 -> 16)
-        # make the rows handed to the layer the explicit per-edge kernels
+        # make the rows handed to the layer, less their ones column, the
+        # explicit per-edge kernels
         cfg = make_config("graphpde", input_dim=4, hidden_dim=4,
                           kernel_net_hidden=(), init_seed=seed)
         params = {name: ad.Parameter(name, np.eye(16))
@@ -242,7 +245,7 @@ def test_criterion_03_sparse_vs_dense():
         kernels = rng.uniform(-1, 1, (graph.num_edges, 16))
         from stgno.models import graphpde_layer
         got = graphpde_layer(ad.Tape(), cfg, params, 0, graph,
-                             ad.constant(graph.layout.pad_edge_rows(kernels)),
+                             ad.constant(graph.layout.pad_edge_rows(with_ones(kernels))),
                              ad.constant(v)).data
         want = dense_graphpde_layer(params["layer_0_w"].data,
                                     params["layer_0_b"].data,

@@ -10,10 +10,11 @@ from stgno import autodiff as ad
 from stgno.errors import ContractError, DimensionError
 from stgno.geometry import (RadiusGraph, build_radius_graph, gaussian_kernel_weights,
                             row_mixer)
-from stgno.models import symmetric_norm_weights
+from stgno.models import _kernel_input_for, symmetric_norm_weights
 
 from oracles import (coo_weights, finite_difference_grads, mul, rel_err,
-                     single_block_layout, two_stage_kernel_message_mean, unfused_dense)
+                     single_block_layout, two_stage_kernel_message_mean, unfused_dense,
+                     with_ones)
 
 RNG = np.random.default_rng(12345)
 
@@ -351,7 +352,8 @@ def _layout_graph(seed, n=40, radius=0.45, isolated=0):
 
 
 def _kernel_mean_loop(hidden, weight, bias, v, graph):
-    """Per-edge loop: K_e = reshape(z_e W + b), out[dst] = mean K_e v[src]."""
+    """Per-edge loop: K_e = reshape(z_e W + b), out[dst] = mean K_e v[src],
+    z_e being a slot's row less its ones column."""
     n, h = v.shape
     layout = graph.layout
     out = np.zeros((n, h))
@@ -360,15 +362,17 @@ def _kernel_mean_loop(hidden, weight, bias, v, graph):
         if e < 0:
             continue
         src, dst = graph.edges[e]
-        kernel = (hidden[slot] @ weight + bias[0]).reshape(h, h)
+        kernel = (hidden[slot, :-1] @ weight + bias[0]).reshape(h, h)
         out[dst] += kernel @ v[src]
         counts[dst] += 1
     return out / np.maximum(counts, 1.0)[:, None]
 
 
 def _kernel_mean_inputs(graph, k, h, rng=RNG):
+    """Per-slot rows of k values and a ones column, the last layer and the
+    node states."""
     rows = graph.layout.num_slots
-    return (ad.Parameter("hidden", safe_uniform((rows, k), rng)),
+    return (ad.Parameter("hidden", with_ones(safe_uniform((rows, k), rng))),
             ad.Parameter("weight", safe_uniform((k, h * h), rng)),
             ad.Parameter("bias", safe_uniform((1, h * h), rng)),
             ad.Parameter("v", safe_uniform((graph.num_nodes, h), rng)))
@@ -405,7 +409,7 @@ def test_kernel_message_mean_pad_slots_get_zero_gradient():
     out = ad.kernel_message_mean(tape, hidden, (), weight, bias, v, layout)
     tape.backward(ad.sum_all(tape, out))
     pads = ~layout.mask
-    assert np.array_equal(hidden.grad[pads], np.zeros((pads.sum(), 4)))
+    assert np.array_equal(hidden.grad[pads], np.zeros((pads.sum(), 5)))
     assert np.abs(hidden.grad[~pads]).max() > 0.0
 
 
@@ -415,7 +419,7 @@ def test_kernel_message_mean_matches_single_block_oracle(n, isolated):
     graph = _layout_graph(7, n=n, isolated=isolated)
     k, h, m = 5, 3, graph.num_edges
     rng = np.random.default_rng(8)
-    edge_rows = safe_uniform((m, k), rng)
+    edge_rows = with_ones(safe_uniform((m, k), rng))
     weight, bias = safe_uniform((k, h * h), rng), safe_uniform((1, h * h), rng)
     v = safe_uniform((graph.num_nodes, h), rng)
     coeffs = safe_uniform((graph.num_nodes, h), rng)
@@ -430,7 +434,7 @@ def test_kernel_message_mean_matches_single_block_oracle(n, isolated):
         tape.backward(ad.sum_all(tape, ad.mul_const(tape, out, coeffs)))
         hidden_grad = leaves[0].grad
         assert not hidden_grad[~layout.mask].any()
-        per_edge = np.zeros((m, k))
+        per_edge = np.zeros((m, k + 1))
         per_edge[layout.slot_edge[layout.mask]] = hidden_grad[layout.mask]
         return out.data, [per_edge] + [p.grad for p in leaves[1:]]
 
@@ -450,7 +454,7 @@ def test_kernel_message_mean_without_edges_is_exactly_zero():
     assert graph.layout.num_slots == 0
     assert all(blk.width == 0 for blk in graph.layout.blocks)
     hidden, weight, bias, v = _kernel_mean_inputs(graph, 3, 2)
-    assert hidden.data.shape == (0, 3)
+    assert hidden.data.shape == (0, 4)
     tape = ad.Tape()
     out = ad.kernel_message_mean(tape, hidden, (), weight, bias, v, graph.layout)
     assert np.array_equal(out.data, np.zeros((4, 2)))
@@ -460,10 +464,11 @@ def test_kernel_message_mean_without_edges_is_exactly_zero():
 
 
 def test_kernel_message_mean_on_raw_attributes():
-    # kernel_net_hidden=(): the hidden rows are the (scaled) attributes, k = 3
+    # kernel_net_hidden=(): the hidden rows are graphpde's kernel input, the
+    # scaled attributes and a ones column, k = 3
     graph = _layout_graph(4)
     _hidden, weight, bias, v = _kernel_mean_inputs(graph, 3, 3)
-    attr = ad.constant(graph.slot_attr)
+    attr = ad.constant(_kernel_input_for(graph))
     out = ad.kernel_message_mean(ad.Tape(), attr, (), weight, bias, v, graph.layout)
     want = _kernel_mean_loop(attr.data, weight.data, bias.data, v.data, graph)
     assert np.abs(out.data - want).max() < 1e-13
@@ -505,10 +510,10 @@ def test_kernel_message_mean_shape_errors():
 
 
 def _fused_inputs(graph, widths, h, rng):
-    """Per-slot attribute rows (a plain Value, so they get a gradient),
-    the hidden (W_j, b_j) pairs for ``widths`` = (a, k_1, ..., k_L), the
-    last layer and the node states."""
-    attr = ad.Value(safe_uniform((graph.layout.num_slots, widths[0]), rng))
+    """Per-slot rows of a attributes and a ones column (a plain Value, so
+    they get a gradient), the hidden (W_j, b_j) pairs for ``widths`` =
+    (a, k_1, ..., k_L), the last layer and the node states."""
+    attr = ad.Value(with_ones(safe_uniform((graph.layout.num_slots, widths[0]), rng)))
     hidden = [(ad.Parameter(f"w{j}", safe_uniform((widths[j], widths[j + 1]), rng)),
                ad.Parameter(f"b{j}", safe_uniform((1, widths[j + 1]), rng)))
               for j in range(len(widths) - 1)]
@@ -524,23 +529,26 @@ def _fused_inputs(graph, widths, h, rng):
 def test_fused_kernel_message_mean_matches_two_stage(widths, activation, isolated):
     # the kernel net run one degree block at a time inside the op gives the
     # bits of running it over every slot first; gradients differ only in
-    # summation order
+    # summation order. The two-stage path takes the attributes without the
+    # ones column and appends it after its hidden layers
     graph = _layout_graph(9, isolated=isolated)
     rng = np.random.default_rng(10)
     attr, hidden, (weight, bias), v = _fused_inputs(graph, widths, 3, rng)
     coeffs = safe_uniform((graph.num_nodes, 3), rng)
-    leaves = [attr, *(p for pair in hidden for p in pair), weight, bias, v]
+    params = [*(p for pair in hidden for p in pair), weight, bias, v]
     results = []
-    for op in (ad.kernel_message_mean, two_stage_kernel_message_mean):
-        for leaf in leaves:
+    for op, rows in ((ad.kernel_message_mean, attr),
+                     (two_stage_kernel_message_mean, ad.Value(attr.data[:, :-1]))):
+        for leaf in (rows, *params):
             leaf.grad = None
         tape = ad.Tape()
-        out = op(tape, attr, hidden, weight, bias, v, graph.layout, activation)
-        inference = op(ad.Tape(record=False), attr, hidden, weight, bias, v,
+        out = op(tape, rows, hidden, weight, bias, v, graph.layout, activation)
+        inference = op(ad.Tape(record=False), rows, hidden, weight, bias, v,
                        graph.layout, activation)
         assert np.array_equal(inference.data, out.data)
         tape.backward(weighted_sum_loss(tape, out, coeffs))
-        results.append((out.data, [leaf.grad for leaf in leaves]))
+        results.append((out.data, [rows.grad[:, :widths[0]]]
+                        + [leaf.grad for leaf in params]))
     (fused, grads), (want, want_grads) = results
     assert np.array_equal(fused, want)
     if isolated:
@@ -583,21 +591,25 @@ def test_fused_kernel_message_mean_pad_slots_get_zero_attr_gradient():
     out = ad.kernel_message_mean(tape, attr, hidden, weight, bias, v, layout, "tanh")
     tape.backward(ad.sum_all(tape, out))
     pads = ~layout.mask
-    assert np.array_equal(attr.grad[pads], np.zeros((pads.sum(), 3)))
+    assert np.array_equal(attr.grad[pads], np.zeros((pads.sum(), 4)))
     assert np.abs(attr.grad[~pads]).max() > 0.0
 
 
 def test_fused_kernel_message_mean_constant_attr_gets_no_gradient():
+    # with one hidden layer and with none, where the kernel is linear in the
+    # attributes
     graph = _layout_graph(15)
-    attr, hidden, (weight, bias), v = _fused_inputs(graph, (3, 5), 2,
-                                                    np.random.default_rng(16))
-    const = ad.constant(attr.data)
-    tape = ad.Tape()
-    out = ad.kernel_message_mean(tape, const, hidden, weight, bias, v,
-                                 graph.layout, "relu")
-    tape.backward(ad.sum_all(tape, out))
-    assert const.grad is None
-    assert all(np.abs(p.grad).max() > 0.0 for pair in hidden for p in pair)
+    rng = np.random.default_rng(16)
+    for widths in ((3, 5), (3,)):
+        attr, hidden, (weight, bias), v = _fused_inputs(graph, widths, 2, rng)
+        const = ad.constant(attr.data)
+        tape = ad.Tape()
+        out = ad.kernel_message_mean(tape, const, hidden, weight, bias, v,
+                                     graph.layout, "relu")
+        tape.backward(ad.sum_all(tape, out))
+        assert const.grad is None
+        assert all(np.abs(p.grad).max() > 0.0
+                   for p in (*(p for pair in hidden for p in pair), weight, bias, v))
 
 
 def test_fused_kernel_message_mean_errors():
@@ -607,7 +619,7 @@ def test_fused_kernel_message_mean_errors():
     with pytest.raises(ContractError):
         ad.kernel_message_mean(ad.Tape(), attr, hidden, weight, bias, v, graph.layout)
     with pytest.raises(DimensionError):  # the hidden layer takes 3 inputs
-        ad.kernel_message_mean(ad.Tape(), ad.Value(attr.data[:, :2]), hidden, weight,
+        ad.kernel_message_mean(ad.Tape(), ad.Value(attr.data[:, 1:]), hidden, weight,
                                bias, v, graph.layout, "relu")
     with pytest.raises(DimensionError):  # the last layer takes the hidden width
         ad.kernel_message_mean(ad.Tape(), attr, (), weight, bias, v, graph.layout)
@@ -621,7 +633,7 @@ def test_kernel_message_mean_streams_its_memory():
     rng = np.random.default_rng(19)
     graph = build_radius_graph(rng.uniform(size=(3000, 2)), 0.08)
     k, h = 32, 8
-    attr = ad.constant(graph.slot_attr)
+    attr = ad.constant(_kernel_input_for(graph))
     hidden = [(ad.Parameter("w0", safe_uniform((3, k), rng)),
                ad.Parameter("b0", safe_uniform((1, k), rng)))]
     weight = ad.Parameter("weight", safe_uniform((k, h * h), rng))

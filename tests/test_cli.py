@@ -325,6 +325,17 @@ def test_infinite_learning_rate_is_one_usage_line(prepared_dir, tmp_path, capsys
     assert not (tmp_path / "x").exists()
 
 
+def test_infinite_bandwidth_is_one_usage_line(prepared_dir, tmp_path, capsys):
+    capsys.readouterr()
+    assert run_cli("train", "--data", str(prepared_dir), "--model", "spatial_kernel",
+                   "--epochs", "1", "--runs", "1", "--bandwidth", "inf",
+                   "--out", str(tmp_path / "x")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:usage:") and err.count("\n") == 1, err
+    assert "bandwidth" in err, err
+    assert not (tmp_path / "x").exists()
+
+
 def test_eval_deterministic_bytes(prepared_dir, trained_dir, capsys):
     args = ("eval", "--data", str(prepared_dir),
             "--checkpoint", str(trained_dir / "best.ckpt.json"))
@@ -724,7 +735,9 @@ BOTH = ("eval", "predict")
     ("preprocess", "standardization", DELETE, BOTH),
     ("preprocess", "class_names", DELETE, BOTH),
     # one gene name per input: the fixture's model reads 8 genes
-    ("preprocess", "gene_names", [f"g{i:03d}" for i in range(7)], BOTH)])
+    ("preprocess", "gene_names", [f"g{i:03d}" for i in range(7)], BOTH),
+    # a bool is not a bandwidth, though it compares > 0
+    ("config", "bandwidth", True, BOTH)])
 def test_malformed_checkpoint_is_one_data_error_line(graphpde_run, tmp_path, capsys,
                                                      block, key, value, commands):
     ckpt = _tampered_checkpoint(graphpde_run, tmp_path, block, key, value)

@@ -354,17 +354,6 @@ def test_layout_blocks_cut_the_degree_order_into_near_equal_runs(n):
     assert layout.mask.sum() == g.num_edges
 
 
-def test_layout_edge_attributes_are_scaled_and_zero_padded():
-    g = build_radius_graph(RNG.uniform(size=(30, 2)), 0.35)
-    layout, attr = g.layout, g.slot_attr
-    valid = layout.mask
-    assert attr.shape == (layout.num_slots, 3)
-    assert np.array_equal(attr[valid], (g.edge_attr / g.radius)[layout.slot_edge[valid]])
-    assert np.array_equal(attr[~valid], np.zeros(((~valid).sum(), 3)))
-    assert np.array_equal(layout.pad_edge_rows(g.edge_attr / g.radius), attr)
-    assert g.slot_attr is attr
-
-
 def test_pad_edge_rows_needs_one_row_per_edge():
     g = build_radius_graph(RNG.uniform(size=(30, 2)), 0.35)
     m, layout = g.num_edges, g.layout
@@ -408,7 +397,6 @@ def test_layout_of_edgeless_graph_has_no_slots():
     assert layout.num_slots == 0
     assert [blk.width for blk in layout.blocks] == [0, 0]
     assert sorted(layout.order) == [0, 1]
-    assert g.slot_attr.shape == (0, 3)
     assert np.array_equal(layout.inv_degree, np.ones(2))
 
 

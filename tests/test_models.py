@@ -21,7 +21,8 @@ from stgno.train import class_weights, weighted_cross_entropy
 from oracles import (coo_apply_kernel, coo_weights, dense_graphpde_layer,
                      finite_difference_grads, kernel_net_reference,
                      reference_graphpde_forward, rel_err, single_block_layout,
-                     slot_attributes, two_stage_graphpde_forward, unfused_dense)
+                     slot_attributes, two_stage_graphpde_forward, unfused_dense,
+                     with_ones)
 
 RNG = np.random.default_rng(99)
 
@@ -58,8 +59,9 @@ def explicit_kernel_model(h, **overrides):
 
 
 def explicit_kernels(graph, kernel_rows):
-    """Per-edge kernel rows spread over the graph's layout slots."""
-    return ad.constant(graph.layout.pad_edge_rows(kernel_rows))
+    """Per-edge kernel rows, each with the ones column the message op
+    reads, spread over the graph's layout slots."""
+    return ad.constant(graph.layout.pad_edge_rows(with_ones(kernel_rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +83,9 @@ def test_unknown_kind_rejected():
     ({"activation": "gelu"}, "activation"), ({"kernel_net_hidden": (0,)}, "kernel network"),
     ({"bandwidth": -1.0}, "bandwidth"), ({"num_classes": 3.0}, "num_classes"),
     ({"hidden_dim": True}, "hidden_dim"), ({"hidden_dim": "16"}, "hidden_dim"),
-    ({"init_seed": -1}, "init_seed"), ({"kernel_net_hidden": (64.0,)}, "kernel network")])
+    ({"init_seed": -1}, "init_seed"), ({"kernel_net_hidden": (64.0,)}, "kernel network"),
+    ({"bandwidth": True}, "bandwidth"), ({"bandwidth": float("inf")}, "bandwidth"),
+    ({"bandwidth": float("nan")}, "bandwidth")])
 def test_invalid_config_cannot_be_built_or_replaced_into(change, match):
     with pytest.raises(ParameterError, match=match):
         make_config("graphpde", input_dim=4, **change)
@@ -354,6 +358,22 @@ def test_edge_attributes_are_computed_once_per_graph_and_only_for_graphpde(
     assert len(calls) == len(graphs)
 
 
+def test_kernel_input_is_scaled_attributes_with_ones_and_zero_pads():
+    # graphpde's kernel input, built once per graph: the slot_attributes
+    # oracle (edge attributes / radius, then a 1), zero rows in pads
+    g = build_radius_graph(np.random.default_rng(3).uniform(size=(30, 2)), 0.35)
+    layout, attr = g.layout, models._kernel_input_for(g)
+    valid = layout.mask
+    assert 0 < valid.sum() < layout.num_slots
+    assert attr.shape == (layout.num_slots, 4)
+    assert np.array_equal(attr, slot_attributes(g, layout))
+    assert np.array_equal(attr[valid], with_ones(g.edge_attr / g.radius)[
+        layout.slot_edge[valid]])
+    assert np.array_equal(attr[~valid], np.zeros(((~valid).sum(), 4)))
+    assert models._kernel_input_for(g) is attr
+    assert models._kernel_input_for(edgeless_graph(2)).shape == (0, 4)
+
+
 def test_gaussian_and_norm_weights_share_one_support():
     # one weight per edge in edge order, then one self weight per node: the
     # support that row_mixer spreads over the layout
@@ -478,8 +498,8 @@ def test_zero_kernel_net_final_layer_zeroes_all_kernels():
     params["layer_0_kernel_1_w"].data[:] = 0.0
     _pts, graph = random_graph(7, seed=3)
     assert graph.num_edges > 0
-    attr = graph.slot_attr
-    assert np.array_equal(kernel_net_reference(params, 0, attr, "relu"),
+    attr = models._kernel_input_for(graph)
+    assert np.array_equal(kernel_net_reference(params, 0, attr[:, :-1], "relu"),
                           np.zeros((attr.shape[0], 16)))
     v = RNG.uniform(-1, 1, (7, 4))
     out = graphpde_layer(ad.Tape(), cfg, params, 0, graph, ad.constant(attr),
@@ -498,7 +518,7 @@ def test_kernel_net_empty_edges_valid():
     graph = edgeless_graph(5)
     v = RNG.uniform(-1, 1, (5, 4))
     tape = ad.Tape()
-    out = ad.kernel_message_mean(tape, ad.Value(np.zeros((0, 3))), hidden,
+    out = ad.kernel_message_mean(tape, ad.Value(np.zeros((0, 4))), hidden,
                                  params["layer_0_kernel_1_w"],
                                  params["layer_0_kernel_1_b"], ad.constant(v),
                                  graph.layout, "relu")
@@ -528,7 +548,7 @@ def test_kernel_net_output_with_final_layer_matches_oracle():
     _pts, graph = random_graph(10, radius=0.5, seed=6)
     v = RNG.uniform(-1, 1, (10, 4))
     out = graphpde_layer(ad.Tape(), cfg, params, 0, graph,
-                         ad.constant(graph.slot_attr), ad.constant(v))
+                         ad.constant(models._kernel_input_for(graph)), ad.constant(v))
     edge_kernels = kernel_net_reference(params, 0, graph.edge_attr / graph.radius,
                                         "relu")
     dense = dense_graphpde_layer(params["layer_0_w"].data, params["layer_0_b"].data,
@@ -546,7 +566,7 @@ def test_kernel_net_without_hidden_layers_passes_attributes_through():
     params["layer_0_kernel_0_b"].data[:] = RNG.uniform(-0.5, 0.5, (1, 16))
     v = RNG.uniform(-1, 1, (8, 4))
     out = graphpde_layer(ad.Tape(), cfg, params, 0, graph,
-                         ad.constant(graph.slot_attr), ad.constant(v))
+                         ad.constant(models._kernel_input_for(graph)), ad.constant(v))
     kernels = kernel_net_reference(params, 0, graph.edge_attr / graph.radius, "relu")
     dense = dense_graphpde_layer(params["layer_0_w"].data, params["layer_0_b"].data,
                                  kernels, graph.edges, v, "relu")
@@ -648,7 +668,7 @@ def test_kernel_net_gradient_matches_finite_differences():
     params = init_params(cfg)
     params["layer_0_kernel_1_b"].data[:] = RNG.uniform(-1, 1, (1, 9))
     _pts, graph = random_graph(6, radius=0.6, seed=17)
-    attr = ad.constant(RNG.uniform(-1, 1, graph.slot_attr.shape))
+    attr = ad.constant(with_ones(RNG.uniform(-1, 1, (graph.layout.num_slots, 3))))
     v = ad.constant(RNG.uniform(-1, 1, (6, 3)))
     coeffs = RNG.uniform(-1, 1, (6, 3))
     phi = [params["layer_0_kernel_0_w"], params["layer_0_kernel_0_b"],
@@ -732,7 +752,7 @@ def _single_block_twin(graph):
     """A copy of ``graph`` whose cached layout is the one-block oracle."""
     twin = RadiusGraph(positions=graph.positions, edges=graph.edges, radius=graph.radius)
     twin.cached("layout", lambda: single_block_layout(twin))
-    twin.cached("slot_attr", lambda: slot_attributes(twin, twin.layout))
+    twin.cached("kernel_input", lambda: slot_attributes(twin, twin.layout))
     return twin
 
 
