@@ -50,7 +50,7 @@ def main(argv=None):
     tc = TrainConfig(epochs=args.epochs, learning_rate=args.lr,
                      num_runs=args.runs, seed=args.seed)
     started = time.monotonic()
-    report, _ = run_experiment(configs, train_g, hold_g, tc)
+    report = run_experiment(configs, train_g, hold_g, tc)
     print(report.table(), end="")
     print(f"total {time.monotonic() - started:.0f}s")
     return 0

@@ -18,10 +18,13 @@ its gradient instead of computing one nobody reads, as do
 :func:`dense` is the one op behind every linear layer outside the graphpde
 kernel network: ``act(x W + b)`` in one output buffer and one tape entry,
 with the bits of the unfused ``matmul`` -> ``add_row_broadcast`` ->
-``relu`` / ``tanh`` chain. :func:`kernel_message_mean` runs the kernel
-network's hidden layers with the same bits, but one degree block of slots
-at a time inside its own forward and backward passes, recomputing them
-and the block's contraction in the backward instead of keeping them.
+activation chain. A private table states each activation's math once,
+for :func:`dense`, :func:`kernel_message_mean`'s kernel network and the
+:func:`relu` / :func:`tanh` ops; :data:`ACTIVATIONS` maps names to ops.
+:func:`kernel_message_mean` runs the kernel network's hidden layers with
+the same bits, but one degree block of slots at a time inside its own
+forward and backward passes, recomputing them and the block's
+contraction in the backward instead of keeping them.
 Its input rows end in a ones column, built once per graph by the caller
 (``models`` caches graphpde's), so a block reads its rows in place. The
 column runs through every hidden activation, so each hidden layer is one
@@ -47,7 +50,7 @@ bugs early. All ops are deterministic and keep finite inputs finite.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,10 +75,6 @@ class Value:
     def __init__(self, data):
         self.data = as_matrix(data)
         self.grad: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
 
 
 class Constant(Value):
@@ -181,6 +180,22 @@ def constant(data) -> Constant:
 # primitive ops
 
 
+class _Rule(NamedTuple):
+    """One activation's math, in place: ``forward(y)`` turns the
+    pre-activations y into activations and returns y; ``gradient(g, y)``
+    scales g by the derivative, read off the activations y."""
+    forward: Callable
+    gradient: Callable
+
+
+_ACTIVATION_RULES = {
+    "relu": _Rule(lambda y: np.maximum(y, 0.0, out=y),
+                  lambda g, y: np.multiply(g, y > 0.0, out=g)),
+    "tanh": _Rule(lambda y: np.tanh(y, out=y),
+                  lambda g, y: np.multiply(g, 1.0 - y * y, out=g)),
+}
+
+
 def matmul(tape: Tape, a: Value, b: Value) -> Value:
     """Matrix product. Backward: dA = dC @ B^T, dB = A^T @ dC."""
     if a.data.shape[1] != b.data.shape[0]:
@@ -200,35 +215,32 @@ def matmul(tape: Tape, a: Value, b: Value) -> Value:
 def dense(tape: Tape, x: Value, weight: Value, bias: Value,
           activation: str | None = None) -> Value:
     """One linear layer as one tape entry: act(x W + b), with the bias
-    added and the activation (None, "relu" or "tanh") applied in place in
-    the product's buffer. Bit-identical to matmul -> add_row_broadcast ->
-    relu/tanh. Backward masks the upstream gradient once (y > 0, or
-    1 - y^2 for tanh), then db = column sums, dW = x^T g and, unless x is
-    a :class:`Constant`, dx = g W^T."""
+    added and the activation (None or an :data:`ACTIVATIONS` name) applied
+    in place in the product's buffer. Bit-identical to matmul ->
+    add_row_broadcast -> the activation's op. Backward scales the upstream
+    gradient once by the activation's derivative, then db = column sums,
+    dW = x^T g and, unless x is a :class:`Constant`, dx = g W^T."""
     if x.data.shape[1] != weight.data.shape[0]:
         raise DimensionError(
             f"dense shape mismatch: {x.data.shape} x {weight.data.shape}")
     if bias.data.shape != (1, weight.data.shape[1]):
         raise DimensionError(
             f"bias must be 1x{weight.data.shape[1]}, got {bias.data.shape}")
-    if activation is not None and activation not in ACTIVATIONS:
+    rule = _ACTIVATION_RULES.get(activation)
+    if rule is None and activation is not None:
         raise ContractError(f"unknown activation {activation!r}")
     y = x.data @ weight.data
     y += bias.data
-    if activation == "relu":
-        np.maximum(y, 0.0, out=y)
-    elif activation == "tanh":
-        np.tanh(y, out=y)
+    if rule is not None:
+        rule.forward(y)
     out = Value(y)
 
     def bwd():
         # the output's grad is dead once this runs (Tape.backward releases
-        # it), so the mask goes in place
+        # it), so the derivative goes in place
         g = out.grad
-        if activation == "relu":
-            g *= y > 0.0
-        elif activation == "tanh":
-            g *= 1.0 - y * y
+        if rule is not None:
+            rule.gradient(g, y)
         _accumulate(bias, g.sum(axis=0, keepdims=True))
         if not isinstance(x, Constant):
             _accumulate(x, g @ weight.data.T)
@@ -270,25 +282,25 @@ def add_row_broadcast(tape: Tape, a: Value, bias: Value) -> Value:
     return out
 
 
-def relu(tape: Tape, a: Value) -> Value:
-    out = Value(np.maximum(a.data, 0.0))
+def _activation(tape: Tape, a: Value, name: str) -> Value:
+    rule = _ACTIVATION_RULES[name]
+    out = Value(rule.forward(a.data.copy()))
 
     def bwd():
-        _accumulate(a, out.grad * (a.data > 0.0))
+        g = out.grad  # dead once this runs, as in dense
+        rule.gradient(g, out.data)
+        _accumulate(a, g)
 
-    tape.record("relu", (a,), out, bwd)
+    tape.record(name, (a,), out, bwd)
     return out
+
+
+def relu(tape: Tape, a: Value) -> Value:
+    return _activation(tape, a, "relu")
 
 
 def tanh(tape: Tape, a: Value) -> Value:
-    t = np.tanh(a.data)
-    out = Value(t)
-
-    def bwd():
-        _accumulate(a, out.grad * (1.0 - t * t))
-
-    tape.record("tanh", (a,), out, bwd)
-    return out
+    return _activation(tape, a, "tanh")
 
 
 def log_softmax_rows(tape: Tape, a: Value) -> Value:
@@ -386,10 +398,8 @@ def _kernel_chain(x: np.ndarray, layers, activation: str | None,
     chain = [x]
     for layer, buf in zip(layers, buffers):
         y = np.matmul(chain[-1], layer, out=buf[:x.shape[0]])
-        if activation == "relu":
-            np.maximum(y, 0.0, out=y)
-        else:
-            np.tanh(y, out=y)
+        _ACTIVATION_RULES[activation].forward(y)
+        if activation == "tanh":
             y[:, -1] = 1.0
         chain.append(y)
     return chain
@@ -410,10 +420,10 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     attributes and a ones column (any values in pad slots), built once
     by the caller (see ``models``) and read in place, block by block.
     ``hidden_layers`` is a sequence of (W_j, b_j) pairs: z_e = act(...
-    act(attr_e W_0 + b_0) ... W_j + b_j), with ``activation`` "relu" or
-    "tanh" (z_e = attr_e when there are none). ``weight`` is k x h^2,
-    ``bias`` 1 x h^2 and ``v`` n x h. The last kernel layer is linear, so
-    the mean reorders exactly into
+    act(attr_e W_0 + b_0) ... W_j + b_j), with ``activation`` an
+    :data:`ACTIVATIONS` name (z_e = attr_e when there are none).
+    ``weight`` is k x h^2, ``bias`` 1 x h^2 and ``v`` n x h. The last
+    kernel layer is linear, so the mean reorders exactly into
 
         S'_x  = sum_s [z_(x,s), 1] outer v_nbr(x,s)    ((k+1) x h per node)
         out_x = (vec(S_x) W~ + (sum_s v_nbr(x,s)) B^T) / deg(x)
@@ -452,7 +462,7 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
             f"{v.data.shape[0]} node rows and {rows} slot rows for a layout "
             f"of {n} nodes and {layout.num_slots} slots")
     hidden_layers = tuple(hidden_layers)
-    if hidden_layers and activation not in ACTIVATIONS:
+    if hidden_layers and activation not in _ACTIVATION_RULES:
         raise ContractError(f"unknown activation {activation!r}")
     widths = [width - 1]  # the attributes, less the ones column
     for j, (w_j, b_j) in enumerate(hidden_layers):
@@ -550,11 +560,7 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
             dz = np.matmul(vb, ds.transpose(0, 2, 1),
                            out=dz_to[-1].reshape(b, w, k + 1)).reshape(b * w, k + 1)
             for j in reversed(range(len(layers))):
-                y_j = chain[j + 1]
-                if activation == "relu":
-                    dz *= y_j > 0.0
-                else:
-                    dz *= 1.0 - y_j * y_j
+                _ACTIVATION_RULES[activation].gradient(dz, chain[j + 1])
                 d_layers[j] += chain[j].T @ dz
                 if dz_to[j] is not None:
                     dz = np.matmul(dz, layers[j].T, out=dz_to[j])

@@ -27,7 +27,7 @@ from . import train as tr
 from .errors import (CheckpointError, ContractError, DataError, DimensionError,
                      DivergenceError, ParameterError)
 from .ioutil import atomic_write_text, dump_json, read_json
-from .models import _DEFAULT_LAYERS, MODEL_KINDS, ModelConfig, check_kind, make_config
+from .models import KINDS, ModelConfig, check_kind, make_config
 from .train import TrainConfig, evaluate, load_checkpoint, run_experiment, save_checkpoint
 
 
@@ -135,9 +135,9 @@ def build_parser():
 
     p = add("train", "train one model over repeated seeded runs")
     p.add_argument("--data", required=True, help="prepared dataset directory")
-    p.add_argument("--model", required=True, help=f"one of {', '.join(MODEL_KINDS)}")
+    p.add_argument("--model", required=True, help=f"one of {', '.join(KINDS)}")
     p.add_argument("--layers", type=int, default=None, help="depth (default per model; "
-                   f"graphpde: {_DEFAULT_LAYERS['graphpde']})")
+                   f"graphpde: {KINDS['graphpde'].default_layers})")
     p.add_argument("--activation", choices=ad.ACTIVATIONS, default=ModelConfig.activation,
                    help="activation function")
     _add_run_flags(p)
@@ -149,7 +149,7 @@ def build_parser():
 
     p = add("report", "run the multi-model experiment and emit the results table")
     p.add_argument("--data", required=True, help="prepared dataset directory")
-    p.add_argument("--models", default=",".join(MODEL_KINDS),
+    p.add_argument("--models", default=",".join(KINDS),
                    help="comma-separated model kinds")
     p.add_argument("--f1", choices=tr.F1_KEYS, default="macro",
                    help="F1 flavor for the table")
@@ -331,13 +331,13 @@ def _cmd_train(args, argv):
 def _cmd_eval(args, argv):
     _train, holdout_graphs, manifest = pl.load_prepared(args.data, parts=("holdout",))
     params, config, pre = load_checkpoint(args.checkpoint)
-    # the checkpoint's widths are its name counts: the features must be the
-    # same genes in the same order, and class i must name the same class
-    for key, noun in (("gene_names", "genes"), ("class_names", "classes")):
+    # the holdout must be prepared as the checkpoint's training data was
+    for key in pl.PREPROCESS_KEYS:
         if pre[key] != manifest[key]:
             raise ContractError(
-                f"{args.checkpoint}: preprocess.{key} ({len(pre[key])} {noun}) differs from "
-                f"the {key} of the dataset in {args.data} ({len(manifest[key])} {noun})")
+                f"{args.checkpoint}: preprocess.{key} differs from the {key} of the "
+                f"dataset in {args.data}; eval needs the genes, radius, scaler and "
+                "classes the model was trained with")
     metrics = evaluate(params, config, holdout_graphs)
     print(dump_json(metrics.to_json_dict()), end="")
     return 0
@@ -346,7 +346,7 @@ def _cmd_eval(args, argv):
 def _cmd_report(args, argv):
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
     if not kinds:
-        raise ParameterError(f"--models names no model kind; valid: {', '.join(MODEL_KINDS)}")
+        raise ParameterError(f"--models names no model kind; valid: {', '.join(KINDS)}")
     for i, kind in enumerate(kinds):
         check_kind(kind)
         if kind in kinds[:i]:
@@ -354,8 +354,7 @@ def _cmd_report(args, argv):
     tc = _train_config_from_args(args)
     train_graphs, holdout_graphs, manifest = pl.load_prepared(args.data)
     configs = [_model_config_from_args(args, manifest, kind) for kind in kinds]
-    report, _trained = run_experiment(configs, train_graphs, holdout_graphs, tc,
-                                      f1_flavor=args.f1)
+    report = run_experiment(configs, train_graphs, holdout_graphs, tc, f1_flavor=args.f1)
     table = report.table()
     print(table, end="")
     if args.out:

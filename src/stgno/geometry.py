@@ -254,17 +254,20 @@ def build_radius_graph(points, radius: float) -> RadiusGraph:
     return RadiusGraph(positions=pos, edges=edges, radius=float(radius))
 
 
-def edge_attributes(points, edges) -> np.ndarray:
-    """Per edge: (x_dst - x_src, y_dst - y_src, euclidean distance)."""
-    pos = as_positions(points)
+def _edge_geometry(pos: np.ndarray, edges) -> tuple[np.ndarray, ...]:
+    """The (m, 2) int64 edge list, checked against the n positions, and per
+    edge its (m, 2) offset x_dst - x_src and its length."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= pos.shape[0]):
         raise IndexError(f"edge endpoint out of range [0, {pos.shape[0]})")
-    out = np.empty((edges.shape[0], 3))
-    np.subtract(np.take(pos, edges[:, 1], axis=0), np.take(pos, edges[:, 0], axis=0),
-                out=out[:, :2])
-    np.sqrt(out[:, 0] ** 2 + out[:, 1] ** 2, out=out[:, 2])
-    return out
+    offset = np.take(pos, edges[:, 1], axis=0) - np.take(pos, edges[:, 0], axis=0)
+    return edges, offset, np.sqrt(offset[:, 0] ** 2 + offset[:, 1] ** 2)
+
+
+def edge_attributes(points, edges) -> np.ndarray:
+    """Per edge: (x_dst - x_src, y_dst - y_src, euclidean distance)."""
+    _edges, offset, length = _edge_geometry(as_positions(points), edges)
+    return np.column_stack([offset, length])
 
 
 def gaussian_kernel_weights(points, edges,
@@ -276,9 +279,8 @@ def gaussian_kernel_weights(points, edges,
     pos = as_positions(points)
     if not bandwidth > 0:
         raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     n = pos.shape[0]
-    dist = edge_attributes(pos, edges)[:, 2]
+    edges, _offset, dist = _edge_geometry(pos, edges)
     w = np.exp(-(dist ** 2) / (2.0 * bandwidth * bandwidth))
     # each node's edge weights in edge order, then its self weight 1: the order
     # in which its COO row (the edges, then one self loop per node) sums

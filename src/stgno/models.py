@@ -1,9 +1,10 @@
 """Model definitions: baselines and the spatial / graph operator networks.
 
-Six kinds share one config, checked when built (by ``replace`` too), and
-one parameter scheme. Five are one linear stack (:func:`stack_forward`):
-blocks of row mixing, then a linear layer and the activation, then a
-linear readout. They differ only in the mixers each block applies, in order:
+Six kinds, one :class:`Kind` row each in :data:`KINDS`, share one config,
+checked when built (by ``replace`` too), and one parameter scheme. Five
+are one linear stack (:func:`stack_forward`): blocks of row mixing, then
+a linear layer and the activation, then a linear readout. They differ
+only in the mixers each block applies, in order:
 
 * ``lr``             none, and no blocks: logits = X W + b, graph-free.
 * ``fcn``            none.
@@ -11,8 +12,8 @@ linear readout. They differ only in the mixers each block applies, in order:
                      included).
 * ``spatial_kernel`` the row-normalized Gaussian positional kernel, once
                      more before the readout; num_layers counts every
-                     linear layer (default 3), so it has num_layers - 1
-                     blocks where the others have num_layers.
+                     linear layer, so it has num_layers - 1 blocks where
+                     the others have num_layers.
 * ``spatial_gcn``    the Gaussian kernel, then the normalized adjacency.
 
 Each mixer is a :class:`geometry.RowMixer`, one weight per slot of the
@@ -31,7 +32,7 @@ for as long as the graph lives: a slide's expression is mixed once, not
 on every step.
 
 The sixth, ``graphpde``, is a linear lift to the hidden width, num_layers
-(default 6) message-passing updates
+message-passing updates
     v' = act(W v + b + mean_{y in N(x)} K(e(x, y)) v_y)
 where K is a per-layer edge-conditioned kernel network mapping the 3 edge
 attributes to an h x h matrix, then a linear readout.
@@ -72,6 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,38 +82,33 @@ from .autodiff import Parameter, Tape, Value
 from .errors import ContractError, DimensionError, ParameterError
 from .geometry import RadiusGraph, RowMixer, gaussian_kernel_weights, row_mixer
 
-MODEL_KINDS = ("lr", "fcn", "gcn", "spatial_kernel", "spatial_gcn", "graphpde")
 
-DISPLAY_NAMES = {
-    "lr": "LR",
-    "fcn": "FCN",
-    "gcn": "GCN",
-    "spatial_kernel": "SpatialKernel",
-    "spatial_gcn": "SpatialGCN",
-    "graphpde": "GraphPDE",
-}
+class Kind(NamedTuple):
+    """A model kind: its name in the results table, the num_layers of a
+    config that leaves it None, and the row mixers that each block of a
+    stack kind applies, in order, before its linear (None for graphpde)."""
+    display_name: str
+    default_layers: int
+    mixers: tuple[str, ...] | None
 
-_DEFAULT_LAYERS = {
-    "lr": 1,
-    "fcn": 2,
-    "gcn": 2,
-    "spatial_kernel": 3,
-    "spatial_gcn": 2,
-    "graphpde": 6,
+
+KINDS = {
+    "lr": Kind("LR", 1, ()),
+    "fcn": Kind("FCN", 2, ()),
+    "gcn": Kind("GCN", 2, ("norm",)),
+    "spatial_kernel": Kind("SpatialKernel", 3, ("gaussian",)),
+    "spatial_gcn": Kind("SpatialGCN", 2, ("gaussian", "norm")),
+    "graphpde": Kind("GraphPDE", 6, None),
 }
 
 # a model's parameters by name, in parameter_shapes order
 Params = dict[str, Parameter]
 
-# the row mixers each block of a stack kind applies, in order, before its linear
-_STACK_MIXERS = {"lr": (), "fcn": (), "gcn": ("norm",), "spatial_kernel": ("gaussian",),
-                 "spatial_gcn": ("gaussian", "norm")}
-
 
 def check_kind(kind: str) -> None:
-    if kind not in MODEL_KINDS:
+    if kind not in KINDS:
         raise ParameterError(
-            f"unknown model kind {kind!r}; valid: {', '.join(MODEL_KINDS)}")
+            f"unknown model kind {kind!r}; valid: {', '.join(KINDS)}")
 
 
 def _is_int_at_least(value, least: int) -> bool:
@@ -138,7 +135,7 @@ class ModelConfig:
     input_dim: int
     hidden_dim: int = 16
     num_classes: int = 3
-    num_layers: int | None = None  # None: the kind's default, _DEFAULT_LAYERS
+    num_layers: int | None = None  # None: the kind's default_layers
     activation: str = "relu"
     kernel_net_hidden: tuple[int, ...] = (64,)
     bandwidth: float | None = None
@@ -147,7 +144,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         check_kind(self.kind)
         if self.num_layers is None:
-            object.__setattr__(self, "num_layers", _DEFAULT_LAYERS[self.kind])
+            object.__setattr__(self, "num_layers", KINDS[self.kind].default_layers)
         _check_counts(self, (("input_dim", 1), ("hidden_dim", 1), ("num_classes", 2),
                              ("num_layers", 1), ("init_seed", 0)))
         if self.activation not in ad.ACTIVATIONS:
@@ -160,7 +157,8 @@ class ModelConfig:
 
     @property
     def needs_graph(self) -> bool:
-        return self.kind == "graphpde" or bool(_STACK_MIXERS.get(self.kind))
+        """graphpde, and every stack kind that mixes rows."""
+        return KINDS[self.kind].mixers != ()
 
 
 def make_config(kind: str, input_dim: int, **overrides) -> ModelConfig:
@@ -261,7 +259,7 @@ def stack_forward(tape: Tape, config: ModelConfig, params: Params,
     are cached on the graph and shared by every block; each holds its mix
     of a Constant input (see :func:`ad.mix_rows`)."""
     mixers = [_gaussian_weights_for(config, graph) if name == "gaussian"
-              else _norm_weights_for(graph) for name in _STACK_MIXERS[config.kind]]
+              else _norm_weights_for(graph) for name in KINDS[config.kind].mixers]
     x = features
     for i in range(_stack_blocks(config)):
         for mixer in mixers:
@@ -302,13 +300,12 @@ def graphpde_layer(tape: Tape, config: ModelConfig, params: Params,
     if v.data.shape[1] != config.hidden_dim:
         raise DimensionError(
             f"node state must have width {config.hidden_dim}, got {v.data.shape[1]}")
-    act = ad.ACTIVATIONS[config.activation]
     last = f"layer_{layer_index}_kernel_{len(config.kernel_net_hidden)}"
     aggregated = ad.kernel_message_mean(
         tape, attr, kernel_net_forward(config, params, layer_index),
         params[f"{last}_w"], params[f"{last}_b"], v, graph.layout, config.activation)
-    return act(tape, ad.add(tape, _linear(tape, params, f"layer_{layer_index}", v),
-                            aggregated))
+    return ad.ACTIVATIONS[config.activation](
+        tape, ad.add(tape, _linear(tape, params, f"layer_{layer_index}", v), aggregated))
 
 
 def graphpde_forward(tape: Tape, config: ModelConfig, params: Params,

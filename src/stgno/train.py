@@ -12,8 +12,8 @@ from .autodiff import Parameter, Tape
 from .errors import (CheckpointError, ContractError, DataError,
                      DivergenceError, ParameterError)
 from .ioutil import atomic_write_text, dump_json, read_json
-from .models import (DISPLAY_NAMES, ModelConfig, Params, _check_counts,
-                     _check_positive_real, init_params, model_forward, parameter_shapes)
+from .models import (KINDS, ModelConfig, Params, _check_counts, _check_positive_real,
+                     init_params, model_forward, parameter_shapes)
 from .pipeline import GraphSample, check_preprocess, numeric_array
 
 CHECKPOINT_VERSION = 1
@@ -257,20 +257,18 @@ def _sample_std(values: list[float]) -> float:
 
 def run_experiment(model_configs: list[ModelConfig], train_graphs,
                    holdout_graphs, train_config: TrainConfig,
-                   f1_flavor: str = "macro", epoch_hook=None, run_hook=None):
+                   f1_flavor: str = "macro", epoch_hook=None, run_hook=None) -> RunReport:
     """num_runs independent train+evaluate cycles per model on a fixed
-    split (run r uses seed base + r for both init and shuffling). Returns
-    (RunReport, trained params per model per run). ``epoch_hook`` is every
-    run's ``train`` epoch_callback; ``run_hook`` gets (run config, run index,
-    params, loss history, holdout Metrics) after each run. A divergence is
-    re-raised prefixed with the model kind, run index and seed."""
+    split (run r uses seed base + r for both init and shuffling).
+    ``epoch_hook`` is every run's ``train`` epoch_callback; ``run_hook``
+    gets (run config, run index, params, loss history, holdout Metrics)
+    after each run. A divergence is re-raised prefixed with the model
+    kind, run index and seed."""
     if f1_flavor not in F1_KEYS:
         raise ParameterError(f"unknown f1 flavor {f1_flavor!r}")
     rows = []
-    trained: dict[str, list[Params]] = {}
     for mc in model_configs:
         runs = []
-        params_per_run = []
         for r in range(train_config.num_runs):
             seed = train_config.seed + r
             mc_r = replace(mc, init_seed=seed)
@@ -283,15 +281,14 @@ def run_experiment(model_configs: list[ModelConfig], train_graphs,
             metrics = evaluate(params, mc_r, holdout_graphs)
             if run_hook is not None:
                 run_hook(mc_r, r, params, history, metrics)
-            params_per_run.append(params)
             runs.append({"seed": seed, **metrics.to_json_dict(),
                          "loss_history": history})
         accs = [run["accuracy"] for run in runs]
         f1s = [run[F1_KEYS[f1_flavor]] for run in runs]
         rows.append({
-            "model": DISPLAY_NAMES[mc.kind],
+            "model": KINDS[mc.kind].display_name,
             "kind": mc.kind,
-            "param_count": sum(p.data.size for p in params_per_run[0].values()),
+            "param_count": sum(math.prod(shape) for _name, shape in parameter_shapes(mc)),
             "mean_accuracy": float(np.mean(accs)),
             "std_accuracy": _sample_std(accs),
             "mean_f1": float(np.mean(f1s)),
@@ -299,10 +296,8 @@ def run_experiment(model_configs: list[ModelConfig], train_graphs,
             "single_run": train_config.num_runs == 1,
             "runs": runs,
         })
-        trained[mc.kind] = params_per_run
-    report = RunReport(rows=rows, base_seed=train_config.seed,
-                       num_runs=train_config.num_runs, f1_flavor=f1_flavor)
-    return report, trained
+    return RunReport(rows=rows, base_seed=train_config.seed,
+                     num_runs=train_config.num_runs, f1_flavor=f1_flavor)
 
 
 # ---------------------------------------------------------------------------

@@ -163,11 +163,11 @@ def test_criterion_01_gradient_suite():
     dw = ad.Parameter("dw", away_from_zero((3, 2)))
     db = ad.Parameter("db", away_from_zero((1, 2)))
     c42 = rng.uniform(-1, 1, (4, 2))
-    for activation in (None, "relu", "tanh"):
+    for activation in (None, *ad.ACTIVATIONS):
         op_check(lambda t: ad.sum_all(t, ad.mul_const(
             t, ad.dense(t, dx, dw, db, activation), c42)), [dx, dw, db])
     const_x = ad.constant(dx.data.copy())
-    for activation in (None, "relu", "tanh"):
+    for activation in (None, *ad.ACTIVATIONS):
         op_check(lambda t: ad.sum_all(t, ad.mul_const(
             t, ad.dense(t, const_x, dw, db, activation), c42)), [dw, db])
 
@@ -187,7 +187,7 @@ def test_criterion_01_gradient_suite():
         last_w = ad.Parameter("last_w", away_from_zero((widths[-1], 4)))
         last_b = ad.Parameter("last_b", away_from_zero((1, 4)))
         leaves = [*(p for pair in hidden for p in pair), last_w, last_b, iso_nodes]
-        for activation in ("relu", "tanh"):
+        for activation in ad.ACTIVATIONS:
             def fused(t):
                 return ad.sum_all(t, ad.mul_const(t, ad.kernel_message_mean(
                     t, attr, hidden, last_w, last_b, iso_nodes, iso_layout,
@@ -359,7 +359,10 @@ def separation_experiment():
     tc = TrainConfig(epochs=SEPARATION["epochs"],
                      learning_rate=SEPARATION["learning_rate"],
                      num_runs=SEPARATION["runs"], seed=0)
-    report, trained = run_experiment(configs, train_g, hold_g, tc)
+    trained = {}  # each kind's parameters of every run
+    report = run_experiment(
+        configs, train_g, hold_g, tc,
+        run_hook=lambda mc, _r, params, *_: trained.setdefault(mc.kind, []).append(params))
     elapsed = time.monotonic() - started
     return report, trained, elapsed
 

@@ -793,14 +793,22 @@ def test_predict_needs_every_gene_of_the_checkpoint(graphpde_run, tmp_path, caps
     assert not (tmp_path / "preds.csv").exists()
 
 
-@pytest.mark.parametrize("case", ["reversed_genes", "renamed_classes", "disjoint_genes"])
+# each case's preprocess key that eval names
+EVAL_MISMATCHES = {"reversed_genes": "gene_names", "renamed_classes": "class_names",
+                   "disjoint_genes": "gene_names", "other_radius": "radius",
+                   "standardized": "standardization"}
+
+
+@pytest.mark.parametrize("case", EVAL_MISMATCHES)
 def test_eval_refuses_other_gene_or_class_names_of_equal_width(graphpde_run, tmp_path,
                                                                capsys, case):
     # the same spots prepared from the gene list in reverse order (as `tac`
-    # writes it) or under other class names, or a checkpoint whose genes
-    # are none of the dataset's: every width matches, the names do not
+    # writes it), under other class names, at another radius or with the
+    # features standardized, or a checkpoint whose genes are none of the
+    # dataset's: every width matches, the preprocessing does not
     data, ckpt = graphpde_run / "data", graphpde_run / "run" / "best.ckpt.json"
     genes, labels, prep = data / "genes.txt", data / "labels.tsv", tmp_path / "prep"
+    flags = {"--radius": "0.3", "--standardize": "false"}
     if case == "disjoint_genes":
         names = json.loads(ckpt.read_text())["preprocess"]["gene_names"]
         ckpt = _tampered_checkpoint(graphpde_run, tmp_path, "preprocess", "gene_names",
@@ -811,18 +819,21 @@ def test_eval_refuses_other_gene_or_class_names_of_equal_width(graphpde_run, tmp
             genes = tmp_path / "genes.txt"
             genes.write_text("".join(reversed(
                 (data / "genes.txt").read_text().splitlines(keepends=True))))
-        else:
+        elif case == "renamed_classes":
             labels = tmp_path / "labels.tsv"
             labels.write_text(
                 (data / "labels.tsv").read_text().replace("region_", "zone_"))
+        elif case == "other_radius":
+            flags["--radius"] = "0.1"
+        else:
+            flags["--standardize"] = "true"
         assert run_cli("prepare", "--spots", str(data / "spots.csv"), "--genes",
-                       str(genes), "--labels", str(labels), "--radius", "0.3",
-                       "--holdout-k", "1", "--min-classes", "3", "--out",
-                       str(prep)) == 0
+                       str(genes), "--labels", str(labels), "--holdout-k", "1",
+                       "--min-classes", "3", "--out", str(prep),
+                       *(item for pair in flags.items() for item in pair)) == 0
     capsys.readouterr()
     assert run_cli("eval", "--data", str(prep), "--checkpoint", str(ckpt)) == 2
-    key = "class_names" if case == "renamed_classes" else "gene_names"
-    _one_data_error(capsys, ckpt, f"preprocess.{key}")
+    _one_data_error(capsys, ckpt, f"preprocess.{EVAL_MISMATCHES[case]}")
     assert capsys.readouterr().out == ""
 
 

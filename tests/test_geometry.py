@@ -178,6 +178,17 @@ def test_kernel_weights_match_dense_formula():
     assert np.abs(K - want).max() < 1e-12
 
 
+def test_kernel_weights_have_the_bits_of_the_edge_attribute_distances():
+    pts = RNG.uniform(size=(60, 2))
+    g = build_radius_graph(pts, 0.3)
+    edge_w, self_w = gaussian_kernel_weights(pts, g.edges, 0.15)
+    w = np.exp(-(edge_attributes(pts, g.edges)[:, 2] ** 2) / (2.0 * 0.15 * 0.15))
+    total = np.bincount(g.edges[:, 1], weights=w, minlength=60) + 1.0
+    assert g.num_edges > 0
+    assert np.array_equal(edge_w, w / total[g.edges[:, 1]])
+    assert np.array_equal(self_w, 1.0 / total)
+
+
 def test_kernel_symmetry_before_normalization():
     # undoing the row normalization with the oracle's row sums leaves the
     # symmetric Gaussian matrix

@@ -94,7 +94,8 @@ def test_invalid_config_cannot_be_built_or_replaced_into(change, match):
 
 
 def test_make_config_none_layers_is_the_kind_default():
-    for kind, depth in models._DEFAULT_LAYERS.items():
+    for kind, row in models.KINDS.items():
+        depth = row.default_layers
         assert make_config(kind, input_dim=4, num_layers=None).num_layers == depth
         assert make_config(kind, input_dim=4).num_layers == depth
         assert ModelConfig(kind=kind, input_dim=4).num_layers == depth
@@ -702,7 +703,7 @@ def _training_step(cfg, params, graph, x, labels):
 
 
 @pytest.mark.parametrize("kind,activation", [
-    ("graphpde", "relu"), ("graphpde", "tanh"), ("fcn", "relu"), ("fcn", "tanh"),
+    *((kind, act) for kind in ("graphpde", "fcn") for act in ad.ACTIVATIONS),
     ("lr", "relu"), ("gcn", "relu"), ("spatial_kernel", "relu"),
     ("spatial_gcn", "relu")])
 def test_fused_step_is_bit_identical_to_unfused(monkeypatch, kind, activation):
@@ -805,7 +806,7 @@ def _reference_step(cfg, params, graph, x, labels, forward):
 
 
 @pytest.mark.parametrize("radius", [0.25, 1e-4])
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("activation", ad.ACTIVATIONS)
 @pytest.mark.parametrize("kernel_hidden", [(), (32,), (16, 16)])
 def test_fused_graphpde_matches_two_stage_reference(radius, activation, kernel_hidden):
     # the kernel net inside the message op, one degree block at a time,

@@ -337,19 +337,21 @@ def test_run_experiment_single_run_flags_and_order():
     train_g, hold_g = tiny_dataset()
     configs = [make_config("fcn", input_dim=6, hidden_dim=4),
                make_config("lr", input_dim=6)]
-    report, trained = run_experiment(configs, train_g, hold_g,
-                                     TrainConfig(epochs=2, num_runs=1, seed=0))
+    trained = {}
+    report = run_experiment(
+        configs, train_g, hold_g, TrainConfig(epochs=2, num_runs=1, seed=0),
+        run_hook=lambda mc, _r, params, *_: trained.setdefault(mc.kind, params))
     assert [row["kind"] for row in report.rows] == ["fcn", "lr"]
     for row in report.rows:
         assert row["single_run"] is True
         assert row["std_accuracy"] == 0.0 and row["std_f1"] == 0.0
-    assert set(trained) == {"fcn", "lr"}
+        assert row["param_count"] == sum(p.data.size for p in trained[row["kind"]].values())
 
 
 def test_run_experiment_means_match_per_run_logs():
     train_g, hold_g = tiny_dataset()
-    report, _ = run_experiment([make_config("lr", input_dim=6)], train_g, hold_g,
-                               TrainConfig(epochs=2, num_runs=3, seed=5))
+    report = run_experiment([make_config("lr", input_dim=6)], train_g, hold_g,
+                            TrainConfig(epochs=2, num_runs=3, seed=5))
     row = report.rows[0]
     accs = [r["accuracy"] for r in row["runs"]]
     f1s = [r["macro_f1"] for r in row["runs"]]
@@ -362,7 +364,7 @@ def test_run_experiment_means_match_per_run_logs():
 def test_run_experiment_hooks_see_every_epoch_and_run():
     train_g, hold_g = tiny_dataset()
     epochs, runs = [], []
-    report, trained = run_experiment(
+    report = run_experiment(
         [make_config("lr", input_dim=6)], train_g, hold_g,
         TrainConfig(epochs=3, num_runs=2, seed=5),
         epoch_hook=lambda epoch, loss: epochs.append((epoch, loss)),
@@ -373,7 +375,7 @@ def test_run_experiment_hooks_see_every_epoch_and_run():
     assert [r for _mc, r, *_rest in runs] == [0, 1]
     for (mc, r, params, history, metrics), row in zip(runs, rows):
         assert mc.init_seed == row["seed"] == 5 + r
-        assert params is trained["lr"][r]
+        assert evaluate(params, mc, hold_g).to_json_dict() == metrics.to_json_dict()
         assert history == row["loss_history"]
         assert (metrics.accuracy, metrics.macro_f1) == (row["accuracy"], row["macro_f1"])
 
@@ -397,17 +399,17 @@ def test_run_experiment_deterministic_report_bytes(kind):
     train_g, hold_g = tiny_dataset()
     blobs = []
     for _ in range(2):
-        report, _ = run_experiment([make_config(kind, input_dim=6, hidden_dim=4)],
-                                   train_g, hold_g,
-                                   TrainConfig(epochs=2, num_runs=2, seed=7))
+        report = run_experiment([make_config(kind, input_dim=6, hidden_dim=4)],
+                                train_g, hold_g,
+                                TrainConfig(epochs=2, num_runs=2, seed=7))
         blobs.append(dump_json(report.to_json_dict()).encode())
     assert blobs[0] == blobs[1]
 
 
 def test_report_table_format():
     train_g, hold_g = tiny_dataset()
-    report, _ = run_experiment([make_config("lr", input_dim=6)], train_g, hold_g,
-                               TrainConfig(epochs=1, num_runs=1, seed=0))
+    report = run_experiment([make_config("lr", input_dim=6)], train_g, hold_g,
+                            TrainConfig(epochs=1, num_runs=1, seed=0))
     table = report.table()
     lines = table.strip().splitlines()
     assert lines[0].startswith("Model")
@@ -416,9 +418,9 @@ def test_report_table_format():
 
 def test_weighted_f1_report_reads_the_weighted_field():
     train_g, hold_g = tiny_dataset()
-    report, _ = run_experiment([make_config("lr", input_dim=6)], train_g, hold_g,
-                               TrainConfig(epochs=1, num_runs=2, seed=0),
-                               f1_flavor="weighted")
+    report = run_experiment([make_config("lr", input_dim=6)], train_g, hold_g,
+                            TrainConfig(epochs=1, num_runs=2, seed=0),
+                            f1_flavor="weighted")
     row = report.rows[0]
     assert row["mean_f1"] == np.mean([run["weighted_f1"] for run in row["runs"]])
     assert report.table().split()[:4] == ["Model", "Accuracy", "Weighted-F1", "Params"]
