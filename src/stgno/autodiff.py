@@ -27,7 +27,7 @@ forward and backward passes, recomputing them and the block's
 contraction in the backward instead of keeping them.
 Its input rows end in a ones column, built once per graph by the caller
 (``models`` caches graphpde's), so a block reads its rows in place. The
-column runs through every hidden activation, so each hidden layer is one
+column stays 1 after every hidden activation, so each hidden layer is one
 product with [[W, 0], [b, 1]] and the contraction yields the neighbour
 sums with it; the bias gradients come out of the same products as the
 weight gradients, on one backward path for every kernel depth. Each
@@ -393,14 +393,13 @@ def _kernel_chain(x: np.ndarray, layers, activation: str | None,
     ``buffers``. Each layer is one product with [[W_j, 0], [b_j, 1]], so
     the bias is the last term of every sum, as in :func:`dense`'s x W then
     += b, and the ones column comes through. The activation runs on the
-    whole contiguous buffer (faster than on a strided view); relu keeps
-    the ones, and tanh's are written back."""
+    whole contiguous buffer (faster than on a strided view), and the ones
+    are written back after it, so every layer's ones column is exactly 1
+    whatever the activation and the input's last column."""
     chain = [x]
     for layer, buf in zip(layers, buffers):
         y = np.matmul(chain[-1], layer, out=buf[:x.shape[0]])
-        _ACTIVATION_RULES[activation].forward(y)
-        if activation == "tanh":
-            y[:, -1] = 1.0
+        _ACTIVATION_RULES[activation].forward(y)[:, -1] = 1.0
         chain.append(y)
     return chain
 
@@ -429,8 +428,8 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
         out_x = (vec(S_x) W~ + (sum_s v_nbr(x,s)) B^T) / deg(x)
 
     with W~[c*h + j, i] = W[c, i*h + j] and B[i, j] = b[i*h + j]: per-slot
-    work is k*h multiply-adds instead of k*h^2. The ones column runs
-    through every hidden activation, so each hidden layer is one product
+    work is k*h multiply-adds instead of k*h^2. The ones column stays 1
+    after every hidden activation, so each hidden layer is one product
     with [[W_j, 0], [b_j, 1]], and the last h columns of S' are the
     neighbour sums; the output is still the two products above, S_x being
     the first k*h columns of S'. In the backward pass the ones column
@@ -438,17 +437,17 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     of each hidden layer's [z, 1]^T dz are the bias gradients, and the
     gradient with respect to S' carries g B in its last h columns. A
     non-:class:`Constant` ``attr`` gets the gradient of every column, the
-    ones column included. z, S' and the output rows are computed one
-    degree block at a time, each block padded only to its own width, in
-    views of one workspace that each forward call and each backward call
-    allocates for its own use, sized to the largest block; the output is
-    put back in node order at the end. The backward pass recomputes each
-    block's z chain and S' instead of keeping them, so no array holds a
-    row per slot of the whole layout (except the gradient of a
-    non-Constant ``attr``) or k*h numbers per node. The same code runs on
-    recording and non-recording tapes. Pad slots take a zero v row, so
-    they add nothing and get a zero gradient. Nodes without in-edges get
-    a zero row.
+    ones column included (0 when a hidden layer pins it). z, S' and the
+    output rows are computed one degree block at a time, each block padded
+    only to its own width, in views of one workspace that each forward
+    call and each backward call allocates for its own use, sized to the
+    largest block; the output is put back in node order at the end. The
+    backward pass recomputes each block's z chain and S' instead of
+    keeping them, so no array holds a row per slot of the whole layout
+    (except the gradient of a non-Constant ``attr``) or k*h numbers per
+    node. The same code runs on recording and non-recording tapes. Pad
+    slots take a zero v row, so they add nothing and get a zero gradient.
+    Nodes without in-edges get a zero row.
 
     The output has the bits of running the hidden layers as :func:`dense`
     over all slots first, and those of a single padded block when every
@@ -539,8 +538,8 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
         cols = np.arange(h)
         work = workspace()
         ds_buf, dvb_buf = np.empty((max_nodes, (k + 1) * h)), np.empty((max_slots, h))
-        # the gradient of each hidden activation, its ones column included:
-        # a finite value that only feeds entries which are dropped
+        # the gradient of each hidden activation; its ones column is zeroed,
+        # as the forward pins that column to 1
         dz_bufs = [np.empty((max_slots, cols_j + 1)) for cols_j in widths[1:]]
         for nodes, rows_of, nbrs, b, w in blocks:
             chain, vb, s = block(rows_of, nbrs, b, w, work)
@@ -561,6 +560,7 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
                            out=dz_to[-1].reshape(b, w, k + 1)).reshape(b * w, k + 1)
             for j in reversed(range(len(layers))):
                 _ACTIVATION_RULES[activation].gradient(dz, chain[j + 1])
+                dz[:, -1] = 0.0
                 d_layers[j] += chain[j].T @ dz
                 if dz_to[j] is not None:
                     dz = np.matmul(dz, layers[j].T, out=dz_to[j])

@@ -405,7 +405,7 @@ def assemble_graphs(table: SpotTable, split: DatasetSplit, radius: float,
 # synthetic data
 
 
-def synthetic_class_names(num_classes: int = 3) -> tuple[str, ...]:
+def synthetic_class_names(num_classes: int) -> tuple[str, ...]:
     return tuple(f"region_{chr(ord('a') + i)}" for i in range(num_classes))
 
 
