@@ -3,13 +3,13 @@ scored across spot densities.
 
 Generates noise_only slides (labels depend on position alone), trains each
 kind in --kinds for --runs seeds on slides of --spots spots, and scores every
-run on holdout slides of the same spatial process sampled at each density in
---eval-spots. LR and FCN should sit near chance while the operator recovers
-the regions from edge geometry; mean aggregation over fixed-radius
-neighbourhoods keeps its receptive field in physical units, so its macro-F1
-should stay roughly flat across densities. The defaults are the acceptance
-suite's criterion-7 settings, so the 300- and 600-spot lines give criteria 7
-and 8.
+run on the holdout slides, selected once at --spots, with their spatial
+process sampled at each density in --eval-spots. LR and FCN should sit near
+chance while the operator recovers the regions from edge geometry; mean
+aggregation over fixed-radius neighbourhoods keeps its receptive field in
+physical units, so its macro-F1 should stay roughly flat across densities.
+The defaults are criterion 7's settings. The acceptance suite gates criteria
+7 and 8 on study() with every flag given.
 
 Usage: python scripts/study.py [--kinds lr fcn graphpde] [--runs 3] \
            [--eval-spots 300 600] ...
@@ -43,27 +43,35 @@ def parse_args(argv=None):
     ap.add_argument("--lr", type=float, default=1e-2)
     ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
-    return ap.parse_args(argv)
+    args = ap.parse_args(argv)
+    for flag, values in (("--kinds", args.kinds), ("--eval-spots", args.eval_spots)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                ap.error(f"{flag} names {value} more than once")
+    return args
 
 
-def build(args, spots):
-    """Noise-only (train graphs, holdout graphs, label map) at ``spots``
-    spots per slide. Every density draws from --seed, so all share one
-    region layout."""
-    table, label_map = generate_synthetic(SyntheticConfig(
-        num_samples=args.samples, spots_per_sample=spots, num_genes=args.genes,
-        region_seeds_per_class=args.region_seeds, expression_mode="noise_only",
-        seed=args.seed))
-    table = bin_labels(table, label_map)
-    split = select_holdout(table, k=2, min_classes=3, seed=args.seed)
-    train_g, hold_g, _ = assemble_graphs(table, split, radius=args.radius)
-    return train_g, hold_g, label_map
+def build(args):
+    """Noise-only ({spots: (train graphs, holdout graphs)}, label map) at
+    --spots and at every --eval-spots density. Every density draws from
+    --seed, so all share one region layout, and every density holds out
+    the slides selected at --spots."""
+    tables = {}
+    for spots in {args.spots, *args.eval_spots}:
+        table, label_map = generate_synthetic(SyntheticConfig(
+            num_samples=args.samples, spots_per_sample=spots, num_genes=args.genes,
+            region_seeds_per_class=args.region_seeds, expression_mode="noise_only",
+            seed=args.seed))
+        tables[spots] = bin_labels(table, label_map)
+    split = select_holdout(tables[args.spots], k=2, min_classes=3, seed=args.seed)
+    return {spots: assemble_graphs(table, split, radius=args.radius)[:2]
+            for spots, table in tables.items()}, label_map
 
 
 def study(args):
     """{(kind, eval spots): [holdout macro-F1 per seed]}, seeds --seed onward."""
-    data = {spots: build(args, spots) for spots in {args.spots, *args.eval_spots}}
-    train_g, hold_g, label_map = data[args.spots]
+    data, label_map = build(args)
+    train_g, hold_g = data[args.spots]
     configs = [make_config(kind, args.genes, hidden_dim=args.hidden,
                            kernel_net_hidden=(args.kernel_hidden,),
                            num_classes=len(label_map.class_names))

@@ -2,8 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 suite executes. The synthetic-separation and resolution-robustness
-criteria share one trained-model fixture, so the whole module stays
-inside the stated runtime budgets.
+criteria (7 and 8) share one call of ``scripts/study.py``'s ``study()``,
+with every study flag given, so the gate and the script run one
+experiment and the whole module stays inside the stated runtime budgets.
 """
 
 import time
@@ -14,30 +15,20 @@ import pytest
 from stgno import autodiff as ad
 from stgno.cli import main as cli_main
 from stgno.geometry import build_radius_graph, gaussian_kernel_weights, row_mixer
-from stgno.models import init_params, make_config, model_forward, parameter_shapes
-from stgno.pipeline import (SyntheticConfig, assemble_graphs, bin_labels,
-                            generate_synthetic, select_holdout)
-from stgno.train import (TrainConfig, class_weights, evaluate,
-                         metrics_from_confusion, run_experiment,
-                         weighted_cross_entropy)
+from stgno.models import init_params, make_config, model_forward
+from stgno.train import class_weights, metrics_from_confusion, weighted_cross_entropy
 
 from oracles import (coo_weights, dense_gaussian_weights, dense_graphpde_layer,
                      dense_weight_matrix, finite_difference_grads, mul, rel_err,
                      with_ones)
+from test_scripts import load_script
 
-# settings for the synthetic spatial-separation experiment (criteria 7, 8)
-SEPARATION = dict(
-    radius=0.25,
-    hidden=8,
-    kernel_hidden=(32,),
-    learning_rate=1e-2,
-    epochs=40,
-    runs=3,
-    holdout_k=2,
-    min_classes=3,
-    region_seeds_per_class=1,
-    split_seed=0,
-)
+# the noise-only study behind criteria 7 and 8; every flag is given, so no
+# study default can move the gate
+STUDY_ARGS = ["--kinds", "lr", "fcn", "graphpde", "--samples", "20", "--spots", "300",
+              "--eval-spots", "300", "600", "--genes", "32", "--region-seeds", "1",
+              "--radius", "0.25", "--hidden", "8", "--kernel-hidden", "32",
+              "--lr", "0.01", "--epochs", "40", "--runs", "3", "--seed", "0"]
 
 
 def gate(name, ok, detail=""):
@@ -329,51 +320,26 @@ def test_criterion_06_metrics_oracle():
 
 
 # ---------------------------------------------------------------------------
-# synthetic separation and resolution robustness (shared fixture)
-
-
-def _noise_dataset(spots_per_sample):
-    cfg = SyntheticConfig(
-        num_samples=20, spots_per_sample=spots_per_sample, num_genes=32,
-        region_seeds_per_class=SEPARATION["region_seeds_per_class"],
-        expression_mode="noise_only", seed=0)
-    table, lm = generate_synthetic(cfg)
-    table = bin_labels(table, lm)
-    split = select_holdout(table, k=SEPARATION["holdout_k"],
-                           min_classes=SEPARATION["min_classes"],
-                           seed=SEPARATION["split_seed"])
-    train_g, hold_g, _ = assemble_graphs(table, split, radius=SEPARATION["radius"])
-    return train_g, hold_g
+# synthetic separation and resolution robustness (one shared study call)
 
 
 @pytest.fixture(scope="module")
-def separation_experiment():
+def separation_study():
+    """The study's {(kind, spots): [holdout macro-F1 per seed]} and the
+    wall time of the whole call."""
+    study = load_script("study")
     started = time.monotonic()
-    train_g, hold_g = _noise_dataset(300)
-    configs = [
-        make_config("lr", input_dim=32),
-        make_config("fcn", input_dim=32, hidden_dim=SEPARATION["hidden"]),
-        make_config("graphpde", input_dim=32, hidden_dim=SEPARATION["hidden"],
-                    kernel_net_hidden=SEPARATION["kernel_hidden"]),
-    ]
-    tc = TrainConfig(epochs=SEPARATION["epochs"],
-                     learning_rate=SEPARATION["learning_rate"],
-                     num_runs=SEPARATION["runs"], seed=0)
-    trained = {}  # each kind's parameters of every run
-    report = run_experiment(
-        configs, train_g, hold_g, tc,
-        run_hook=lambda mc, _r, params, *_: trained.setdefault(mc.kind, []).append(params))
-    elapsed = time.monotonic() - started
-    return report, trained, elapsed
+    args = study.parse_args(STUDY_ARGS)
+    given = {flag[2:].replace("-", "_") for flag in STUDY_ARGS if flag.startswith("--")}
+    assert given == set(vars(args)), "STUDY_ARGS must give every study flag"
+    f1s = study.study(args)
+    return f1s, time.monotonic() - started
 
 
 @pytest.mark.slow
-def test_criterion_07_synthetic_spatial_separation(separation_experiment):
-    report, _trained, elapsed = separation_experiment
-    by_kind = {row["kind"]: row for row in report.rows}
-    lr_f1 = by_kind["lr"]["mean_f1"]
-    fcn_f1 = by_kind["fcn"]["mean_f1"]
-    gp_f1 = by_kind["graphpde"]["mean_f1"]
+def test_criterion_07_synthetic_spatial_separation(separation_study):
+    f1s, elapsed = separation_study
+    lr_f1, fcn_f1, gp_f1 = (np.mean(f1s[kind, 300]) for kind in ("lr", "fcn", "graphpde"))
     ok = lr_f1 <= 0.45 and fcn_f1 <= 0.45 and gp_f1 >= 0.85 and elapsed < 600.0
     gate("criterion 7: noise-only separation (LR/FCN <= 0.45, GraphPDE >= 0.85)",
          ok, f"LR {lr_f1:.3f}, FCN {fcn_f1:.3f}, GraphPDE {gp_f1:.3f}, "
@@ -381,16 +347,9 @@ def test_criterion_07_synthetic_spatial_separation(separation_experiment):
 
 
 @pytest.mark.slow
-def test_criterion_08_discretization_robustness(separation_experiment):
-    report, trained, _elapsed = separation_experiment
-    by_kind = {row["kind"]: row for row in report.rows}
-    f1_300 = by_kind["graphpde"]["mean_f1"]
-    _train600, hold600 = _noise_dataset(600)
-    cfg = make_config("graphpde", input_dim=32, hidden_dim=SEPARATION["hidden"],
-                      kernel_net_hidden=SEPARATION["kernel_hidden"])
-    f1s_600 = [evaluate(params, cfg, hold600).macro_f1
-               for params in trained["graphpde"]]
-    f1_600 = float(np.mean(f1s_600))
+def test_criterion_08_discretization_robustness(separation_study):
+    f1s, _elapsed = separation_study
+    f1_300, f1_600 = (np.mean(f1s["graphpde", spots]) for spots in (300, 600))
     drop = f1_300 - f1_600
     gate("criterion 8: 300-spot -> 600-spot macro-F1 drop <= 0.10",
          drop <= 0.10, f"300-spot {f1_300:.3f}, 600-spot {f1_600:.3f}, "

@@ -528,7 +528,10 @@ def test_missing_manifest_key_is_data_error(prepared_dir, trained_dir, tmp_path,
 
 
 @pytest.mark.parametrize("num_classes", [2, 4])
-def test_any_class_count_runs_end_to_end(synth_dir, tmp_path, capsys, num_classes):
+@pytest.mark.parametrize("model", [["gcn"], ["graphpde", "--kernel-hidden", "4"]],
+                         ids=["gcn", "graphpde"])
+def test_any_class_count_runs_end_to_end(synth_dir, tmp_path, capsys, model,
+                                         num_classes):
     names = [f"class_{i}" for i in range(num_classes)]
     raws = sorted({line.split("\t")[0] for line in
                    (synth_dir / "labels.tsv").read_text().splitlines() if line})
@@ -540,7 +543,7 @@ def test_any_class_count_runs_end_to_end(synth_dir, tmp_path, capsys, num_classe
                    "--genes", str(synth_dir / "genes.txt"), "--labels", str(labels),
                    "--radius", "0.3", "--holdout-k", "2", "--min-classes", "3",
                    "--seed", "0", "--out", str(prep)) == 0
-    assert run_cli("train", "--data", str(prep), "--model", "gcn", "--hidden", "4",
+    assert run_cli("train", "--data", str(prep), "--model", *model, "--hidden", "4",
                    "--epochs", "2", "--runs", "1", "--seed", "0",
                    "--out", str(run)) == 0
     capsys.readouterr()
