@@ -32,7 +32,7 @@ product with [[W, 0], [b, 1]] and the contraction yields the neighbour
 sums with it; the bias gradients come out of the same products as the
 weight gradients, on one backward path for every kernel depth. Each
 call works in views of one workspace of its own, sized to the largest
-block, so no array spans every slot.
+block of the layout's plan, so no float array spans every slot.
 :func:`mix_rows` is the row mixing of the other graph models, on the
 same degree-blocked neighbour layout, so every model uses one sparse
 neighbour representation; the mixer holds the mix of the last Constant
@@ -412,9 +412,10 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     slot's attribute row, without building any K_e or any per-slot array
     for the whole layout.
 
-    ``layout`` is a degree-blocked in-neighbour layout (``order``,
-    ``blocks``, per-slot ``neighbours`` with id n in pads, and
-    ``inv_degree``; see ``geometry.NeighbourLayout``); ``attr`` holds one
+    ``layout`` is a degree-blocked in-neighbour layout (``order``, the
+    block ``plan`` with its largest block's slot and node counts,
+    per-slot ``neighbours`` with id n in pads, and ``inv_degree``; see
+    ``geometry.NeighbourLayout``); ``attr`` holds one
     row per slot, num_slots x (a + 1) in the layout's slot order: a
     attributes and a ones column (any values in pad slots), built once
     by the caller (see ``models``) and read in place, block by block.
@@ -444,9 +445,10 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     largest block; the output is put back in node order at the end. The
     backward pass recomputes each block's z chain and S' instead of
     keeping them, so no array holds a row per slot of the whole layout
-    (except the gradient of a non-Constant ``attr``) or k*h numbers per
-    node. The same code runs on recording and non-recording tapes. Pad
-    slots take a zero v row, so they add nothing and get a zero gradient.
+    (except the gradient of a non-Constant ``attr``, and the one scatter
+    id per slot that ``neighbours * h`` gives) or k*h numbers per node.
+    The same code runs on recording and non-recording tapes. Pad slots
+    take a zero v row, so they add nothing and get a zero gradient.
     Nodes without in-edges get a zero row.
 
     The output has the bits of running the hidden layers as :func:`dense`
@@ -478,15 +480,9 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
             f"{weight.data.shape} and {bias.data.shape}")
     layers = [np.block([[w_j.data, np.zeros((w_j.data.shape[0], 1))],
                         [b_j.data, np.ones((1, 1))]]) for w_j, b_j in hidden_layers]
-    # per block: its rows of the block-ordered node arrays, its slot rows
-    # and its slots' neighbour ids; pad slots point one past the last node,
-    # at an appended zero row
+    # pad slots point one past the last node, at an appended zero row
     v_pad = np.concatenate([v.data, np.zeros((1, h))])
-    blocks = [(slice(blk.lo, blk.hi), slice(blk.start, blk.stop),
-               layout.neighbours[blk.start:blk.stop], blk.size, blk.width)
-              for blk in layout.blocks if blk.width]
-    max_slots = max((b * w for *_, b, w in blocks), default=0)
-    max_nodes = max((b for *_, b, _w in blocks), default=0)
+    max_slots, max_nodes = layout.max_block_slots, layout.max_block_nodes
     # [W~; B^T]: (k+1)*h x h
     w_t = np.concatenate([weight.data.reshape(k, h, h).transpose(0, 2, 1)
                           .reshape(k * h, h), bias.data.reshape(h, h).T])
@@ -505,8 +501,7 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
         chain_bufs, vb_buf, s_buf = work
         chain = _kernel_chain(attr.data[rows_of], layers, activation, chain_bufs)
         # indices are in range; "clip" lets take write into ``out`` unbuffered
-        vb = np.take(v_pad, nbrs, axis=0, out=vb_buf[:b * w],
-                     mode="clip").reshape(b, w, h)
+        vb = v_pad.take(nbrs, axis=0, out=vb_buf[:b * w], mode="clip").reshape(b, w, h)
         s = np.matmul(chain[-1].reshape(b, w, k + 1).transpose(0, 2, 1), vb,
                       out=s_buf[:b])
         return chain, vb, s.reshape(b, (k + 1) * h)
@@ -515,7 +510,7 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     # to node order
     rows_out = np.zeros((n, h))
     work = workspace()
-    for nodes, rows_of, nbrs, b, w in blocks:
+    for nodes, rows_of, nbrs, b, w in layout.plan:
         _chain, _vb, s = block(rows_of, nbrs, b, w, work)
         rows_out[nodes] = inv[nodes] * (s[:, :k * h] @ w_t[:k * h]
                                         + s[:, k * h:] @ w_t[k * h:])
@@ -533,23 +528,28 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
         # [W~; B^T]
         d_layers = [np.zeros_like(layer) for layer in layers]
         d_weight = np.zeros(((k + 1) * h, h))
-        # pad rows land in the extra bucket n, which is dropped
+        # pad rows land in the extra bucket n, which is dropped; a slot's
+        # scatter ids are its neighbour's h flat positions in dv, each
+        # neighbour id times h repeated h times plus the tiled 0..h-1
         dv = np.zeros((n + 1) * h)
-        cols = np.arange(h)
+        nbh = layout.neighbours * h
+        tile = np.tile(np.arange(h), max_slots)
+        ids_buf = np.empty(max_slots * h, dtype=np.int64)
         work = workspace()
         ds_buf, dvb_buf = np.empty((max_nodes, (k + 1) * h)), np.empty((max_slots, h))
         # the gradient of each hidden activation; its ones column is zeroed,
         # as the forward pins that column to 1
         dz_bufs = [np.empty((max_slots, cols_j + 1)) for cols_j in widths[1:]]
-        for nodes, rows_of, nbrs, b, w in blocks:
+        for nodes, rows_of, nbrs, b, w in layout.plan:
             chain, vb, s = block(rows_of, nbrs, b, w, work)
             g_b = g[nodes]
             d_weight += s.T @ g_b
             ds = np.matmul(g_b, w_t.T, out=ds_buf[:b]).reshape(b, k + 1, h)
             dvb = np.matmul(chain[-1].reshape(b, w, k + 1), ds,
                             out=dvb_buf[:b * w].reshape(b, w, h))
-            scattered = np.bincount((nbrs[:, None] * h + cols).ravel(),
-                                    weights=dvb.ravel())
+            ids = np.add(np.repeat(nbh[rows_of], h), tile[:b * w * h],
+                         out=ids_buf[:b * w * h])
+            scattered = np.bincount(ids, weights=dvb.ravel())
             dv[:scattered.size] += scattered
             # each chain entry's gradient; the input rows' for a non-Constant attr
             dz_to = [None if d_attr is None else d_attr[rows_of],
@@ -582,7 +582,9 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
 def _mix_blocks(x: np.ndarray, layout, slot_weights: np.ndarray,
                 self_weights: np.ndarray) -> np.ndarray:
     """out_i = sum over node i's slots of w_s x_nbr(s), in slot order, then
-    + self_i x_i: one gather and one weighted row sum per degree block."""
+    + self_i x_i: per block of the layout's plan, one gather into a buffer
+    sized to the largest block, shared by the whole call, and one weighted
+    row sum."""
     n, d = x.shape
     if d == 1:
         # einsum sums a lone column with a reordered dot loop; a zero second
@@ -590,13 +592,13 @@ def _mix_blocks(x: np.ndarray, layout, slot_weights: np.ndarray,
         return _mix_blocks(np.hstack([x, np.zeros((n, 1))]), layout, slot_weights,
                            self_weights)[:, :1].copy()
     x_pad = np.concatenate([x, np.zeros((1, d))])
+    buf = np.empty((layout.max_block_slots, d))
     mixed = np.zeros((n, d))  # block order
-    for blk in layout.blocks:
-        if blk.width:
-            rows = np.take(x_pad, layout.neighbours[blk.start:blk.stop], axis=0)
-            np.einsum("bw,bwd->bd",
-                      slot_weights[blk.start:blk.stop].reshape(blk.size, blk.width),
-                      rows.reshape(blk.size, blk.width, d), out=mixed[blk.lo:blk.hi])
+    for nodes, slots, nbrs, b, w in layout.plan:
+        # indices are in range; "clip" lets take write into ``out`` unbuffered
+        rows = x_pad.take(nbrs, axis=0, out=buf[:b * w], mode="clip")
+        np.einsum("bw,bwd->bd", slot_weights[slots].reshape(b, w),
+                  rows.reshape(b, w, d), out=mixed[nodes])
     out = np.empty((n, d))
     out[layout.order] = mixed
     out += self_weights[:, None] * x

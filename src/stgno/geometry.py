@@ -42,7 +42,7 @@ is 16–26 ms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -121,6 +121,19 @@ class DegreeBlock:
         return self.start + self.size * self.width
 
 
+class BlockPlan(NamedTuple):
+    """A degree block of nonzero width as the sparse ops read it: its
+    positions of the layout's ``order`` and its slot rows as slices, its
+    slots' neighbour ids (a view of ``neighbours``), its node count and
+    its width."""
+
+    nodes: slice
+    slots: slice
+    nbrs: np.ndarray
+    size: int
+    width: int
+
+
 @dataclass(eq=False)
 class NeighbourLayout:
     """In-edges of every node packed into degree blocks of padded slots.
@@ -133,6 +146,11 @@ class NeighbourLayout:
     source). Slots past a node's degree are padding: their neighbour id is
     n (one past the last node) and ``slot_edge`` is -1. Per-slot data are
     ``num_slots`` x c matrices in that row order (:meth:`pad_edge_rows`).
+
+    ``plan``, built once with the layout, lists every block of nonzero
+    width as a :class:`BlockPlan`, and ``max_block_slots`` and
+    ``max_block_nodes`` are the largest such block's slot and node counts:
+    both sparse ops loop over the plan and size their buffers by them.
     """
 
     order: np.ndarray       # (n,) int64 nodes in block order
@@ -140,6 +158,17 @@ class NeighbourLayout:
     neighbours: np.ndarray  # (num_slots,) int64 source node of each slot, n in pads
     slot_edge: np.ndarray   # (num_slots,) int64 edge index of each slot, -1 in pads
     inv_degree: np.ndarray  # (n,) float64, 1 / max(in-degree, 1)
+    plan: tuple[BlockPlan, ...] = field(init=False, repr=False)
+    max_block_slots: int = field(init=False, repr=False)
+    max_block_nodes: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.plan = tuple(
+            BlockPlan(slice(blk.lo, blk.hi), slice(blk.start, blk.stop),
+                      self.neighbours[blk.start:blk.stop], blk.size, blk.width)
+            for blk in self.blocks if blk.width)
+        self.max_block_slots = max((p.size * p.width for p in self.plan), default=0)
+        self.max_block_nodes = max((p.size for p in self.plan), default=0)
 
     @property
     def num_nodes(self) -> int:

@@ -107,42 +107,65 @@ def weighted_cross_entropy(tape: Tape, logits: ad.Value, labels,
     return ad.sum_all(tape, ad.mul_const(tape, logp, pick))
 
 
-class Adam:
+class _FlatOptimizer:
+    """Optimizer state in flat arrays. Every parameter's ``data`` and
+    ``grad`` (grads already set are kept) are copied into one flat array
+    each, and each ``Parameter.data`` and ``.grad`` is rebound to its view
+    of them, so a step is a fixed sequence of whole-array ``out=`` ufuncs,
+    with no loop over parameters, in two scratch arrays the optimizer
+    holds: a step allocates nothing. Each formula keeps the operand order
+    of its per-parameter statement, so the results keep their bits."""
+
+    def __init__(self, params: Params, learning_rate: float):
+        self.lr = learning_rate
+        self.data = np.concatenate([p.data.ravel() for p in params.values()])
+        self.grad = np.concatenate([p.grad.ravel() for p in params.values()])
+        offset = 0
+        for p in params.values():
+            size, shape = p.data.size, p.data.shape
+            p.data = self.data[offset:offset + size].reshape(shape)
+            p.grad = self.grad[offset:offset + size].reshape(shape)
+            offset += size
+        self._scratch = np.empty_like(self.data), np.empty_like(self.data)
+
+
+class Adam(_FlatOptimizer):
     """First/second-moment update with bias correction; eps is added to the
     square root, so the first step from zero moments is exactly
-    -lr * g / (|g| + eps). Grads are zeroed after each step."""
+    -lr * g / (|g| + eps). Grads are zeroed after each step. The moments
+    are flat arrays beside the parameters' (see ``_FlatOptimizer``)."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params: Params, learning_rate: float):
-        self.params = params
-        self.lr = learning_rate
+        super().__init__(params, learning_rate)
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, p in self.params.items():
-            g = p.grad
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = self.m[name] / (1.0 - b1 ** self.t)
-            v_hat = self.v[name] / (1.0 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.zero_grad()
+        g, m, v, a, b = self.grad, self.m, self.v, *self._scratch
+        # m = b1 m + (1 - b1) g; v = b2 v + ((1 - b2) g) g
+        np.add(np.multiply(b1, m, out=m), np.multiply(1.0 - b1, g, out=a), out=m)
+        np.multiply(1.0 - b2, g, out=a)
+        np.add(np.multiply(b2, v, out=v), np.multiply(a, g, out=a), out=v)
+        # data -= (lr m_hat) / (sqrt(v_hat) + eps)
+        np.multiply(self.lr, np.divide(m, 1.0 - b1 ** self.t, out=a), out=a)
+        np.sqrt(np.divide(v, 1.0 - b2 ** self.t, out=b), out=b)
+        np.divide(a, np.add(b, self.eps, out=b), out=a)
+        np.subtract(self.data, a, out=self.data)
+        g.fill(0.0)
 
 
-class Sgd:
-    def __init__(self, params: Params, learning_rate: float):
-        self.params = params
-        self.lr = learning_rate
+class Sgd(_FlatOptimizer):
+    """data -= lr * g; grads are zeroed after each step."""
 
     def step(self) -> None:
-        for _name, p in self.params.items():
-            p.data -= self.lr * p.grad
-            p.zero_grad()
+        a = self._scratch[0]
+        np.subtract(self.data, np.multiply(self.lr, self.grad, out=a), out=self.data)
+        self.grad.fill(0.0)
 
 
 OPTIMIZERS = {"adam": Adam, "sgd": Sgd}

@@ -17,6 +17,9 @@ library's linear pass replaced, and :func:`fancy_edge_attributes` /
 replaced. :func:`mul` and :func:`append_ones` are tape ops that no
 library path needs, kept for the gradient checks and the two-stage path;
 :func:`with_ones` appends a ones column to an array.
+:class:`ReferenceAdam` and :class:`ReferenceSgd` update every parameter
+in its own arrays, one loop over the parameters per step, as the
+library's optimizers did before they kept their state in flat arrays.
 """
 
 from typing import NamedTuple
@@ -385,3 +388,42 @@ def confusion_f1(confusion):
         r = tp / (tp + fn) if tp + fn > 0 else 0.0
         f1s.append(2 * p * r / (p + r) if p + r > 0 else 0.0)
     return acc, f1s, sum(f1s) / k
+
+
+class ReferenceAdam:
+    """Adam over a dict of Parameters, each parameter's moments and update
+    computed in fresh arrays of its own; grads are zeroed after a step."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, learning_rate):
+        self.params = params
+        self.lr = learning_rate
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for name, p in self.params.items():
+            g = p.grad
+            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
+            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
+            m_hat = self.m[name] / (1.0 - b1 ** self.t)
+            v_hat = self.v[name] / (1.0 - b2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.zero_grad()
+
+
+class ReferenceSgd:
+    """Plain gradient descent, one parameter at a time."""
+
+    def __init__(self, params, learning_rate):
+        self.params = params
+        self.lr = learning_rate
+
+    def step(self):
+        for p in self.params.values():
+            p.data -= self.lr * p.grad
+            p.zero_grad()

@@ -722,6 +722,34 @@ def test_mix_rows_of_a_constant_is_held_and_exact(which):
     assert len(tape) == 1 and out is not copied and np.array_equal(out.data, first.data)
 
 
+def test_mix_rows_gathers_into_one_buffer_per_call():
+    # d = 16 on a 300-spot r = 0.25 slide (14.9k slots; the largest block
+    # has 1,330, a 170 kB gather buffer; an n x d array is 38 kB). Forward
+    # plus backward peak at 443 kB with one buffer per call, 482 kB with a
+    # fresh gathered array per block
+    rng = np.random.default_rng(67)
+    graph = build_radius_graph(rng.uniform(size=(300, 2)), 0.25)
+    mixer = row_mixer(graph, *symmetric_norm_weights(graph))
+    n, d = 300, 16
+    x = ad.Value(rng.uniform(-1, 1, (n, d)))
+
+    def step():
+        tape = ad.Tape()
+        tape.backward(ad.sum_all(tape, ad.mix_rows(tape, x, mixer)))
+        x.grad = None
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer = graph.layout.max_block_slots * d * 8
+    assert buffer > 3 * n * d * 8
+    assert peak <= buffer + 8 * n * d * 8, (peak, buffer)
+
+
 def test_mul_elementwise_gradient():
     a = ad.Parameter("a", safe_uniform((3, 3)))
     b = ad.Parameter("b", safe_uniform((3, 3)))

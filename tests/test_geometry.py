@@ -365,6 +365,29 @@ def test_layout_blocks_cut_the_degree_order_into_near_equal_runs(n):
     assert layout.mask.sum() == g.num_edges
 
 
+@pytest.mark.parametrize("n, radius", [(5, 0.3), (26, 0.3), (300, 0.25), (40, 0.05)])
+def test_layout_plan_lists_the_blocks_of_nonzero_width(n, radius):
+    # at r = 0.05 most of the 40 spots have no neighbour, so the first
+    # blocks have width 0
+    g = build_radius_graph(np.random.default_rng(n).uniform(size=(n, 2)), radius)
+    layout = g.layout
+    wide = [blk for blk in layout.blocks if blk.width]
+    assert len(layout.plan) == len(wide)
+    if radius == 0.05:
+        assert 0 < len(wide) < len(layout.blocks)
+    # the plan's slot ranges tile the slots in order
+    bounds = [0, *(p.slots.stop for p in layout.plan)]
+    assert [p.slots.start for p in layout.plan] == bounds[:-1]
+    assert bounds[-1] == layout.num_slots
+    for p, blk in zip(layout.plan, wide):
+        assert (p.nodes, p.slots) == (slice(blk.lo, blk.hi), slice(blk.start, blk.stop))
+        assert (p.size, p.width) == (blk.size, blk.width)
+        assert np.array_equal(p.nbrs, layout.neighbours[blk.start:blk.stop])
+        assert np.shares_memory(p.nbrs, layout.neighbours)
+    assert layout.max_block_slots == max((b.size * b.width for b in wide), default=0)
+    assert layout.max_block_nodes == max((b.size for b in wide), default=0)
+
+
 def test_pad_edge_rows_needs_one_row_per_edge():
     g = build_radius_graph(RNG.uniform(size=(30, 2)), 0.35)
     m, layout = g.num_edges, g.layout
@@ -407,6 +430,7 @@ def test_layout_of_edgeless_graph_has_no_slots():
     layout = g.layout
     assert layout.num_slots == 0
     assert [blk.width for blk in layout.blocks] == [0, 0]
+    assert layout.plan == () and layout.max_block_slots == layout.max_block_nodes == 0
     assert sorted(layout.order) == [0, 1]
     assert np.array_equal(layout.inv_degree, np.ones(2))
 
