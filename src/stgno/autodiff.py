@@ -412,13 +412,11 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     slot's attribute row, without building any K_e or any per-slot array
     for the whole layout.
 
-    ``layout`` is a degree-blocked in-neighbour layout (``order``, the
-    block ``plan`` with its largest block's slot and node counts,
-    per-slot ``neighbours`` with id n in pads, and ``inv_degree``; see
-    ``geometry.NeighbourLayout``); ``attr`` holds one
-    row per slot, num_slots x (a + 1) in the layout's slot order: a
-    attributes and a ones column (any values in pad slots), built once
-    by the caller (see ``models``) and read in place, block by block.
+    ``layout`` is a graph's ``geometry.NeighbourLayout``, read through its
+    block plan; ``attr`` holds one row per slot, num_slots x (a + 1) in
+    the layout's slot order: a attributes and a ones column (any values
+    in pad slots), built once by the caller (see ``models``) and read in
+    place, block by block.
     ``hidden_layers`` is a sequence of (W_j, b_j) pairs: z_e = act(...
     act(attr_e W_0 + b_0) ... W_j + b_j), with ``activation`` an
     :data:`ACTIVATIONS` name (z_e = attr_e when there are none).

@@ -12,17 +12,18 @@ Edges are directed and stored both ways, sorted by (src, dst), with no
 self loops and no duplicates. A graph stores only its own copy of the
 positions, its edges and its radius; the rest is derived. The edge
 attributes (dx, dy, distance, taken dst minus src) are recomputed on each
-access. The degree-blocked in-neighbour layout is the one sparse
-neighbour representation every graph model uses: graphpde's message op
-runs on it, with per-slot input rows that ``models`` builds through
-:meth:`NeighbourLayout.pad_edge_rows`, and the row mixers of the other
-kinds (:class:`RowMixer`, built by :func:`row_mixer` from one weight per
-edge, in edge order, and one self weight per node) keep one weight per
-slot. The layout, and each constant built through
-:meth:`RadiusGraph.cached`, is computed on first use and cached on the
-instance; a mixer also holds its mix of the last Constant input it was
-given (see :class:`RowMixer`). A built graph is immutable by convention;
-concurrent first uses may compute a constant twice, with identical results.
+access. The degree-blocked in-neighbour layout (:class:`NeighbourLayout`)
+is the one sparse neighbour representation every graph model uses:
+graphpde's message op runs on it, with per-slot input rows that
+``models`` builds through :meth:`NeighbourLayout.pad_edge_rows`, and the
+row mixers of the other kinds (:class:`RowMixer`, built by
+:func:`row_mixer` from one weight per edge, in edge order, and one self
+weight per node) keep one weight per slot. The layout, and each
+constant built through :meth:`RadiusGraph.cached`, is computed on first
+use and cached on the instance; a mixer also holds its mix of the last
+Constant input it was given (see :class:`RowMixer`). A built graph is
+immutable by convention; concurrent first uses may compute a constant
+twice, with identical results.
 
 These per-graph constants are built in linear passes, without a search.
 The layout and each mixer sort the edges stably by destination
@@ -98,34 +99,20 @@ class RadiusGraph:
 # one run, 1.08 / 1.09 with 8 and 1.04 / 1.04 with 16 at r = 0.25; at
 # the degree-6 auto radius they are 2.32 / 3.01, 1.16 / 1.22 and
 # 1.08 / 1.10. 32 runs saved no step time at r = 0.25 and cost time at
-# the auto radius, where the per-run overhead dominates.
+# the auto radius, where the per-run overhead dominates. Fewer runs step
+# faster on small slides (ROADMAP item 14), but both sparse ops size
+# every block's workspace to the largest block, and at 8 runs
+# test_graphpde_step_allocates_no_slot_sized_arrays exceeds its step
+# bound at h = 16, k = 64 (7,387,448 > 7,000,000 bytes) and
+# test_kernel_message_mean_streams_its_memory peaks at 30.9 MB against
+# its 22.9 MB bound.
 DEGREE_BLOCKS = 16
 
 
-@dataclass(frozen=True)
-class DegreeBlock:
-    """A run of nodes padded to one width: positions [lo, hi) of the
-    layout's ``order`` and slot rows [start, stop), ``width`` per node."""
-
-    lo: int
-    hi: int
-    start: int
-    width: int
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.size * self.width
-
-
 class BlockPlan(NamedTuple):
-    """A degree block of nonzero width as the sparse ops read it: its
-    positions of the layout's ``order`` and its slot rows as slices, its
-    slots' neighbour ids (a view of ``neighbours``), its node count and
-    its width."""
+    """A degree block of nonzero width: its positions of the layout's
+    ``order`` and its slot rows as slices, its slots' neighbour ids (a
+    view of ``neighbours``), its node count and its width."""
 
     nodes: slice
     slots: slice
@@ -140,33 +127,30 @@ class NeighbourLayout:
 
     ``order`` lists the nodes by ascending in-degree (stable, so ties keep
     node order) and is cut into runs of near-equal node count; each run
-    (a :class:`DegreeBlock`) gives every one of its nodes as many slots as
-    the run's largest in-degree. Slot rows are block-major, then
-    node-major in ``order``, then in edge-list order (so by ascending
-    source). Slots past a node's degree are padding: their neighbour id is
-    n (one past the last node) and ``slot_edge`` is -1. Per-slot data are
-    ``num_slots`` x c matrices in that row order (:meth:`pad_edge_rows`).
+    gives every one of its nodes as many slots as the run's largest
+    in-degree. ``plan`` lists the runs of nonzero width in order, one
+    :class:`BlockPlan` each; the runs of width 0 hold only nodes without
+    in-edges, come first and have no slot and no entry. Slot rows are
+    block-major, then node-major in ``order``, then in edge-list order (so
+    by ascending source). Slots past a node's degree are padding: their
+    neighbour id is n (one past the last node) and ``slot_edge`` is -1.
+    Per-slot data are ``num_slots`` x c matrices in that row order
+    (:meth:`pad_edge_rows`).
 
-    ``plan``, built once with the layout, lists every block of nonzero
-    width as a :class:`BlockPlan`, and ``max_block_slots`` and
-    ``max_block_nodes`` are the largest such block's slot and node counts:
+    ``max_block_slots`` and ``max_block_nodes``, the largest block's slot
+    and node counts, are derived from ``plan`` when the layout is made:
     both sparse ops loop over the plan and size their buffers by them.
     """
 
     order: np.ndarray       # (n,) int64 nodes in block order
-    blocks: tuple[DegreeBlock, ...]
+    plan: tuple[BlockPlan, ...]  # the runs of nonzero width, in order
     neighbours: np.ndarray  # (num_slots,) int64 source node of each slot, n in pads
     slot_edge: np.ndarray   # (num_slots,) int64 edge index of each slot, -1 in pads
     inv_degree: np.ndarray  # (n,) float64, 1 / max(in-degree, 1)
-    plan: tuple[BlockPlan, ...] = field(init=False, repr=False)
     max_block_slots: int = field(init=False, repr=False)
     max_block_nodes: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.plan = tuple(
-            BlockPlan(slice(blk.lo, blk.hi), slice(blk.start, blk.stop),
-                      self.neighbours[blk.start:blk.stop], blk.size, blk.width)
-            for blk in self.blocks if blk.width)
         self.max_block_slots = max((p.size * p.width for p in self.plan), default=0)
         self.max_block_nodes = max((p.size for p in self.plan), default=0)
 
@@ -217,8 +201,6 @@ def neighbour_layout(graph: RadiusGraph) -> NeighbourLayout:
     bounds = np.arange(runs + 1) * n // max(runs, 1)
     widths = deg[order[bounds[1:] - 1]]
     starts = np.concatenate([[0], np.cumsum(np.diff(bounds) * widths)])
-    blocks = tuple(DegreeBlock(lo=int(lo), hi=int(hi), start=int(start), width=int(w))
-                   for lo, hi, start, w in zip(bounds[:-1], bounds[1:], starts, widths))
     # first slot of every node: its run's start plus its offset in the run
     run = np.repeat(np.arange(widths.size), np.diff(bounds))
     first = np.empty(n, dtype=np.int64)
@@ -232,8 +214,14 @@ def neighbour_layout(graph: RadiusGraph) -> NeighbourLayout:
     slot_edge[slots] = edge_order
     neighbours = np.full(slot_edge.size, n, dtype=np.int64)
     neighbours[slots] = np.take(src, edge_order)
+    # one entry per run of nonzero width, in Python ints: the sparse ops
+    # slice and size their buffers with them on every call
+    b, s = bounds.tolist(), starts.tolist()
+    plan = tuple(
+        BlockPlan(slice(lo, hi), slice(start, stop), neighbours[start:stop], hi - lo, w)
+        for lo, hi, start, stop, w in zip(b, b[1:], s, s[1:], widths.tolist()) if w)
     return NeighbourLayout(
-        order=order, blocks=blocks, neighbours=neighbours, slot_edge=slot_edge,
+        order=order, plan=plan, neighbours=neighbours, slot_edge=slot_edge,
         inv_degree=1.0 / np.maximum(deg, 1).astype(np.float64))
 
 

@@ -17,9 +17,8 @@ only in the mixers each block applies, in order:
 * ``spatial_gcn``    the Gaussian kernel, then the normalized adjacency.
 
 Each mixer is a :class:`geometry.RowMixer`, one weight per slot of the
-graph's degree-blocked in-neighbour layout (``RadiusGraph.layout``: nodes
-sorted by in-degree and cut into runs, each node's in-edges in as many
-slots as its run's largest in-degree), built on first use from the
+graph's degree-blocked in-neighbour layout (``RadiusGraph.layout``, a
+:class:`geometry.NeighbourLayout`), built on first use from the
 per-edge and per-node self weights of :func:`symmetric_norm_weights` or
 :func:`geometry.gaussian_kernel_weights` and cached on the graph; one
 :func:`ad.mix_rows` tape entry applies it. All six kinds thus share one

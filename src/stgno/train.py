@@ -327,12 +327,6 @@ def run_experiment(model_configs: list[ModelConfig], train_graphs,
 # checkpoints
 
 
-def _config_to_json(config: ModelConfig) -> dict:
-    doc = asdict(config)
-    doc["kernel_net_hidden"] = list(doc["kernel_net_hidden"])
-    return doc
-
-
 def _config_from_json(doc: dict) -> ModelConfig:
     if "kernel_net_hidden" in doc:  # an absent key takes the field's default
         doc = {**doc, "kernel_net_hidden": tuple(doc["kernel_net_hidden"])}
@@ -345,7 +339,7 @@ def save_checkpoint(path, params: Params, config: ModelConfig, preprocess: dict)
     names) and named parameter arrays."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "config": _config_to_json(config),
+        "config": asdict(config),
         "preprocess": preprocess,
         "params": {name: p.data.tolist() for name, p in params.items()},
     }

@@ -14,7 +14,9 @@ path the models' row mixers replaced. :func:`searchsorted_mixer_slots`
 builds a mixer's per-slot weights with the reverse-edge search that the
 library's linear pass replaced, and :func:`fancy_edge_attributes` /
 :func:`fancy_pad_edge_rows` are the fancy-index gathers that ``np.take``
-replaced. :func:`mul` and :func:`append_ones` are tape ops that no
+replaced. :func:`single_block_layout` packs a graph's in-edges into a
+``geometry.NeighbourLayout`` of one padded block, by a loop over the
+edges. :func:`mul` and :func:`append_ones` are tape ops that no
 library path needs, kept for the gradient checks and the two-stage path;
 :func:`with_ones` appends a ones column to an array.
 :class:`ReferenceAdam` and :class:`ReferenceSgd` update every parameter
@@ -28,7 +30,7 @@ import numpy as np
 
 from stgno import autodiff as ad
 from stgno.errors import ContractError
-from stgno.geometry import DegreeBlock, NeighbourLayout
+from stgno.geometry import BlockPlan, NeighbourLayout
 
 
 def finite_difference_grads(loss_fn, arrays, step=1e-6):
@@ -161,9 +163,11 @@ def coo_apply_kernel(tape, weights, features):
 
 
 def single_block_layout(graph):
-    """The in-neighbour layout as one padded block: every node, in node
-    order, gets D = max in-degree slots, filled by a loop over the edge
-    list. The library's degree blocks must give the same results."""
+    """The in-neighbour layout (see ``geometry.NeighbourLayout``) as one
+    padded block: every node, in node order, gets D = max in-degree slots,
+    filled by a loop over the edge list, and the plan is that one block,
+    or empty when D = 0. The library's degree blocks must give the same
+    results."""
     n, m = graph.num_nodes, graph.num_edges
     deg = np.bincount(graph.edges[:, 1], minlength=n)
     width = int(deg.max()) if m else 0
@@ -174,9 +178,10 @@ def single_block_layout(graph):
         slot = dst * width + filled[dst]
         filled[dst] += 1
         slot_edge[slot], neighbours[slot] = e, src
+    plan = ((BlockPlan(slice(0, n), slice(0, n * width), neighbours, n, width),)
+            if width else ())
     return NeighbourLayout(
-        order=np.arange(n), blocks=(DegreeBlock(lo=0, hi=n, start=0, width=width),),
-        neighbours=neighbours, slot_edge=slot_edge,
+        order=np.arange(n), plan=plan, neighbours=neighbours, slot_edge=slot_edge,
         inv_degree=1.0 / np.maximum(deg, 1))
 
 

@@ -448,7 +448,9 @@ def test_kernel_message_mean_matches_single_block_oracle(n, isolated):
 
     blocked, single = graph.layout, single_block_layout(graph)
     if n:
-        assert len(blocked.blocks) == 16 and blocked.num_slots < single.num_slots
+        # three isolated nodes make the first run (two nodes) zero-width
+        assert len(blocked.plan) == 16 - (isolated > 0)
+        assert blocked.num_slots < single.num_slots
     out, grads = run(blocked)
     want, want_grads = run(single)
     assert np.array_equal(out, want)
@@ -460,7 +462,7 @@ def test_kernel_message_mean_without_edges_is_exactly_zero():
     graph = RadiusGraph(positions=np.zeros((4, 2)),
                         edges=np.zeros((0, 2), dtype=np.int64), radius=1.0)
     assert graph.layout.num_slots == 0
-    assert all(blk.width == 0 for blk in graph.layout.blocks)
+    assert graph.layout.plan == ()
     hidden, weight, bias, v = _kernel_mean_inputs(graph, 3, 2)
     assert hidden.data.shape == (0, 4)
     tape = ad.Tape()

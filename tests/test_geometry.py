@@ -315,12 +315,13 @@ def test_row_normalized_kernel_is_averaging(seed):
 
 
 def _node_slots(layout):
-    """Slot rows owned by every node: node -> range of rows in its block."""
-    slots = {}
-    for blk in layout.blocks:
-        for j, node in enumerate(layout.order[blk.lo:blk.hi]):
-            first = blk.start + j * blk.width
-            slots[int(node)] = np.arange(first, first + blk.width)
+    """Slot rows owned by every node: node -> range of rows in its block,
+    empty for the nodes of runs of width 0, which the plan skips."""
+    slots = {int(node): np.arange(0) for node in layout.order}
+    for p in layout.plan:
+        for j, node in enumerate(layout.order[p.nodes]):
+            first = p.slots.start + j * p.width
+            slots[int(node)] = np.arange(first, first + p.width)
     return slots
 
 
@@ -346,46 +347,54 @@ def test_layout_slots_hold_each_nodes_in_edges_in_order():
         assert not layout.mask[slots[i][deg[i]:]].any()
 
 
+def _check_plan_cuts_degree_order(g):
+    """The plan is the degree order cut into min(16, n) runs of near-equal
+    size, the runs of width 0 left out; returns the plan and how many runs
+    it skips."""
+    n, layout = g.num_nodes, g.layout
+    deg = np.bincount(g.edges[:, 1], minlength=n)
+    assert np.array_equal(layout.order, np.argsort(deg, kind="stable"))
+    assert layout.mask.sum() == g.num_edges
+    plan, runs = layout.plan, min(16, n)
+    skipped = runs - len(plan)
+    assert len(plan) > 0 and skipped >= 0
+    # the nodes before the plan have no in-edge and fill the skipped runs
+    lead = plan[0].nodes.start
+    assert not deg[layout.order[:lead]].any()
+    assert skipped * (n // runs) <= lead <= skipped * (n // runs + 1)
+    # node ranges follow each other up to n, slot ranges tile the slots
+    assert [p.nodes.start for p in plan[1:]] == [p.nodes.stop for p in plan[:-1]]
+    assert plan[-1].nodes.stop == n
+    assert [p.slots.start for p in plan] == [0, *(p.slots.stop for p in plan[:-1])]
+    assert plan[-1].slots.stop == layout.num_slots
+    for p in plan:
+        assert p.size == p.nodes.stop - p.nodes.start in (n // runs, n // runs + 1)
+        assert p.width == deg[layout.order[p.nodes]].max()
+        assert p.slots.stop - p.slots.start == p.size * p.width
+    return plan, skipped
+
+
 @pytest.mark.parametrize("n", [5, 16, 26, 300])
 def test_layout_blocks_cut_the_degree_order_into_near_equal_runs(n):
     g = build_radius_graph(np.random.default_rng(n).uniform(size=(n, 2)), 0.3)
-    layout = g.layout
-    deg = np.bincount(g.edges[:, 1], minlength=n)
-    assert np.array_equal(layout.order, np.argsort(deg, kind="stable"))
-    blocks = layout.blocks
-    assert len(blocks) == min(16, n)
-    sizes = [blk.size for blk in blocks]
-    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-    assert blocks[0].lo == 0 and blocks[-1].hi == n
-    assert blocks[0].start == 0 and blocks[-1].stop == layout.num_slots
-    for prev, blk in zip(blocks, blocks[1:]):
-        assert (blk.lo, blk.start) == (prev.hi, prev.stop)
-    for blk in blocks:
-        assert blk.width == deg[layout.order[blk.lo:blk.hi]].max()
-    assert layout.mask.sum() == g.num_edges
+    _check_plan_cuts_degree_order(g)
 
 
 @pytest.mark.parametrize("n, radius", [(5, 0.3), (26, 0.3), (300, 0.25), (40, 0.05)])
 def test_layout_plan_lists_the_blocks_of_nonzero_width(n, radius):
     # at r = 0.05 most of the 40 spots have no neighbour, so the first
-    # blocks have width 0
+    # runs have width 0 and the plan skips them
     g = build_radius_graph(np.random.default_rng(n).uniform(size=(n, 2)), radius)
     layout = g.layout
-    wide = [blk for blk in layout.blocks if blk.width]
-    assert len(layout.plan) == len(wide)
+    plan, skipped = _check_plan_cuts_degree_order(g)
     if radius == 0.05:
-        assert 0 < len(wide) < len(layout.blocks)
-    # the plan's slot ranges tile the slots in order
-    bounds = [0, *(p.slots.stop for p in layout.plan)]
-    assert [p.slots.start for p in layout.plan] == bounds[:-1]
-    assert bounds[-1] == layout.num_slots
-    for p, blk in zip(layout.plan, wide):
-        assert (p.nodes, p.slots) == (slice(blk.lo, blk.hi), slice(blk.start, blk.stop))
-        assert (p.size, p.width) == (blk.size, blk.width)
-        assert np.array_equal(p.nbrs, layout.neighbours[blk.start:blk.stop])
+        assert skipped > 0
+    for p in plan:
+        assert p.width > 0
+        assert np.array_equal(p.nbrs, layout.neighbours[p.slots])
         assert np.shares_memory(p.nbrs, layout.neighbours)
-    assert layout.max_block_slots == max((b.size * b.width for b in wide), default=0)
-    assert layout.max_block_nodes == max((b.size for b in wide), default=0)
+    assert layout.max_block_slots == max(p.size * p.width for p in plan)
+    assert layout.max_block_nodes == max(p.size for p in plan)
 
 
 def test_pad_edge_rows_needs_one_row_per_edge():
@@ -429,7 +438,6 @@ def test_layout_of_edgeless_graph_has_no_slots():
     g = build_radius_graph([(0.0, 0.0), (5.0, 5.0)], 1.0)
     layout = g.layout
     assert layout.num_slots == 0
-    assert [blk.width for blk in layout.blocks] == [0, 0]
     assert layout.plan == () and layout.max_block_slots == layout.max_block_nodes == 0
     assert sorted(layout.order) == [0, 1]
     assert np.array_equal(layout.inv_degree, np.ones(2))

@@ -815,7 +815,7 @@ def test_fused_graphpde_matches_two_stage_reference(radius, activation, kernel_h
     graph, rng = _isolated_slide(radius, 53)
     degree = np.bincount(graph.edges[:, 1], minlength=303)
     assert (degree[300:] == 0).all()
-    assert all(blk.width == 0 for blk in graph.layout.blocks) == (radius < 0.1)
+    assert (graph.layout.plan == ()) == (radius < 0.1)
     cfg = make_config("graphpde", input_dim=6, hidden_dim=8,
                       kernel_net_hidden=kernel_hidden, activation=activation,
                       init_seed=5)
