@@ -208,7 +208,7 @@ def _auto_radius(table: pl.SpotTable) -> float:
 
 def _graph_statistics(graph) -> dict:
     """One slide's graph figures for the manifest; loading does not read them."""
-    degree = np.bincount(graph.edges[:, 1], minlength=graph.num_nodes)
+    degree = graph.layout.degree
     m = graph.num_edges
     return {"edges": m, "in_degree_min": int(degree.min()),
             "in_degree_median": float(np.median(degree)),
@@ -232,8 +232,7 @@ def _cmd_prepare(args, argv):
     train_graphs, holdout_graphs, scaler = pl.assemble_graphs(
         table, split, radius, standardize=args.standardize)
 
-    degrees = np.concatenate([np.bincount(g.graph.edges[:, 1], minlength=g.num_nodes)
-                              for g in train_graphs])
+    degrees = np.concatenate([g.graph.layout.degree for g in train_graphs])
     median_degree = float(np.median(degrees))
     manifest = {
         "flags": {

@@ -8,36 +8,32 @@ its own, are found as runs of that order by binary search: expected cost
 O(n log n + n * k) instead of O(n^2). Membership uses the
 squared-distance comparison d2 <= radius**2.
 
-Edges are directed and stored both ways, sorted by (src, dst), with no
-self loops and no duplicates. A graph stores only its own copy of the
-positions, its edges and its radius; the rest is derived. The edge
-attributes (dx, dy, distance, taken dst minus src) are recomputed on each
-access. The degree-blocked in-neighbour layout (:class:`NeighbourLayout`)
-is the one sparse neighbour representation every graph model uses:
-graphpde's message op runs on it, with per-slot input rows that
-``models`` builds through :meth:`NeighbourLayout.pad_edge_rows`, and the
-row mixers of the other kinds (:class:`RowMixer`, built by
-:func:`row_mixer` from one weight per edge, in edge order, and one self
-weight per node) keep one weight per slot. The layout, and each
-constant built through :meth:`RadiusGraph.cached`, is computed on first
-use and cached on the instance; a mixer also holds its mix of the last
-Constant input it was given (see :class:`RowMixer`). A built graph is
-immutable by convention; concurrent first uses may compute a constant
-twice, with identical results.
+A graph holds its own copy of the positions, its radius and one sparse
+neighbour representation, the degree-blocked in-neighbour layout
+(:class:`NeighbourLayout`), which every graph model uses and which is
+built with the graph: the build sorts its pairs once by (destination,
+source) and fills the layout's slots from them. No edge list and no
+slot-to-edge map is kept. :attr:`RadiusGraph.edges` derives the (src,
+dst)-sorted edge list from the layout on each access, for the tests and
+the statistics; no model reads it. Every per-slot constant is computed
+in slot order straight from the positions and the layout: graphpde's
+kernel input from :func:`slot_attributes` (in ``models``), and the row
+mixers of the other kinds (:class:`RowMixer`, built by :func:`row_mixer`
+from one weight per slot and one self weight per node), whose weights
+come from ``models.symmetric_norm_weights`` and
+:func:`gaussian_kernel_weights`. Within a node, slots follow ascending
+source, the order of the node's in-edges in a (src, dst)-sorted edge
+list, so a per-node sum over slots, with +0.0 from each pad, has the
+bits of the same sum over that edge list. The constants built through
+:meth:`RadiusGraph.cached` are computed on first use and cached on the
+instance; a mixer also holds its mix of the last Constant input it was
+given (see :class:`RowMixer`). A built graph is immutable by convention;
+concurrent first uses may compute a constant twice, with identical
+results.
 
-These per-graph constants are built in linear passes, without a search.
-The layout and each mixer sort the edges stably by destination
-(:func:`stable_order`, a radix sort on 8- and 16-bit node ids). Since
-the edges are sorted by (src, dst) without duplicates, that order lists
-them by (dst, src); it lists the reversed edges exactly when the edge
-list is symmetric, and then it maps every edge to its reverse (see
-:func:`row_mixer`). Gathers go through ``np.take``, several times faster
-than fancy indexing with an edge array's strided column. On a 300-spot
-slide at r = 0.25 (m = 14,282; 1 BLAS thread, 2-core AMD EPYC VM, timeit
-best of 7) the layout takes 0.13 ms, the norm and Gaussian mixers with
-their weights 0.15 and 0.26 ms, and the layout plus both mixers from a
-bare graph 0.60 ms. On a 50,000-spot slide at degree 6 that last figure
-is 16–26 ms.
+A 300-spot slide at r = 0.25 (14,282 directed pairs in 14,812 slots)
+holds its layout in 126 kB, where the edge list and the slot-to-edge
+map took another 229 kB and 118 kB.
 """
 
 from __future__ import annotations
@@ -57,40 +53,6 @@ def as_positions(obj) -> np.ndarray:
     if not np.isfinite(pos).all():
         raise ParameterError("positions contain non-finite coordinates")
     return pos
-
-
-@dataclass(eq=False)
-class RadiusGraph:
-    """All ordered point pairs within ``radius``."""
-
-    positions: np.ndarray  # (n, 2) float64, the graph's own copy
-    edges: np.ndarray      # (m, 2) int64, directed both ways, sorted
-    radius: float
-    _constants: dict = field(default_factory=dict, init=False, repr=False)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def num_edges(self) -> int:
-        return self.edges.shape[0]
-
-    @property
-    def edge_attr(self) -> np.ndarray:
-        """(m, 3) float64 dx, dy, euclidean distance, computed on each access."""
-        return edge_attributes(self.positions, self.edges)
-
-    def cached(self, key, build: Callable[[], object]):
-        """The per-graph constant ``key``, made by ``build()`` on first use."""
-        held = self._constants.get(key)
-        if held is None:
-            held = self._constants[key] = build()
-        return held
-
-    @property
-    def layout(self) -> "NeighbourLayout":
-        return self.cached("layout", lambda: neighbour_layout(self))
 
 
 # The layout cuts the degree-sorted nodes into this many runs. On twenty
@@ -131,26 +93,27 @@ class NeighbourLayout:
     in-degree. ``plan`` lists the runs of nonzero width in order, one
     :class:`BlockPlan` each; the runs of width 0 hold only nodes without
     in-edges, come first and have no slot and no entry. Slot rows are
-    block-major, then node-major in ``order``, then in edge-list order (so
-    by ascending source). Slots past a node's degree are padding: their
-    neighbour id is n (one past the last node) and ``slot_edge`` is -1.
-    Per-slot data are ``num_slots`` x c matrices in that row order
-    (:meth:`pad_edge_rows`).
+    block-major, then node-major in ``order``, then by ascending source.
+    Slots past a node's degree are padding: their neighbour id is n (one
+    past the last node). Per-slot data are ``num_slots`` x c matrices in
+    that row order.
 
-    ``max_block_slots`` and ``max_block_nodes``, the largest block's slot
-    and node counts, are derived from ``plan`` when the layout is made:
-    both sparse ops loop over the plan and size their buffers by them.
+    ``inv_degree``, ``max_block_slots`` and ``max_block_nodes``, the
+    largest block's slot and node counts, are derived when the layout is
+    made: both sparse ops loop over the plan and size their buffers by
+    them.
     """
 
     order: np.ndarray       # (n,) int64 nodes in block order
     plan: tuple[BlockPlan, ...]  # the runs of nonzero width, in order
     neighbours: np.ndarray  # (num_slots,) int64 source node of each slot, n in pads
-    slot_edge: np.ndarray   # (num_slots,) int64 edge index of each slot, -1 in pads
-    inv_degree: np.ndarray  # (n,) float64, 1 / max(in-degree, 1)
+    degree: np.ndarray      # (n,) int64 in-degree
+    inv_degree: np.ndarray = field(init=False, repr=False)  # (n,) 1 / max(degree, 1)
     max_block_slots: int = field(init=False, repr=False)
     max_block_nodes: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.inv_degree = 1.0 / np.maximum(self.degree, 1).astype(np.float64)
         self.max_block_slots = max((p.size * p.width for p in self.plan), default=0)
         self.max_block_nodes = max((p.size for p in self.plan), default=0)
 
@@ -160,39 +123,37 @@ class NeighbourLayout:
 
     @property
     def num_slots(self) -> int:
-        return self.slot_edge.size
+        return self.neighbours.size
+
+    @property
+    def num_edges(self) -> int:
+        return int(self.degree.sum())
 
     @property
     def mask(self) -> np.ndarray:
         """(num_slots,) bool, True on real edges."""
-        return self.slot_edge >= 0
+        return self.neighbours < self.num_nodes
 
-    def pad_edge_rows(self, rows) -> np.ndarray:
-        """Spread an m x c per-edge matrix over the slots, zero in pads."""
-        rows = np.asarray(rows, dtype=np.float64)
-        m = np.count_nonzero(self.mask)
-        if rows.ndim != 2 or rows.shape[0] != m:
-            raise DimensionError(f"slot rows need an ({m}, c) per-edge matrix, "
-                                 f"got {rows.shape}")
-        # one gather; a pad's edge index -1 picks the appended zero row
-        padded = np.concatenate([rows, np.zeros((1, rows.shape[1]))])
-        return np.take(padded, self.slot_edge, axis=0)
+    def slot_nodes(self) -> np.ndarray:
+        """(num_slots,) int64, the node that owns each slot."""
+        lead = self.plan[0].nodes.start if self.plan else self.num_nodes
+        widths = np.repeat(np.array([p.width for p in self.plan], dtype=np.int64),
+                           [p.size for p in self.plan])
+        return np.repeat(self.order[lead:], widths)
 
 
 def stable_order(keys, bound: int) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for integer keys in [0, bound].
     The keys are sorted in the narrowest unsigned type that holds
     ``bound``, where numpy sorts 8- and 16-bit keys by radix; a stable
-    order is the same permutation in any type that holds the keys.
-    ``stable_order(edges[:, 1], n)`` is the destination order: it lists a
-    (src, dst)-sorted edge list by (dst, src)."""
+    order is the same permutation in any type that holds the keys."""
     return np.argsort(np.asarray(keys).astype(np.min_scalar_type(bound)), kind="stable")
 
 
-def neighbour_layout(graph: RadiusGraph) -> NeighbourLayout:
-    """Pack ``graph``'s in-edges into degree blocks (see NeighbourLayout)."""
-    n, m = graph.num_nodes, graph.num_edges
-    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+def neighbour_layout(num_nodes: int, src: np.ndarray, dst: np.ndarray) -> NeighbourLayout:
+    """Pack the directed pairs (src[e], dst[e]), listed by (dst, src), into
+    degree blocks of in-neighbours (see NeighbourLayout)."""
+    n, m = num_nodes, src.size
     deg = np.bincount(dst, minlength=n)
     order = stable_order(deg, deg.max(initial=0))
     # runs of near-equal size, none empty; sorted, so a run's width is the
@@ -205,24 +166,96 @@ def neighbour_layout(graph: RadiusGraph) -> NeighbourLayout:
     run = np.repeat(np.arange(widths.size), np.diff(bounds))
     first = np.empty(n, dtype=np.int64)
     first[order] = starts[run] + (np.arange(n) - bounds[run]) * widths[run]
-    # in destination order each node's in-edges are one run, the nodes
-    # ascending, so an edge's slot is its node's first slot plus its place
+    # listed by (dst, src), each node's in-edges are one run, the nodes
+    # ascending, so a pair's slot is its node's first slot plus its place
     # in that run
-    edge_order = stable_order(dst, n)
     slots = np.repeat(first - (np.cumsum(deg) - deg), deg) + np.arange(m)
-    slot_edge = np.full(int(starts[-1]), -1, dtype=np.int64)
-    slot_edge[slots] = edge_order
-    neighbours = np.full(slot_edge.size, n, dtype=np.int64)
-    neighbours[slots] = np.take(src, edge_order)
+    neighbours = np.full(int(starts[-1]), n, dtype=np.int64)
+    neighbours[slots] = src
     # one entry per run of nonzero width, in Python ints: the sparse ops
     # slice and size their buffers with them on every call
     b, s = bounds.tolist(), starts.tolist()
     plan = tuple(
         BlockPlan(slice(lo, hi), slice(start, stop), neighbours[start:stop], hi - lo, w)
         for lo, hi, start, stop, w in zip(b, b[1:], s, s[1:], widths.tolist()) if w)
-    return NeighbourLayout(
-        order=order, plan=plan, neighbours=neighbours, slot_edge=slot_edge,
-        inv_degree=1.0 / np.maximum(deg, 1).astype(np.float64))
+    return NeighbourLayout(order=order, plan=plan, neighbours=neighbours, degree=deg)
+
+
+@dataclass(eq=False, init=False)
+class RadiusGraph:
+    """Directed pairs of points, held as the in-neighbour layout of every
+    point: all ordered pairs within ``radius`` when made by
+    :func:`build_radius_graph`, or the listed ``edges``, (m, 2) (src, dst)
+    pairs in any order, of a graph made by hand. ``symmetric`` records
+    whether every pair's reverse is a pair too, as in every radius graph;
+    the row mixers need it."""
+
+    positions: np.ndarray  # (n, 2) float64
+    radius: float
+    layout: NeighbourLayout
+    symmetric: bool
+    _constants: dict = field(repr=False)
+
+    def __init__(self, positions, edges, radius: float) -> None:
+        pos = as_positions(positions)
+        n = pos.shape[0]
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise IndexError(f"edge endpoint out of range [0, {n})")
+        by_dst = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]
+        by_src = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        self._hold(pos, radius, neighbour_layout(n, by_dst[:, 0], by_dst[:, 1]),
+                   np.array_equal(by_dst, by_src[:, ::-1]))
+
+    @classmethod
+    def _of_layout(cls, positions: np.ndarray, radius: float,
+                   layout: NeighbourLayout) -> "RadiusGraph":
+        """A symmetric graph from its layout, as :func:`build_radius_graph`
+        makes it."""
+        graph = cls.__new__(cls)
+        graph._hold(positions, radius, layout, True)
+        return graph
+
+    def _hold(self, positions, radius, layout, symmetric) -> None:
+        self.positions, self.radius, self.layout = positions, float(radius), layout
+        self.symmetric, self._constants = bool(symmetric), {}
+
+    @property
+    def num_nodes(self) -> int:
+        return self.positions.shape[0]
+
+    @property
+    def num_edges(self) -> int:
+        return self.layout.num_edges
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(m, 2) int64 (src, dst) pairs sorted by (src, dst), derived from
+        the layout on each access."""
+        layout = self.layout
+        real = layout.mask
+        src, dst = layout.neighbours[real], layout.slot_nodes()[real]
+        by_pair = np.lexsort((dst, src))
+        return np.stack([src[by_pair], dst[by_pair]], axis=1)
+
+    def cached(self, key, build: Callable[[], object]):
+        """The per-graph constant ``key``, made by ``build()`` on first use."""
+        held = self._constants.get(key)
+        if held is None:
+            held = self._constants[key] = build()
+        return held
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a finite float array. It ranks values
+    as ``np.unique`` does, without the import of ``numpy.ma`` that
+    ``np.unique``'s first call makes (12-18 ms and 1.2 MB of RSS in a
+    fresh process on a 2-core Intel Xeon VM)."""
+    ordered = np.sort(values)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 def build_radius_graph(points, radius: float) -> RadiusGraph:
@@ -237,7 +270,7 @@ def build_radius_graph(points, radius: float) -> RadiusGraph:
     # overflow however far apart the points lie; points sorted by cell id.
     # The keys stay floats: key - 1 <= key <= key + 1 holds at any magnitude
     keys = np.floor(pos / radius)
-    key_x, key_y = np.unique(keys[:, 0]), np.unique(keys[:, 1])
+    key_x, key_y = _distinct(keys[:, 0]), _distinct(keys[:, 1])
     span = key_y.size
     cell = np.searchsorted(key_x, keys[:, 0]) * span + np.searchsorted(key_y, keys[:, 1])
     order = np.argsort(cell, kind="stable")
@@ -266,44 +299,54 @@ def build_radius_graph(points, radius: float) -> RadiusGraph:
         srcs.append(src[near])
         dsts.append(cand[near])
     src, dst = np.concatenate(srcs), np.concatenate(dsts)
-    by_pair = np.argsort(src * n + dst)
-    edges = np.stack([src[by_pair], dst[by_pair]], axis=1)
-    return RadiusGraph(positions=pos, edges=edges, radius=float(radius))
+    by_pair = np.argsort(dst * n + src)
+    layout = neighbour_layout(n, np.take(src, by_pair), np.take(dst, by_pair))
+    return RadiusGraph._of_layout(pos, radius, layout)
 
 
-def _edge_geometry(pos: np.ndarray, edges) -> tuple[np.ndarray, ...]:
-    """The (m, 2) int64 edge list, checked against the n positions, and per
-    edge its (m, 2) offset x_dst - x_src and its length."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size and (edges.min() < 0 or edges.max() >= pos.shape[0]):
-        raise IndexError(f"edge endpoint out of range [0, {pos.shape[0]})")
-    offset = np.take(pos, edges[:, 1], axis=0) - np.take(pos, edges[:, 0], axis=0)
-    return edges, offset, np.sqrt(offset[:, 0] ** 2 + offset[:, 1] ** 2)
+def _slot_geometry(pos: np.ndarray, layout: NeighbourLayout) -> tuple[np.ndarray, ...]:
+    """Per slot (x <- y) of ``layout``: x, y, the offset x - y and its
+    length, computed as for the edge (y, x) of an edge list. A pad stands
+    for a loop on its own node, so its offset and length are +0.0."""
+    if pos.shape[0] != layout.num_nodes:
+        raise DimensionError(f"{pos.shape[0]} positions for a layout of "
+                             f"{layout.num_nodes} nodes")
+    dst = layout.slot_nodes()
+    src = np.where(layout.mask, layout.neighbours, dst)
+    offset = np.take(pos, dst, axis=0) - np.take(pos, src, axis=0)
+    return dst, src, offset, np.sqrt(offset[:, 0] ** 2 + offset[:, 1] ** 2)
 
 
-def edge_attributes(points, edges) -> np.ndarray:
-    """Per edge: (x_dst - x_src, y_dst - y_src, euclidean distance)."""
-    _edges, offset, length = _edge_geometry(as_positions(points), edges)
+def slot_attributes(points, layout: NeighbourLayout) -> np.ndarray:
+    """Per slot (x <- y), in the layout's slot order: the offset x - y
+    (dx, dy, taken destination minus source) and its euclidean length;
+    zero rows in pads."""
+    _dst, _src, offset, length = _slot_geometry(as_positions(points), layout)
     return np.column_stack([offset, length])
 
 
-def gaussian_kernel_weights(points, edges,
-                            bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalized positional weights on the edge support plus one self
-    weight per node: w(i, j) = exp(-d(i, j)^2 / (2 bandwidth^2)), w(i, i) = 1,
-    then every node's incoming weights divided by their sum (>= 1, from the
-    self weight). Returns (one weight per edge in edge order, n self weights)."""
+def gaussian_kernel_weights(points, layout: NeighbourLayout,
+                            bandwidth: float) -> tuple[np.ndarray, ...]:
+    """Row-normalized positional weights on the slots of ``layout`` plus
+    one self weight per node: w(x, y) = exp(-d(x, y)^2 / (2 bandwidth^2)),
+    w(x, x) = 1, then every node's incoming weights divided by their sum
+    (>= 1, from the self weight). Returns (one weight per slot, the n self
+    weights, each slot's transposed weight w(y, x)), zero in pads: the
+    arguments of :func:`row_mixer`.
+
+    A node's sum runs over its slots, in ascending source and then +0.0
+    per pad, and then adds its self weight. The unnormalized weight is
+    symmetric bit for bit (d(x, y) squares x - y, and y - x is its exact
+    negation), so the transposed weight is the slot's own unnormalized
+    weight divided by its source's sum."""
     pos = as_positions(points)
     if not bandwidth > 0:
         raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
-    n = pos.shape[0]
-    edges, _offset, dist = _edge_geometry(pos, edges)
+    dst, src, _offset, dist = _slot_geometry(pos, layout)
     w = np.exp(-(dist ** 2) / (2.0 * bandwidth * bandwidth))
-    # each node's edge weights in edge order, then its self weight 1: the order
-    # in which its COO row (the edges, then one self loop per node) sums
-    total = np.bincount(edges[:, 1], weights=w, minlength=n) + 1.0
-    w /= np.take(total, edges[:, 1])
-    return w, 1.0 / total
+    w[~layout.mask] = 0.0
+    total = np.bincount(dst, weights=w, minlength=pos.shape[0]) + 1.0
+    return w / np.take(total, dst), 1.0 / total, w / np.take(total, src)
 
 
 @dataclass(eq=False)
@@ -311,9 +354,7 @@ class RowMixer:
     """Constant row-mixing weights on a graph's :class:`NeighbourLayout`:
     out_i = sum over i's slots of weights[s] x_nbr(s) + self_weights[i] x_i.
     ``transposed`` holds each slot's reverse-edge weight, for the backward
-    pass, with the reverse map read off the destination order (see
-    :func:`row_mixer`); it is ``weights`` itself when the operator is
-    symmetric.
+    pass; it is ``weights`` itself when the operator is symmetric.
     ``held`` is ``ad.mix_rows``'s one slot: the last Constant input array
     and its mix, a read-only Constant returned without a tape entry while
     that array object comes back. It costs one n x d array per mixer for
@@ -326,33 +367,26 @@ class RowMixer:
     held: tuple | None = field(default=None, init=False, repr=False)
 
 
-def row_mixer(graph: RadiusGraph, edge_weights, self_weights) -> RowMixer:
-    """Spread one weight per edge of ``graph`` (in edge order) and one self
-    weight per node over ``graph.layout``; the edge list must hold every
-    edge's reverse and be sorted by (src, dst) without duplicates, as a
-    radius graph's is.
-
-    The reverse-edge map is the destination order ``order``: the edges
-    sorted stably by dst are listed by (dst, src), which is the order of
-    the reversed list ``edges[:, ::-1]``. So ``edges[order]`` equals the
-    reversed list row for row exactly when the list is symmetric, and then
-    ``order[e]`` is the index of edge e's reverse. One O(m) comparison
-    checks it (a ``ContractError`` otherwise), and the two spreads are
-    :meth:`NeighbourLayout.pad_edge_rows` of ``w`` and of ``w[order]``."""
-    n, m = graph.num_nodes, graph.num_edges
-    w = np.asarray(edge_weights, dtype=np.float64)
-    self_w = np.array(self_weights, dtype=np.float64)
-    if w.shape != (m,) or self_w.shape != (n,):
-        raise DimensionError(f"row mixing needs ({m},) edge weights and ({n},) self "
-                             f"weights, got {w.shape} and {self_w.shape}")
-    order = stable_order(graph.edges[:, 1], n)
-    if not np.array_equal(np.take(graph.edges, order, axis=0), graph.edges[:, ::-1]):
-        raise ContractError("row mixing needs a symmetric edge list sorted by "
-                            "(src, dst): an edge's reverse is missing or out of place")
+def row_mixer(graph: RadiusGraph, weights, self_weights, transposed=None) -> RowMixer:
+    """One weight per slot of ``graph.layout`` (0 in pads) and one self
+    weight per node as a :class:`RowMixer`. ``transposed`` is each slot's
+    reverse-edge weight, ``weights`` itself when left out (a symmetric
+    operator) or equal to it. The backward pass mixes with it over the
+    same in-neighbour slots, so every edge's reverse must be an edge: a
+    graph that is not symmetric is refused with a ``ContractError``."""
+    if not graph.symmetric:
+        raise ContractError("row mixing needs a symmetric graph: an edge's "
+                            "reverse is missing")
     layout = graph.layout
-    forward = layout.pad_edge_rows(w[:, None]).ravel()
-    transposed = layout.pad_edge_rows(np.take(w, order)[:, None]).ravel()
-    if np.array_equal(transposed, forward):
-        transposed = forward
-    return RowMixer(layout=layout, weights=forward, transposed=transposed,
+    forward = np.asarray(weights, dtype=np.float64)
+    back = forward if transposed is None else np.asarray(transposed, dtype=np.float64)
+    self_w = np.array(self_weights, dtype=np.float64)
+    s, n = layout.num_slots, layout.num_nodes
+    if forward.shape != (s,) or back.shape != (s,) or self_w.shape != (n,):
+        raise DimensionError(f"row mixing needs ({s},) slot weights and ({n},) self "
+                             f"weights, got {forward.shape}, {back.shape} and "
+                             f"{self_w.shape}")
+    if np.array_equal(back, forward):
+        back = forward
+    return RowMixer(layout=layout, weights=forward, transposed=back,
                     self_weights=self_w)

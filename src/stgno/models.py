@@ -18,11 +18,12 @@ only in the mixers each block applies, in order:
 
 Each mixer is a :class:`geometry.RowMixer`, one weight per slot of the
 graph's degree-blocked in-neighbour layout (``RadiusGraph.layout``, a
-:class:`geometry.NeighbourLayout`), built on first use from the
-per-edge and per-node self weights of :func:`symmetric_norm_weights` or
-:func:`geometry.gaussian_kernel_weights` and cached on the graph; one
+:class:`geometry.NeighbourLayout`), built on first use from the per-slot
+and per-node self weights of :func:`symmetric_norm_weights` or
+:func:`geometry.gaussian_kernel_weights`, which compute them in slot
+order from the layout and the positions, and cached on the graph; one
 :func:`ad.mix_rows` tape entry applies it. All six kinds thus share one
-sparse neighbour representation; ``ad.coo_matmul`` over the per-edge
+sparse neighbour representation; ``ad.coo_matmul`` over per-edge
 weights remains only as the tests' oracle and a name the benchmark's
 tracer lists. The first block's mixes take the slide's constant features
 (and, in spatial_gcn, the Gaussian mix of them), so they are Constants
@@ -43,7 +44,8 @@ is ever built. The whole kernel network and that contraction are one
 tape entry, :func:`ad.kernel_message_mean`, which runs on the same
 layout. Its input is built here once per graph and cached on it, beside
 the mixers (:func:`_kernel_input_for`, graphpde's alone): per slot, the
-radius-scaled edge attributes and a 1, zero rows in pads. The op runs
+radius-scaled attributes of its edge (:func:`geometry.slot_attributes`)
+and a 1, zero rows in pads. The op runs
 the hidden kernel layers (:func:`kernel_net_forward` names their
 parameters) one degree block at a time on those rows in place, and
 recomputes them in the backward pass, so no per-slot array of the whole
@@ -79,7 +81,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Value
 from .errors import ContractError, DimensionError, ParameterError
-from .geometry import RadiusGraph, RowMixer, gaussian_kernel_weights, row_mixer
+from .geometry import (RadiusGraph, RowMixer, gaussian_kernel_weights, row_mixer,
+                       slot_attributes)
 
 
 class Kind(NamedTuple):
@@ -212,11 +215,14 @@ def _linear(tape: Tape, params: Params, name: str, x: Value,
 
 def symmetric_norm_weights(graph: RadiusGraph) -> tuple[np.ndarray, np.ndarray]:
     """Self-looped symmetric normalization D^-1/2 (A + I) D^-1/2: one weight
-    per edge in edge order, then the n self weights."""
-    src, dst = graph.edges[:, 0], graph.edges[:, 1]
-    inv_sqrt = 1.0 / np.sqrt(np.bincount(dst, minlength=graph.num_nodes) + 1.0)
-    w = np.take(inv_sqrt, src)
-    w *= np.take(inv_sqrt, dst)
+    per slot of ``graph.layout`` (the source's factor times the
+    destination's, 0 in pads), then the n self weights. The operator is
+    symmetric, so the weights are their own transpose."""
+    layout = graph.layout
+    inv_sqrt = 1.0 / np.sqrt(layout.degree + 1.0)
+    # a pad's neighbour id n picks the appended 0
+    w = np.take(np.append(inv_sqrt, 0.0), layout.neighbours)
+    w *= np.take(inv_sqrt, layout.slot_nodes())
     return w, inv_sqrt ** 2
 
 
@@ -229,7 +235,7 @@ def _gaussian_weights_for(config: ModelConfig, graph: RadiusGraph) -> RowMixer:
     as a row mixer cached on the graph per bandwidth."""
     bandwidth = config.bandwidth if config.bandwidth is not None else graph.radius / 2.0
     return graph.cached(("gaussian", bandwidth), lambda: row_mixer(
-        graph, *gaussian_kernel_weights(graph.positions, graph.edges, bandwidth)))
+        graph, *gaussian_kernel_weights(graph.positions, graph.layout, bandwidth)))
 
 
 def _kernel_input_for(graph: RadiusGraph) -> np.ndarray:
@@ -238,8 +244,9 @@ def _kernel_input_for(graph: RadiusGraph) -> np.ndarray:
     O(1) regardless of slide units; the first kernel layer absorbs the
     factor), then a 1 that carries each kernel layer's bias through
     :func:`ad.kernel_message_mean`'s products; zero rows in pads."""
-    return graph.cached("kernel_input", lambda: graph.layout.pad_edge_rows(
-        np.hstack([graph.edge_attr / graph.radius, np.ones((graph.num_edges, 1))])))
+    return graph.cached("kernel_input", lambda: np.column_stack([
+        slot_attributes(graph.positions, graph.layout) / graph.radius,
+        graph.layout.mask]))
 
 
 def _stack_blocks(config: ModelConfig) -> int:

@@ -10,11 +10,18 @@ and append the ones column that the op reads with :func:`append_ones`;
 :func:`coo_weights` lists a row mixer's per-edge and self weights as COO
 entries, the edges in order and then one self loop per node, and
 :func:`coo_apply_kernel` mixes rows with ``ad.coo_matmul`` over them, the
-path the models' row mixers replaced. :func:`searchsorted_mixer_slots`
-builds a mixer's per-slot weights with the reverse-edge search that the
-library's linear pass replaced, and :func:`fancy_edge_attributes` /
-:func:`fancy_pad_edge_rows` are the fancy-index gathers that ``np.take``
-replaced. :func:`single_block_layout` packs a graph's in-edges into a
+path the models' row mixers replaced; :func:`slot_coo_weights` lists
+per-slot weights the same way. The per-edge path that the library's
+slot-order constants replaced lives here: :func:`edge_attributes`,
+:func:`edge_norm_weights` and :func:`edge_gaussian_weights` compute one
+row or weight per edge of the (src, dst)-sorted edge list, and
+:func:`pad_edge_rows` spreads them over a layout's slots through
+:func:`slot_edges`, the slot-to-edge map the layout no longer keeps,
+found from each slot's owner (:func:`slot_owners`, a loop over the
+plan).
+:func:`searchsorted_mixer_slots` builds a mixer's per-slot weights with
+the reverse-edge search that the library's linear pass replaced.
+:func:`single_block_layout` packs a graph's in-edges into a
 ``geometry.NeighbourLayout`` of one padded block, by a loop over the
 edges. :func:`mul` and :func:`append_ones` are tape ops that no
 library path needs, kept for the gradient checks and the two-stage path;
@@ -29,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from stgno import autodiff as ad
-from stgno.errors import ContractError
+from stgno.errors import ContractError, DimensionError
 from stgno.geometry import BlockPlan, NeighbourLayout
 
 
@@ -122,7 +129,9 @@ def two_stage_graphpde_forward(tape, config, params, graph, features):
     all slots of ``graph.layout`` before the message op (same parameters,
     same op order otherwise)."""
     act = ad.ACTIVATIONS[config.activation]
-    attr = ad.constant(graph.layout.pad_edge_rows(graph.edge_attr / graph.radius))
+    edges = graph.edges
+    attr = ad.constant(pad_edge_rows(graph.layout, edges,
+                                     edge_attributes(graph.positions, edges) / graph.radius))
     x = ad.dense(tape, features, params["lift_w"], params["lift_b"])
     depth = len(config.kernel_net_hidden)
     for i in range(config.num_layers):
@@ -168,69 +177,138 @@ def single_block_layout(graph):
     filled by a loop over the edge list, and the plan is that one block,
     or empty when D = 0. The library's degree blocks must give the same
     results."""
-    n, m = graph.num_nodes, graph.num_edges
-    deg = np.bincount(graph.edges[:, 1], minlength=n)
-    width = int(deg.max()) if m else 0
-    slot_edge = np.full(n * width, -1, dtype=np.int64)
+    n, edges = graph.num_nodes, graph.edges
+    deg = np.bincount(edges[:, 1], minlength=n)
+    width = int(deg.max()) if edges.size else 0
     neighbours = np.full(n * width, n, dtype=np.int64)
     filled = np.zeros(n, dtype=np.int64)
-    for e, (src, dst) in enumerate(graph.edges):
-        slot = dst * width + filled[dst]
+    for src, dst in edges:
+        neighbours[dst * width + filled[dst]] = src
         filled[dst] += 1
-        slot_edge[slot], neighbours[slot] = e, src
     plan = ((BlockPlan(slice(0, n), slice(0, n * width), neighbours, n, width),)
             if width else ())
-    return NeighbourLayout(
-        order=np.arange(n), plan=plan, neighbours=neighbours, slot_edge=slot_edge,
-        inv_degree=1.0 / np.maximum(deg, 1))
+    return NeighbourLayout(order=np.arange(n), plan=plan, neighbours=neighbours,
+                           degree=deg)
 
 
-def searchsorted_mixer_slots(graph, edge_weights):
-    """A row mixer's per-slot ``(weights, transposed)`` built as the library
-    once did: each edge's reverse found by a ``searchsorted`` of the
-    reversed (src, dst) keys in the sorted key list, and both spreads by
-    masked fancy indexing. Raises the library's ContractError when an edge
-    has no reverse."""
-    n, m = graph.num_nodes, graph.num_edges
-    w = np.asarray(edge_weights, dtype=np.float64)
-    src, dst = graph.edges[:, 0], graph.edges[:, 1]
-    keys = src * n + dst
-    reverse = np.searchsorted(keys, dst * n + src)
-    if m and not np.array_equal(keys[np.minimum(reverse, m - 1)], dst * n + src):
-        raise ContractError("row mixing needs a symmetric edge list: an edge has "
-                            "no reverse")
-    layout = graph.layout
-    real = layout.mask
-    edge_of = layout.slot_edge[real]
-    forward = np.zeros(layout.num_slots)
-    forward[real] = w[edge_of]
-    transposed = np.zeros(layout.num_slots)
-    transposed[real] = w[reverse[edge_of]]
-    return forward, transposed
+def slot_owners(layout):
+    """The node that owns each slot of ``layout``, by a loop over its plan."""
+    owners = np.zeros(layout.num_slots, dtype=np.int64)
+    for p in layout.plan:
+        for j, node in enumerate(layout.order[p.nodes]):
+            first = p.slots.start + j * p.width
+            owners[first:first + p.width] = node
+    return owners
 
 
-def fancy_edge_attributes(points, edges):
-    """(dx, dy, distance) per edge by fancy indexing of the positions."""
+def slot_edges(layout, edges):
+    """Each slot's index in the (src, dst)-sorted ``edges``, -1 in pads: the
+    slot-to-edge map that the library no longer keeps, found by a
+    ``searchsorted`` of each slot's (neighbour, owner) key."""
+    n = layout.num_nodes
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    real = layout.neighbours < n
+    keys = edges[:, 0] * n + edges[:, 1]
+    want = layout.neighbours * n + slot_owners(layout)
+    out = np.full(layout.num_slots, -1, dtype=np.int64)
+    out[real] = np.searchsorted(keys, want[real])
+    assert np.array_equal(keys[out[real]], want[real])
+    return out
+
+
+def pad_edge_rows(layout, edges, rows):
+    """Per-edge rows, in the order of the (src, dst)-sorted ``edges``,
+    spread over ``layout``'s slots by a masked fancy assignment, zero in
+    pads: the spread through which the library built every per-slot
+    constant from per-edge data."""
+    rows = np.asarray(rows, dtype=np.float64)
+    m = len(np.asarray(edges).reshape(-1, 2))
+    if rows.ndim != 2 or rows.shape[0] != m:
+        raise DimensionError(f"slot rows need an ({m}, c) per-edge matrix, "
+                             f"got {rows.shape}")
+    of = slot_edges(layout, edges)
+    out = np.zeros((layout.num_slots, rows.shape[1]))
+    out[of >= 0] = rows[of[of >= 0]]
+    return out
+
+
+def slot_coo_weights(layout, slot_weights, self_weights):
+    """:class:`CooWeights` of per-slot weights: every real slot's (neighbour,
+    owner, weight), sorted by (neighbour, owner) as an edge list is, then
+    one self loop per node."""
+    real = layout.neighbours < layout.num_nodes
+    src, dst = layout.neighbours[real], slot_owners(layout)[real]
+    by_pair = np.lexsort((dst, src))
+    return coo_weights(np.stack([src[by_pair], dst[by_pair]], axis=1),
+                       np.asarray(slot_weights)[real][by_pair], self_weights)
+
+
+def edge_attributes(points, edges):
+    """(dx, dy, distance) per edge (src, dst), taken dst minus src, by fancy
+    indexing of the positions."""
     pos = np.asarray(points, dtype=np.float64)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     delta = pos[edges[:, 1]] - pos[edges[:, 0]]
     return np.column_stack([delta, np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)])
 
 
-def fancy_pad_edge_rows(layout, rows):
-    """Per-edge rows spread over ``layout``'s slots by a masked fancy
-    assignment, zero in pads."""
-    out = np.zeros((layout.num_slots, rows.shape[1]))
-    out[layout.mask] = rows[layout.slot_edge[layout.mask]]
-    return out
+def edge_norm_weights(graph):
+    """The self-looped symmetric normalization per edge of ``graph.edges``,
+    in edge order, then the n self weights, as the library computed it
+    before it worked in slot order."""
+    edges = graph.edges
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(edges[:, 1], minlength=graph.num_nodes) + 1.0)
+    w = np.take(inv_sqrt, edges[:, 0])
+    w *= np.take(inv_sqrt, edges[:, 1])
+    return w, inv_sqrt ** 2
+
+
+def edge_gaussian_weights(points, edges, bandwidth):
+    """The row-normalized Gaussian kernel per edge of ``edges``, in edge
+    order, then the n self weights, as the library computed it before it
+    worked in slot order: each node's sum over its in-edges in edge order,
+    then + 1 for its self weight."""
+    pos = np.asarray(points, dtype=np.float64)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    dist = edge_attributes(pos, edges)[:, 2]
+    w = np.exp(-(dist ** 2) / (2.0 * bandwidth * bandwidth))
+    total = np.bincount(edges[:, 1], weights=w, minlength=pos.shape[0]) + 1.0
+    w /= np.take(total, edges[:, 1])
+    return w, 1.0 / total
+
+
+def searchsorted_mixer_slots(graph, edge_weights):
+    """A row mixer's per-slot ``(weights, transposed)`` built as the library
+    once did from one weight per edge of ``graph.edges``: each edge's
+    reverse found by a ``searchsorted`` of the reversed (src, dst) keys in
+    the sorted key list, and both spreads by masked fancy indexing. Raises
+    the library's ContractError when an edge has no reverse."""
+    n, edges = graph.num_nodes, graph.edges
+    m = edges.shape[0]
+    w = np.asarray(edge_weights, dtype=np.float64)
+    src, dst = edges[:, 0], edges[:, 1]
+    keys = src * n + dst
+    reverse = np.searchsorted(keys, dst * n + src)
+    if m and not np.array_equal(keys[np.minimum(reverse, m - 1)], dst * n + src):
+        raise ContractError("row mixing needs a symmetric edge list: an edge has "
+                            "no reverse")
+    layout = graph.layout
+    edge_of = slot_edges(layout, edges)
+    real = edge_of >= 0
+    forward = np.zeros(layout.num_slots)
+    forward[real] = w[edge_of[real]]
+    transposed = np.zeros(layout.num_slots)
+    transposed[real] = w[reverse[edge_of[real]]]
+    return forward, transposed
 
 
 def slot_attributes(graph, layout):
     """graphpde's kernel input in ``layout``'s slot order, by a loop over
     the slots: the edge attributes / radius, then a 1; zero rows in pads."""
-    attr = graph.edge_attr  # derived on each access: read once
+    edges = graph.edges
+    attr = edge_attributes(graph.positions, edges)
     out = np.zeros((layout.num_slots, 4))
-    for slot, e in enumerate(layout.slot_edge):
+    for slot, e in enumerate(slot_edges(layout, edges)):
         if e >= 0:
             out[slot, :3] = attr[e] / graph.radius
             out[slot, 3] = 1.0
@@ -271,19 +349,19 @@ def cell_loop_radius_edges(points, radius):
 
 
 def brute_force_radius_edges(points, radius):
-    """All-pairs O(n^2) radius edges, same squared-distance criterion."""
-    pts = np.asarray(points, dtype=np.float64)
+    """All-pairs O(n^2) radius edges, same squared-distance criterion,
+    sorted by (src, dst): every source against every point, a block of at
+    most 256 sources at a time."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     n = pts.shape[0]
     r2 = radius * radius
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = pts[i] - pts[j]
-            if d[0] * d[0] + d[1] * d[1] <= r2:
-                edges.append((i, j))
-    return np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    pairs = [np.zeros((0, 2), dtype=np.int64)]
+    for lo in range(0, n, 256):
+        d = pts[lo:lo + 256, None, :] - pts[None, :, :]
+        src, dst = np.nonzero(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] <= r2)
+        src += lo
+        pairs.append(np.stack([src, dst], axis=1)[src != dst].astype(np.int64))
+    return np.concatenate(pairs)
 
 
 def dense_weight_matrix(weights):

@@ -18,9 +18,9 @@ from stgno.geometry import build_radius_graph, gaussian_kernel_weights, row_mixe
 from stgno.models import init_params, make_config, model_forward
 from stgno.train import class_weights, metrics_from_confusion, weighted_cross_entropy
 
-from oracles import (coo_weights, dense_gaussian_weights, dense_graphpde_layer,
-                     dense_weight_matrix, finite_difference_grads, mul, rel_err,
-                     with_ones)
+from oracles import (dense_gaussian_weights, dense_graphpde_layer, dense_weight_matrix,
+                     finite_difference_grads, mul, pad_edge_rows, rel_err,
+                     slot_coo_weights, with_ones)
 from test_scripts import load_script
 
 # the noise-only study behind criteria 7 and 8; every flag is given, so no
@@ -236,18 +236,18 @@ def test_criterion_03_sparse_vs_dense():
         kernels = rng.uniform(-1, 1, (graph.num_edges, 16))
         from stgno.models import graphpde_layer
         got = graphpde_layer(ad.Tape(), cfg, params, 0, graph,
-                             ad.constant(graph.layout.pad_edge_rows(with_ones(kernels))),
+                             ad.constant(pad_edge_rows(graph.layout, graph.edges,
+                                                       with_ones(kernels))),
                              ad.constant(v)).data
         want = dense_graphpde_layer(params["layer_0_w"].data,
                                     params["layer_0_b"].data,
                                     kernels, graph.edges, v, "relu")
         worst = max(worst, np.abs(got - want).max())
 
-        edge_w, self_w = gaussian_kernel_weights(pts, graph.edges, bandwidth=0.25)
+        weights = gaussian_kernel_weights(pts, graph.layout, bandwidth=0.25)
         x = rng.uniform(-1, 1, (n, 3))
-        got_k = ad.mix_rows(ad.Tape(), ad.constant(x),
-                            row_mixer(graph, edge_w, self_w)).data
-        dense_k = dense_weight_matrix(coo_weights(graph.edges, edge_w, self_w))
+        got_k = ad.mix_rows(ad.Tape(), ad.constant(x), row_mixer(graph, *weights)).data
+        dense_k = dense_weight_matrix(slot_coo_weights(graph.layout, *weights[:2]))
         dense_direct = dense_gaussian_weights(pts, graph.radius, 0.25)
         worst = max(worst, np.abs(got_k - dense_k @ x).max())
         worst = max(worst, np.abs(dense_k - dense_direct).max())

@@ -12,9 +12,9 @@ from stgno.geometry import (RadiusGraph, build_radius_graph, gaussian_kernel_wei
                             row_mixer)
 from stgno.models import _kernel_input_for, symmetric_norm_weights
 
-from oracles import (coo_weights, finite_difference_grads, mul, rel_err,
-                     single_block_layout, two_stage_kernel_message_mean, unfused_dense,
-                     with_ones)
+from oracles import (finite_difference_grads, mul, pad_edge_rows, rel_err,
+                     single_block_layout, slot_coo_weights, slot_edges,
+                     two_stage_kernel_message_mean, unfused_dense, with_ones)
 
 RNG = np.random.default_rng(12345)
 
@@ -363,13 +363,13 @@ def _kernel_mean_loop(hidden, weight, bias, v, graph):
     """Per-edge loop: K_e = reshape(z_e W + b), out[dst] = mean K_e v[src],
     z_e being a slot's row less its ones column."""
     n, h = v.shape
-    layout = graph.layout
+    edges = graph.edges
     out = np.zeros((n, h))
     counts = np.zeros(n)
-    for slot, e in enumerate(layout.slot_edge):
+    for slot, e in enumerate(slot_edges(graph.layout, edges)):
         if e < 0:
             continue
-        src, dst = graph.edges[e]
+        src, dst = edges[e]
         kernel = (hidden[slot, :-1] @ weight + bias[0]).reshape(h, h)
         out[dst] += kernel @ v[src]
         counts[dst] += 1
@@ -425,7 +425,7 @@ def test_kernel_message_mean_pad_slots_get_zero_gradient():
 def test_kernel_message_mean_matches_single_block_oracle(n, isolated):
     # (0, 4): four isolated nodes and no edge at all, so D = 0
     graph = _layout_graph(7, n=n, isolated=isolated)
-    k, h, m = 5, 3, graph.num_edges
+    k, h, m, edges = 5, 3, graph.num_edges, graph.edges
     rng = np.random.default_rng(8)
     edge_rows = with_ones(safe_uniform((m, k), rng))
     weight, bias = safe_uniform((k, h * h), rng), safe_uniform((1, h * h), rng)
@@ -433,7 +433,7 @@ def test_kernel_message_mean_matches_single_block_oracle(n, isolated):
     coeffs = safe_uniform((graph.num_nodes, h), rng)
 
     def run(layout):
-        slot_rows = layout.pad_edge_rows(edge_rows)
+        slot_rows = pad_edge_rows(layout, edges, edge_rows)
         slot_rows[~layout.mask] = 7.0  # what pad slots hold must not matter
         leaves = [ad.Parameter(name, data.copy()) for name, data in
                   (("hidden", slot_rows), ("weight", weight), ("bias", bias), ("v", v))]
@@ -443,7 +443,7 @@ def test_kernel_message_mean_matches_single_block_oracle(n, isolated):
         hidden_grad = leaves[0].grad
         assert not hidden_grad[~layout.mask].any()
         per_edge = np.zeros((m, k + 1))
-        per_edge[layout.slot_edge[layout.mask]] = hidden_grad[layout.mask]
+        per_edge[slot_edges(layout, edges)[layout.mask]] = hidden_grad[layout.mask]
         return out.data, [per_edge] + [p.grad for p in leaves[1:]]
 
     blocked, single = graph.layout, single_block_layout(graph)
@@ -692,10 +692,10 @@ def test_coo_matmul_gradient():
 def test_mix_rows_of_a_constant_is_held_and_exact(which):
     rng = np.random.default_rng(71)
     graph = build_radius_graph(rng.uniform(size=(80, 2)), 0.2)
-    edge_w, self_w = (symmetric_norm_weights(graph) if which == "norm" else
-                      gaussian_kernel_weights(graph.positions, graph.edges, 0.1))
-    mixer = row_mixer(graph, edge_w, self_w)
-    coo = coo_weights(graph.edges, edge_w, self_w)
+    weights = (symmetric_norm_weights(graph) if which == "norm" else
+               gaussian_kernel_weights(graph.positions, graph.layout, 0.1))
+    mixer = row_mixer(graph, *weights)
+    coo = slot_coo_weights(graph.layout, *weights[:2])
     x, y = rng.uniform(-1, 1, (80, 5)), rng.uniform(-1, 1, (80, 5))
 
     def oracle(arr):
@@ -709,7 +709,7 @@ def test_mix_rows_of_a_constant_is_held_and_exact(which):
     # a new Constant over the same array object gets the held one back
     assert ad.mix_rows(tape, ad.constant(x), mixer) is first
     assert np.array_equal(first.data, oracle(x))
-    fresh = row_mixer(graph, edge_w, self_w)
+    fresh = row_mixer(graph, *weights)
     assert np.array_equal(first.data, ad.mix_rows(ad.Tape(), ad.Value(x), fresh).data)
     # any other array, even an equal copy, is mixed afresh and replaces it
     other = ad.mix_rows(tape, ad.constant(y), mixer)

@@ -18,6 +18,8 @@ from stgno.ioutil import dump_json
 from stgno.pipeline import PREPARED_VERSION, load_prepared, load_spot_table
 from stgno.train import evaluate, load_checkpoint
 
+from oracles import brute_force_radius_edges
+
 
 def run_cli(*args):
     return main(list(args))
@@ -224,15 +226,21 @@ def test_prepare_records_graph_statistics_per_slide(prepared_dir, tmp_path):
     train, holdout, _ = load_prepared(prepared_dir)
     stats = manifest["graph_statistics"]
     assert set(stats) == {s.sample_id for s in [*train, *holdout]}
+    # every figure recomputed from the all-pairs edge list
+    train_degrees = []
     for sample in [*train, *holdout]:
-        degree = np.bincount(sample.graph.edges[:, 1], minlength=sample.num_nodes)
+        edges = brute_force_radius_edges(sample.graph.positions, manifest["radius"])
+        degree = np.bincount(edges[:, 1], minlength=sample.num_nodes)
+        if any(sample is t for t in train):
+            train_degrees.append(degree)
         assert stats[sample.sample_id] == {
-            "edges": sample.graph.num_edges, "in_degree_min": int(degree.min()),
+            "edges": len(edges), "in_degree_min": int(degree.min()),
             "in_degree_median": float(np.median(degree)),
             "in_degree_max": int(degree.max()),
             "isolated_nodes": int((degree == 0).sum()),
-            "slots_per_edge": sample.graph.layout.num_slots / sample.graph.num_edges}
+            "slots_per_edge": sample.graph.layout.num_slots / len(edges)}
         assert 1.0 <= stats[sample.sample_id]["slots_per_edge"] < 2.0
+    assert manifest["degree_median"] == float(np.median(np.concatenate(train_degrees)))
     # load_prepared does not read them
     copy = tmp_path / "prep"
     shutil.copytree(prepared_dir, copy)

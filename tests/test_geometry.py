@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from stgno import autodiff as ad
 from stgno.cli import _auto_radius
 from stgno.errors import ContractError, DimensionError, ParameterError
-from stgno.geometry import (RadiusGraph, build_radius_graph, edge_attributes,
-                            gaussian_kernel_weights, row_mixer, stable_order)
-from stgno.models import symmetric_norm_weights
+from stgno.geometry import (NeighbourLayout, RadiusGraph, build_radius_graph,
+                            gaussian_kernel_weights, row_mixer, slot_attributes,
+                            stable_order)
+from stgno.models import _kernel_input_for, symmetric_norm_weights
 from stgno.pipeline import SyntheticConfig, generate_synthetic
 
-from oracles import (brute_force_radius_edges, cell_loop_radius_edges, coo_weights,
-                     dense_gaussian_weights, dense_weight_matrix, fancy_edge_attributes,
-                     fancy_pad_edge_rows, searchsorted_mixer_slots)
+from oracles import (brute_force_radius_edges, cell_loop_radius_edges,
+                     dense_gaussian_weights, dense_weight_matrix, edge_attributes,
+                     edge_gaussian_weights, edge_norm_weights, pad_edge_rows,
+                     searchsorted_mixer_slots, slot_coo_weights, slot_owners, with_ones)
 
 RNG = np.random.default_rng(777)
 
@@ -49,24 +51,37 @@ def test_no_self_edges_no_duplicates_symmetric():
     assert len(pairs) == len(set(pairs))
     assert all(s != d for s, d in pairs)
     assert set(pairs) == {(d, s) for s, d in pairs}
-    dist = g.edge_attr[:, 2]
+    real = g.layout.mask
+    dist = slot_attributes(pts, g.layout)[real, 2]
     assert (dist <= 0.25).all()
-    recomputed = np.linalg.norm(pts[g.edges[:, 1]] - pts[g.edges[:, 0]], axis=1)
+    owners, nbrs = slot_owners(g.layout)[real], g.layout.neighbours[real]
+    recomputed = np.linalg.norm(pts[owners] - pts[nbrs], axis=1)
     assert np.abs(dist - recomputed).max() < 1e-12
 
 
-def test_radius_graph_stores_only_positions_edges_radius_and_its_cache():
+def test_radius_graph_stores_only_positions_radius_layout_and_its_cache():
     assert [f.name for f in dataclasses.fields(RadiusGraph)] == [
-        "positions", "edges", "radius", "_constants"]
+        "positions", "radius", "layout", "symmetric", "_constants"]
+    assert [f.name for f in dataclasses.fields(NeighbourLayout)] == [
+        "order", "plan", "neighbours", "degree", "inv_degree", "max_block_slots",
+        "max_block_nodes"]
+    g = build_radius_graph(RNG.uniform(size=(20, 2)), 0.3)
+    assert set(vars(g)) == {f.name for f in dataclasses.fields(RadiusGraph)}
+    assert g.symmetric and g._constants == {}
 
 
-def test_edge_attr_is_derived_from_positions_and_edges_on_each_access():
+def test_slot_attributes_are_derived_from_positions_and_layout_on_each_call():
     pts = RNG.uniform(size=(50, 2))
     g = build_radius_graph(pts, 0.3)
-    first = g.edge_attr
-    assert np.array_equal(first, edge_attributes(g.positions, g.edges))
-    assert np.array_equal(g.edge_attr, first) and g.edge_attr is not first
-    assert first.shape == (g.num_edges, 3)
+    first = slot_attributes(g.positions, g.layout)
+    edges = g.edges
+    assert np.array_equal(first, pad_edge_rows(g.layout, edges,
+                                               edge_attributes(g.positions, edges)))
+    again = slot_attributes(g.positions, g.layout)
+    assert np.array_equal(again, first) and again is not first
+    assert first.shape == (g.layout.num_slots, 3)
+    # so is the edge list, from the layout alone
+    assert np.array_equal(g.edges, edges) and g.edges is not edges
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 60),
@@ -125,45 +140,60 @@ def test_permutation_consistency(seed):
     assert relabeled == sorted(map(tuple, g_perm.edges))
 
 
+def _hand_slot_attributes(points, edges):
+    """The slot attributes of a hand-built graph on ``points``."""
+    return slot_attributes(points, RadiusGraph(points, edges, 1.0).layout)
+
+
 def test_edge_attributes_345_triangle():
-    attr = edge_attributes([(0.0, 0.0), (3.0, 4.0)], [(0, 1)])
+    attr = _hand_slot_attributes([(0.0, 0.0), (3.0, 4.0)], [(0, 1)])
     assert np.array_equal(attr, [[3.0, 4.0, 5.0]])
 
 
 def test_edge_attributes_reverse_antisymmetry():
-    attr = edge_attributes([(0.0, 0.0), (3.0, 4.0)], [(1, 0)])
+    attr = _hand_slot_attributes([(0.0, 0.0), (3.0, 4.0)], [(1, 0)])
     assert np.array_equal(attr, [[-3.0, -4.0, 5.0]])
 
 
 def test_edge_attributes_bad_index():
     with pytest.raises(IndexError):
-        edge_attributes([(0.0, 0.0)], [(0, 3)])
+        RadiusGraph([(0.0, 0.0)], [(0, 3)], 1.0)
 
 
 def test_edge_attribute_distance_column_exact():
     pts = RNG.uniform(size=(40, 2))
     g = build_radius_graph(pts, 0.3)
-    want = np.sqrt(((pts[g.edges[:, 1]] - pts[g.edges[:, 0]]) ** 2).sum(axis=1))
-    assert np.array_equal(g.edge_attr[:, 2], want)
+    real = g.layout.mask
+    owners, nbrs = slot_owners(g.layout)[real], g.layout.neighbours[real]
+    want = np.sqrt(((pts[owners] - pts[nbrs]) ** 2).sum(axis=1))
+    assert np.array_equal(slot_attributes(pts, g.layout)[real, 2], want)
 
 
 # ---------------------------------------------------------------------------
 # gaussian kernel
 
 
+def _gaussian_coo(graph, bandwidth):
+    """The library's Gaussian weights on ``graph`` as COO entries."""
+    edge_w, self_w, _transposed = gaussian_kernel_weights(graph.positions, graph.layout,
+                                                          bandwidth)
+    return slot_coo_weights(graph.layout, edge_w, self_w)
+
+
 def test_zero_distance_weight_is_one():
     # a coincident neighbour weighs exactly as much as the node itself
     pts = [(0.0, 0.0), (0.0, 0.0)]
-    edge_w, self_w = gaussian_kernel_weights(pts, [(0, 1), (1, 0)], bandwidth=0.5)
+    g = RadiusGraph(pts, [(0, 1), (1, 0)], 1.0)
+    edge_w, self_w, transposed = gaussian_kernel_weights(pts, g.layout, bandwidth=0.5)
     assert np.array_equal(edge_w, [0.5, 0.5]) and np.array_equal(self_w, [0.5, 0.5])
-    K = dense_weight_matrix(coo_weights([(0, 1), (1, 0)], edge_w, self_w))
+    assert np.array_equal(transposed, edge_w)
+    K = dense_weight_matrix(slot_coo_weights(g.layout, edge_w, self_w))
     assert np.array_equal(K, dense_gaussian_weights(pts, 1.0, 0.5))
 
 
 def test_one_neighbor_normalization_sums_to_one():
     pts = [(0.0, 0.0), (0.3, 0.0)]
-    edges = [(0, 1), (1, 0)]
-    kw = coo_weights(edges, *gaussian_kernel_weights(pts, edges, bandwidth=0.5))
+    kw = _gaussian_coo(RadiusGraph(pts, [(0, 1), (1, 0)], 1.0), 0.5)
     for node in range(2):
         assert kw.weights[kw.dst == node].sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -171,9 +201,7 @@ def test_one_neighbor_normalization_sums_to_one():
 def test_kernel_weights_match_dense_formula():
     pts = RNG.uniform(size=(20, 2))
     radius, bandwidth = 0.4, 0.2
-    g = build_radius_graph(pts, radius)
-    kw = coo_weights(g.edges, *gaussian_kernel_weights(pts, g.edges, bandwidth))
-    K = dense_weight_matrix(kw)
+    K = dense_weight_matrix(_gaussian_coo(build_radius_graph(pts, radius), bandwidth))
     want = dense_gaussian_weights(pts, radius, bandwidth)
     assert np.abs(K - want).max() < 1e-12
 
@@ -181,20 +209,24 @@ def test_kernel_weights_match_dense_formula():
 def test_kernel_weights_have_the_bits_of_the_edge_attribute_distances():
     pts = RNG.uniform(size=(60, 2))
     g = build_radius_graph(pts, 0.3)
-    edge_w, self_w = gaussian_kernel_weights(pts, g.edges, 0.15)
-    w = np.exp(-(edge_attributes(pts, g.edges)[:, 2] ** 2) / (2.0 * 0.15 * 0.15))
-    total = np.bincount(g.edges[:, 1], weights=w, minlength=60) + 1.0
-    assert g.num_edges > 0
-    assert np.array_equal(edge_w, w / total[g.edges[:, 1]])
+    layout = g.layout
+    edge_w, self_w, transposed = gaussian_kernel_weights(pts, layout, 0.15)
+    real = layout.mask
+    w = np.exp(-(slot_attributes(pts, layout)[:, 2] ** 2) / (2.0 * 0.15 * 0.15)) * real
+    owners = slot_owners(layout)
+    total = np.bincount(owners, weights=w, minlength=60) + 1.0
+    assert g.num_edges > 0 and not real.all()
+    assert np.array_equal(edge_w, w / total[owners])
     assert np.array_equal(self_w, 1.0 / total)
+    sources = np.where(real, layout.neighbours, owners)
+    assert np.array_equal(transposed, w / total[sources])
 
 
 def test_kernel_symmetry_before_normalization():
     # undoing the row normalization with the oracle's row sums leaves the
     # symmetric Gaussian matrix
     pts = RNG.uniform(size=(25, 2))
-    g = build_radius_graph(pts, 0.35)
-    kw = coo_weights(g.edges, *gaussian_kernel_weights(pts, g.edges, 0.2))
+    kw = _gaussian_coo(build_radius_graph(pts, 0.35), 0.2)
     raw = dense_gaussian_weights(pts, 0.35, 0.2, row_normalize=False)
     assert np.array_equal(raw, raw.T)
     unnormalized = dense_weight_matrix(kw) * raw.sum(axis=1, keepdims=True)
@@ -203,16 +235,15 @@ def test_kernel_symmetry_before_normalization():
 
 def test_isolated_node_keeps_only_its_self_weight():
     pts = [(0.0, 0.0), (0.1, 0.0), (5.0, 5.0)]
-    g = build_radius_graph(pts, 0.5)
-    kw = coo_weights(g.edges, *gaussian_kernel_weights(pts, g.edges, 0.5))
-    K = dense_weight_matrix(kw)
+    K = dense_weight_matrix(_gaussian_coo(build_radius_graph(pts, 0.5), 0.5))
     assert np.array_equal(K[2], [0.0, 0.0, 1.0])
     assert np.abs(K - dense_gaussian_weights(pts, 0.5, 0.5)).max() < 1e-15
 
 
 def test_bad_bandwidth():
+    layout = RadiusGraph([(0.0, 0.0)], np.zeros((0, 2)), 1.0).layout
     with pytest.raises(ParameterError):
-        gaussian_kernel_weights([(0.0, 0.0)], np.zeros((0, 2)), 0.0)
+        gaussian_kernel_weights([(0.0, 0.0)], layout, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +275,10 @@ def test_apply_kernel_uniform_two_nodes_averages():
 def test_apply_kernel_matches_dense_matmul():
     pts = RNG.uniform(size=(15, 2))
     g = build_radius_graph(pts, 0.4)
-    edge_w, self_w = gaussian_kernel_weights(pts, g.edges, 0.2)
+    weights = gaussian_kernel_weights(pts, g.layout, 0.2)
     x = RNG.uniform(-1, 1, (15, 5))
-    out = ad.mix_rows(ad.Tape(), ad.constant(x), row_mixer(g, edge_w, self_w))
-    K = dense_weight_matrix(coo_weights(g.edges, edge_w, self_w))
+    out = ad.mix_rows(ad.Tape(), ad.constant(x), row_mixer(g, *weights))
+    K = dense_weight_matrix(slot_coo_weights(g.layout, *weights[:2]))
     assert np.abs(out.data - K @ x).max() < 1e-12
 
 
@@ -257,29 +288,34 @@ def test_apply_kernel_node_count_mismatch():
 
 
 def test_row_mixer_rejects_weights_off_the_edge_support():
-    # one weight per edge and one per node: any other count is refused
+    # one weight and one transposed weight per slot, and one per node: any
+    # other count is refused
     g = build_radius_graph(RNG.uniform(size=(8, 2)), 0.5)
-    edge_w, self_w = gaussian_kernel_weights(g.positions, g.edges, 0.25)
-    m, n = g.num_edges, g.num_nodes
-    assert m > 0 and edge_w.shape == (m,) and self_w.shape == (n,)
-    for bad_edge_w, bad_self_w in ((edge_w[:-1], self_w),
-                                   (np.append(edge_w, 0.5), self_w),
-                                   (edge_w, np.append(self_w, 0.5))):
-        with pytest.raises(DimensionError, match=rf"\({m},\) edge weights and "
+    slot_w, self_w, transposed = gaussian_kernel_weights(g.positions, g.layout, 0.25)
+    s, n = g.layout.num_slots, g.num_nodes
+    assert s > 0 and slot_w.shape == transposed.shape == (s,) and self_w.shape == (n,)
+    for bad in ((slot_w[:-1], self_w, transposed),
+                (np.append(slot_w, 0.5), self_w, transposed),
+                (slot_w, np.append(self_w, 0.5), transposed),
+                (slot_w, self_w, transposed[:-1]),
+                (slot_w[:-1], self_w)):
+        with pytest.raises(DimensionError, match=rf"\({s},\) slot weights and "
                                                  rf"\({n},\) self weights"):
-            row_mixer(g, bad_edge_w, bad_self_w)
+            row_mixer(g, *bad)
 
 
 @pytest.mark.parametrize("n", [61, 255, 256])
 def test_row_mixer_slots_equal_the_searchsorted_oracle(n):
     # random radius graphs with one isolated node; 255 and 256 nodes put
-    # the sorted destination ids on either side of the 8/16-bit edge
+    # the degree-sorted node ids on either side of the 8/16-bit edge
     rng = np.random.default_rng(n)
     g = build_radius_graph(np.vstack([rng.uniform(size=(n - 1, 2)), [[5.0, 5.0]]]), 0.2)
     assert g.num_nodes == n and not (g.edges == n - 1).any()
-    for edge_w, self_w in (symmetric_norm_weights(g),
-                           gaussian_kernel_weights(g.positions, g.edges, 0.1)):
-        mixer = row_mixer(g, edge_w, self_w)
+    for slot_weights, (edge_w, _self_w) in (
+            (symmetric_norm_weights(g), edge_norm_weights(g)),
+            (gaussian_kernel_weights(g.positions, g.layout, 0.1),
+             edge_gaussian_weights(g.positions, g.edges, 0.1))):
+        mixer = row_mixer(g, *slot_weights)
         weights, transposed = searchsorted_mixer_slots(g, edge_w)
         assert np.array_equal(mixer.weights, weights)
         assert np.array_equal(mixer.transposed, transposed)
@@ -302,7 +338,7 @@ def test_row_normalized_kernel_is_averaging(seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(size=(12, 2))
     g = build_radius_graph(pts, 0.5)
-    mixer = row_mixer(g, *gaussian_kernel_weights(pts, g.edges, 0.25))
+    mixer = row_mixer(g, *gaussian_kernel_weights(pts, g.layout, 0.25))
     x = rng.uniform(-3, 3, (12, 2))
     out = ad.mix_rows(ad.Tape(), ad.constant(x), mixer).data
     for col in range(x.shape[1]):
@@ -330,21 +366,25 @@ def test_layout_slots_hold_each_nodes_in_edges_in_order():
     g = build_radius_graph(np.vstack([pts, [[5.0, 5.0]]]), 0.3)
     layout = g.layout
     n = layout.num_nodes
-    deg = np.bincount(g.edges[:, 1], minlength=n)
+    edges = brute_force_radius_edges(g.positions, 0.3)
+    deg = np.bincount(edges[:, 1], minlength=n)
     assert n == 26 and deg[-1] == 0
-    assert np.array_equal(np.bincount(g.edges[layout.slot_edge[layout.mask], 1],
-                                      minlength=n), deg)
+    assert np.array_equal(layout.degree, deg) and layout.num_edges == len(edges)
     assert np.array_equal(layout.inv_degree, 1.0 / np.maximum(deg, 1))
+    assert layout.mask.sum() == len(edges)
     slots = _node_slots(layout)
     assert sorted(slots) == list(range(n))
+    owners = layout.slot_nodes()
     for i in range(n):
-        own = layout.slot_edge[slots[i]]
-        edges = own[:deg[i]]
-        assert np.array_equal(edges, np.nonzero(g.edges[:, 1] == i)[0])
-        assert np.array_equal(layout.neighbours[slots[i][:deg[i]]], g.edges[edges, 0])
-        assert (own[deg[i]:] == -1).all()
-        assert (layout.neighbours[slots[i][deg[i]:]] == n).all()
+        # the node's in-edges in edge-list order, that is by ascending
+        # source, then its pads
+        own = layout.neighbours[slots[i]]
+        assert np.array_equal(own[:deg[i]], edges[edges[:, 1] == i, 0])
+        assert layout.mask[slots[i][:deg[i]]].all()
+        assert (own[deg[i]:] == n).all()
         assert not layout.mask[slots[i][deg[i]:]].any()
+        assert (owners[slots[i]] == i).all()
+    assert np.array_equal(g.edges, edges)
 
 
 def _check_plan_cuts_degree_order(g):
@@ -397,15 +437,6 @@ def test_layout_plan_lists_the_blocks_of_nonzero_width(n, radius):
     assert layout.max_block_nodes == max(p.size for p in plan)
 
 
-def test_pad_edge_rows_needs_one_row_per_edge():
-    g = build_radius_graph(RNG.uniform(size=(30, 2)), 0.35)
-    m, layout = g.num_edges, g.layout
-    assert m > 0
-    for bad in (np.zeros((m + 5, 3)), np.zeros((m - 1, 3)), np.zeros(m)):
-        with pytest.raises(DimensionError, match=rf"\({m}, c\) per-edge matrix"):
-            layout.pad_edge_rows(bad)
-
-
 @pytest.mark.parametrize("n, width", [(255, 1), (256, 2), (65535, 2), (65536, 4)])
 def test_stable_order_equals_the_int64_stable_argsort(n, width):
     # destination ids as an edge array holds them: a strided int64 column
@@ -424,14 +455,14 @@ def test_gathers_equal_the_fancy_index_oracles(n):
     rng = np.random.default_rng(n)
     g = build_radius_graph(rng.uniform(size=(n, 2)), 0.3 if n > 2 else 1.5)
     assert (g.num_edges == 0) == (n == 1)
-    pairs = rng.integers(0, n, (5 * n, 2))
-    for edges in (g.edges, pairs):
-        assert np.array_equal(edge_attributes(g.positions, edges),
-                              fancy_edge_attributes(g.positions, edges))
-    for c in (1, 3):
-        rows = rng.uniform(-1, 1, (g.num_edges, c))
-        assert np.array_equal(g.layout.pad_edge_rows(rows),
-                              fancy_pad_edge_rows(g.layout, rows))
+    # the np.take gathers of the slot attributes, on the radius graph and
+    # on a hand-built graph of random distinct pairs, self loops included
+    pairs = np.unique(rng.integers(0, n, (5 * n, 2)), axis=0)
+    for graph in (g, RadiusGraph(g.positions, pairs, 1.0)):
+        edges = graph.edges
+        assert np.array_equal(slot_attributes(graph.positions, graph.layout),
+                              pad_edge_rows(graph.layout, edges,
+                                            edge_attributes(graph.positions, edges)))
 
 
 def test_layout_of_edgeless_graph_has_no_slots():
@@ -461,3 +492,61 @@ def test_graph_constants_are_built_once():
     first = g.cached("k", lambda: calls.append(1) or "value")
     assert g.cached("k", lambda: calls.append(1) or "other") == first == "value"
     assert calls == [1]
+
+
+def _bits_cases():
+    table, _ = generate_synthetic(SyntheticConfig(num_samples=1, num_genes=4))
+    rng = np.random.default_rng(17)
+    return {
+        "r_0.25": (rng.uniform(size=(300, 2)), 0.25),
+        "auto_radius": (table.positions, _auto_radius(table)),
+        "isolated_nodes": (np.vstack([rng.uniform(size=(60, 2)),
+                                      [[5.0, 5.0], [9.0, 9.0], [5.0, 9.0]]]), 0.3),
+        "edgeless": (np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]]), 1.0),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bits_cases()))
+def test_slot_constants_have_the_bits_of_the_per_edge_path(case):
+    # the kernel input and both mixers' weights, built in slot order from
+    # the positions and the layout, against the per-edge path: one row or
+    # weight per edge of the edge list, spread over the slots
+    points, radius = _bits_cases()[case]
+    g = build_radius_graph(points, radius)
+    layout, edges = g.layout, g.edges
+    assert (g.num_edges == 0) == (case == "edgeless")
+    assert layout.mask.all() == (case == "edgeless")
+    kernel_rows = with_ones(edge_attributes(g.positions, edges) / g.radius)
+    assert np.array_equal(_kernel_input_for(g), pad_edge_rows(layout, edges, kernel_rows))
+    norm_w, norm_self = symmetric_norm_weights(g)
+    edge_w, edge_self = edge_norm_weights(g)
+    assert np.array_equal(norm_w, searchsorted_mixer_slots(g, edge_w)[0])
+    assert np.array_equal(norm_self, edge_self)
+    gauss_w, gauss_self, gauss_t = gaussian_kernel_weights(g.positions, layout,
+                                                           g.radius / 2.0)
+    edge_w, edge_self = edge_gaussian_weights(g.positions, edges, g.radius / 2.0)
+    want_w, want_t = searchsorted_mixer_slots(g, edge_w)
+    assert np.array_equal(gauss_w, want_w)
+    assert np.array_equal(gauss_t, want_t)
+    assert np.array_equal(gauss_self, edge_self)
+
+
+def test_a_graph_holds_its_positions_neighbours_and_per_node_arrays_only():
+    # no edge list and no slot-to-edge map: past the positions and the
+    # neighbour ids, the graph and its layout hold 24 bytes per node (the
+    # degree order, the degrees and their inverses)
+    n = 3000
+    pts = np.random.default_rng(n).uniform(size=(n, 2))
+    g = build_radius_graph(pts, math.sqrt(6 / (math.pi * n)))
+    layout = g.layout
+    assert g._constants == {}
+    roots = {}
+    for obj in (vars(g), vars(layout), *(p._asdict() for p in layout.plan)):
+        for value in obj.values():
+            if isinstance(value, np.ndarray):
+                while value.base is not None:
+                    value = value.base
+                roots[id(value)] = value
+    held = sum(a.nbytes for a in roots.values())
+    assert held <= g.positions.nbytes + layout.neighbours.nbytes + 24 * n
+    assert np.array_equal(g.edges, brute_force_radius_edges(pts, g.radius))

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from stgno import autodiff as ad
 from stgno import geometry, models
 from stgno.errors import ContractError, DimensionError, ParameterError
-from stgno.geometry import (RadiusGraph, build_radius_graph, edge_attributes,
-                            gaussian_kernel_weights, row_mixer)
+from stgno.geometry import RadiusGraph, build_radius_graph, gaussian_kernel_weights, row_mixer
 from stgno.autodiff import Parameter
 from stgno.models import (ModelConfig, graphpde_forward, graphpde_layer, init_params,
                           kernel_net_forward, make_config, model_forward,
@@ -19,7 +18,8 @@ from stgno.models import (ModelConfig, graphpde_forward, graphpde_layer, init_pa
 from stgno.train import class_weights, weighted_cross_entropy
 
 from oracles import (coo_apply_kernel, coo_weights, dense_graphpde_layer,
-                     finite_difference_grads, kernel_net_reference,
+                     edge_attributes, edge_gaussian_weights, edge_norm_weights,
+                     finite_difference_grads, kernel_net_reference, pad_edge_rows,
                      reference_graphpde_forward, rel_err, single_block_layout,
                      slot_attributes, two_stage_graphpde_forward, unfused_dense,
                      with_ones)
@@ -61,7 +61,7 @@ def explicit_kernel_model(h, **overrides):
 def explicit_kernels(graph, kernel_rows):
     """Per-edge kernel rows, each with the ones column the message op
     reads, spread over the graph's layout slots."""
-    return ad.constant(graph.layout.pad_edge_rows(with_ones(kernel_rows)))
+    return ad.constant(pad_edge_rows(graph.layout, graph.edges, with_ones(kernel_rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +339,8 @@ def test_graph_keeps_its_positions_when_the_input_array_changes(kind):
 def test_edge_attributes_are_computed_once_per_graph_and_only_for_graphpde(
         monkeypatch):
     calls = []
-    real = geometry.edge_attributes
-    monkeypatch.setattr(geometry, "edge_attributes",
+    real = geometry.slot_attributes
+    monkeypatch.setattr(models, "slot_attributes",
                         lambda *a: calls.append(1) or real(*a))
     pts = np.random.default_rng(8).uniform(size=(3, 12, 2))
     x = RNG.uniform(-1, 1, (12, 4))
@@ -368,22 +368,26 @@ def test_kernel_input_is_scaled_attributes_with_ones_and_zero_pads():
     assert 0 < valid.sum() < layout.num_slots
     assert attr.shape == (layout.num_slots, 4)
     assert np.array_equal(attr, slot_attributes(g, layout))
-    assert np.array_equal(attr[valid], with_ones(g.edge_attr / g.radius)[
-        layout.slot_edge[valid]])
+    edges = g.edges
+    assert np.array_equal(attr, pad_edge_rows(
+        layout, edges, with_ones(edge_attributes(g.positions, edges) / g.radius)))
     assert np.array_equal(attr[~valid], np.zeros(((~valid).sum(), 4)))
     assert models._kernel_input_for(g) is attr
     assert models._kernel_input_for(edgeless_graph(2)).shape == (0, 4)
 
 
 def test_gaussian_and_norm_weights_share_one_support():
-    # one weight per edge in edge order, then one self weight per node: the
-    # support that row_mixer spreads over the layout
+    # one weight per slot of the layout, zero in pads, then one self weight
+    # per node: the support that row_mixer takes
     for graph in (random_graph(12, radius=0.4, seed=2)[1],
                   edgeless_graph(3, RNG.uniform(size=(3, 2)))):
-        for edge_w, self_w in (gaussian_kernel_weights(graph.positions, graph.edges, 0.1),
-                               symmetric_norm_weights(graph)):
-            assert edge_w.shape == (graph.num_edges,)
+        pads = ~graph.layout.mask
+        for slot_w, self_w, *_ in (
+                gaussian_kernel_weights(graph.positions, graph.layout, 0.1),
+                symmetric_norm_weights(graph)):
+            assert slot_w.shape == (graph.layout.num_slots,)
             assert self_w.shape == (graph.num_nodes,)
+            assert not slot_w[pads].any()
 
 
 def _mixer_graphs():
@@ -401,10 +405,12 @@ def _mixer_graphs():
 def test_row_mixer_is_bit_identical_to_coo_oracle(graph_index, which, d):
     graph = _mixer_graphs()[graph_index]
     n = graph.num_nodes
-    edge_w, self_w = (symmetric_norm_weights(graph) if which == "norm" else
-                      gaussian_kernel_weights(graph.positions, graph.edges, 0.15))
-    mixer = row_mixer(graph, edge_w, self_w)
-    weights = coo_weights(graph.edges, edge_w, self_w)
+    slot_weights = (symmetric_norm_weights(graph) if which == "norm" else
+                    gaussian_kernel_weights(graph.positions, graph.layout, 0.15))
+    mixer = row_mixer(graph, *slot_weights)
+    weights = coo_weights(graph.edges, *(
+        edge_norm_weights(graph) if which == "norm" else
+        edge_gaussian_weights(graph.positions, graph.edges, 0.15)))
     # one array when the weights are symmetric: always for the normalization,
     # and for the Gaussian only on the edgeless and two-node graphs
     assert (mixer.transposed is mixer.weights) == (which == "norm" or graph_index > 0)
@@ -449,9 +455,9 @@ def test_stack_step_is_bit_identical_to_coo_oracle(monkeypatch, kind):
     logits = model_forward(ad.Tape(record=False), cfg, params, x, graph=graph).data
     _, loss, grads = _training_step(cfg, params, graph, x, labels)
     monkeypatch.setattr(models, "_norm_weights_for", lambda g: coo_weights(
-        g.edges, *symmetric_norm_weights(g)))
+        g.edges, *edge_norm_weights(g)))
     monkeypatch.setattr(models, "_gaussian_weights_for", lambda c, g: coo_weights(
-        g.edges, *gaussian_kernel_weights(g.positions, g.edges, g.radius / 2.0)))
+        g.edges, *edge_gaussian_weights(g.positions, g.edges, g.radius / 2.0)))
     monkeypatch.setattr(models.ad, "mix_rows", lambda t, v, w: coo_apply_kernel(t, w, v))
     fresh = build_radius_graph(graph.positions, graph.radius)
     want = model_forward(ad.Tape(record=False), cfg, params, x, graph=fresh).data
@@ -550,8 +556,8 @@ def test_kernel_net_output_with_final_layer_matches_oracle():
     v = RNG.uniform(-1, 1, (10, 4))
     out = graphpde_layer(ad.Tape(), cfg, params, 0, graph,
                          ad.constant(models._kernel_input_for(graph)), ad.constant(v))
-    edge_kernels = kernel_net_reference(params, 0, graph.edge_attr / graph.radius,
-                                        "relu")
+    edge_kernels = kernel_net_reference(
+        params, 0, edge_attributes(graph.positions, graph.edges) / graph.radius, "relu")
     dense = dense_graphpde_layer(params["layer_0_w"].data, params["layer_0_b"].data,
                                  edge_kernels, graph.edges, v, "relu")
     assert np.abs(out.data - dense).max() < 1e-12
@@ -568,7 +574,8 @@ def test_kernel_net_without_hidden_layers_passes_attributes_through():
     v = RNG.uniform(-1, 1, (8, 4))
     out = graphpde_layer(ad.Tape(), cfg, params, 0, graph,
                          ad.constant(models._kernel_input_for(graph)), ad.constant(v))
-    kernels = kernel_net_reference(params, 0, graph.edge_attr / graph.radius, "relu")
+    kernels = kernel_net_reference(
+        params, 0, edge_attributes(graph.positions, graph.edges) / graph.radius, "relu")
     dense = dense_graphpde_layer(params["layer_0_w"].data, params["layer_0_b"].data,
                                  kernels, graph.edges, v, "relu")
     assert np.abs(out.data - dense).max() < 1e-12
@@ -632,7 +639,7 @@ def test_graphpde_forward_matches_explicit_kernel_reference(kernel_hidden):
     x = rng.uniform(-1, 1, (300, 6))
     got = graphpde_forward(ad.Tape(), cfg, params, graph, ad.constant(x)).data
     want = reference_graphpde_forward(params, cfg.num_layers, "relu", graph.edges,
-                                      graph.edge_attr, graph.radius, x)
+                                      edge_attributes(pts, graph.edges), graph.radius, x)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
@@ -647,7 +654,7 @@ def test_graphpde_forward_with_isolated_nodes_matches_reference():
     x = rng.uniform(-1, 1, (14, 6))
     got = graphpde_forward(ad.Tape(), cfg, params, graph, ad.constant(x)).data
     want = reference_graphpde_forward(params, cfg.num_layers, "tanh", graph.edges,
-                                      graph.edge_attr, graph.radius, x)
+                                      edge_attributes(pts, graph.edges), graph.radius, x)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
@@ -752,7 +759,7 @@ def test_constant_features_get_no_gradient_and_change_no_bits(kind):
 def _single_block_twin(graph):
     """A copy of ``graph`` whose cached layout is the one-block oracle."""
     twin = RadiusGraph(positions=graph.positions, edges=graph.edges, radius=graph.radius)
-    twin.cached("layout", lambda: single_block_layout(twin))
+    twin.layout = single_block_layout(twin)
     twin.cached("kernel_input", lambda: slot_attributes(twin, twin.layout))
     return twin
 

@@ -540,7 +540,7 @@ def test_prepared_dataset_round_trip(tmp_path):
         assert np.array_equal(before.node_features, after.node_features)
         assert np.array_equal(before.graph.positions, after.graph.positions)
         assert np.array_equal(before.graph.edges, after.graph.edges)
-        assert np.array_equal(before.graph.edge_attr, after.graph.edge_attr)
+        assert np.array_equal(before.graph.layout.neighbours, after.graph.layout.neighbours)
         assert np.array_equal(before.labels, after.labels)
 
 
@@ -552,7 +552,7 @@ def test_graph_sample_copies_inputs_and_builds_the_radius_graph():
     sample = graph_sample("s00", features, positions, labels, 0.3)
     want = build_radius_graph(positions, 0.3)
     assert np.array_equal(sample.graph.edges, want.edges)
-    assert np.array_equal(sample.graph.edge_attr, want.edge_attr)
+    assert np.array_equal(sample.graph.layout.neighbours, want.layout.neighbours)
     assert sample.graph.radius == 0.3
     assert sample.labels.dtype == np.int64
     features[:] = 0.0
