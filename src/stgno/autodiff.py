@@ -25,8 +25,9 @@ for :func:`dense`, :func:`kernel_message_mean`'s kernel network and the
 the same bits, but one degree block of slots at a time inside its own
 forward and backward passes, recomputing them and the block's
 contraction in the backward instead of keeping them.
-Its input rows end in a ones column, built once per graph by the caller
-(``models`` caches graphpde's), so a block reads its rows in place. The
+Its input rows end in a ones column, built by the caller (``models``
+derives graphpde's once per forward, and every layer's op reads them,
+forward and backward), so a block reads its rows in place. The
 column stays 1 after every hidden activation, so each hidden layer is one
 product with [[W, 0], [b, 1]] and the contraction yields the neighbour
 sums with it; the bias gradients come out of the same products as the
@@ -415,7 +416,7 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     ``layout`` is a graph's ``geometry.NeighbourLayout``, read through its
     block plan; ``attr`` holds one row per slot, num_slots x (a + 1) in
     the layout's slot order: a attributes and a ones column (any values
-    in pad slots), built once by the caller (see ``models``) and read in
+    in pad slots), built by the caller (see ``models``) and read in
     place, block by block.
     ``hidden_layers`` is a sequence of (W_j, b_j) pairs: z_e = act(...
     act(attr_e W_0 + b_0) ... W_j + b_j), with ``activation`` an
@@ -443,8 +444,9 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
     largest block; the output is put back in node order at the end. The
     backward pass recomputes each block's z chain and S' instead of
     keeping them, so no array holds a row per slot of the whole layout
-    (except the gradient of a non-Constant ``attr``, and the one scatter
-    id per slot that ``neighbours * h`` gives) or k*h numbers per node.
+    (except the gradient of a non-Constant ``attr``) or k*h numbers per
+    node; the scatter ids of the neighbour-state gradient are made per
+    block from its neighbour ids.
     The same code runs on recording and non-recording tapes. Pad slots
     take a zero v row, so they add nothing and get a zero gradient.
     Nodes without in-edges get a zero row.
@@ -530,7 +532,6 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
         # scatter ids are its neighbour's h flat positions in dv, each
         # neighbour id times h repeated h times plus the tiled 0..h-1
         dv = np.zeros((n + 1) * h)
-        nbh = layout.neighbours * h
         tile = np.tile(np.arange(h), max_slots)
         ids_buf = np.empty(max_slots * h, dtype=np.int64)
         work = workspace()
@@ -545,7 +546,7 @@ def kernel_message_mean(tape: Tape, attr: Value, hidden_layers, weight: Value,
             ds = np.matmul(g_b, w_t.T, out=ds_buf[:b]).reshape(b, k + 1, h)
             dvb = np.matmul(chain[-1].reshape(b, w, k + 1), ds,
                             out=dvb_buf[:b * w].reshape(b, w, h))
-            ids = np.add(np.repeat(nbh[rows_of], h), tile[:b * w * h],
+            ids = np.add(np.repeat(nbrs * h, h), tile[:b * w * h],
                          out=ids_buf[:b * w * h])
             scattered = np.bincount(ids, weights=dvb.ravel())
             dv[:scattered.size] += scattered

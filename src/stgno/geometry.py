@@ -17,19 +17,19 @@ slot-to-edge map is kept. :attr:`RadiusGraph.edges` derives the (src,
 dst)-sorted edge list from the layout on each access, for the tests and
 the statistics; no model reads it. Every per-slot constant is computed
 in slot order straight from the positions and the layout: graphpde's
-kernel input from :func:`slot_attributes` (in ``models``), and the row
-mixers of the other kinds (:class:`RowMixer`, built by :func:`row_mixer`
-from one weight per slot and one self weight per node), whose weights
-come from ``models.symmetric_norm_weights`` and
-:func:`gaussian_kernel_weights`. Within a node, slots follow ascending
-source, the order of the node's in-edges in a (src, dst)-sorted edge
-list, so a per-node sum over slots, with +0.0 from each pad, has the
-bits of the same sum over that edge list. The constants built through
-:meth:`RadiusGraph.cached` are computed on first use and cached on the
-instance; a mixer also holds its mix of the last Constant input it was
-given (see :class:`RowMixer`). A built graph is immutable by convention;
-concurrent first uses may compute a constant twice, with identical
-results.
+kernel input from :func:`slot_attributes` (in ``models``, once per
+forward, never kept by the graph), and the row mixers of the other kinds
+(:class:`RowMixer`, built by :func:`row_mixer` from one weight per slot
+and one self weight per node), whose weights come from
+``models.symmetric_norm_weights`` and :func:`gaussian_kernel_weights`.
+Within a node, slots follow ascending source, the order of the node's
+in-edges in a (src, dst)-sorted edge list, so a per-node sum over slots,
+with +0.0 from each pad, has the bits of the same sum over that edge
+list. The mixers, built through :meth:`RadiusGraph.cached`, are
+computed on first use and cached on the instance; a mixer also holds its
+mix of the last Constant input it was given (see :class:`RowMixer`). A
+built graph is immutable by convention; concurrent first uses may
+compute a constant twice, with identical results.
 
 A 300-spot slide at r = 0.25 (14,282 directed pairs in 14,812 slots)
 holds its layout in 126 kB, where the edge list and the slot-to-edge
@@ -304,25 +304,36 @@ def build_radius_graph(points, radius: float) -> RadiusGraph:
     return RadiusGraph._of_layout(pos, radius, layout)
 
 
-def _slot_geometry(pos: np.ndarray, layout: NeighbourLayout) -> tuple[np.ndarray, ...]:
-    """Per slot (x <- y) of ``layout``: x, y, the offset x - y and its
-    length, computed as for the edge (y, x) of an edge list. A pad stands
-    for a loop on its own node, so its offset and length are +0.0."""
+def _slot_geometry(pos: np.ndarray, layout: NeighbourLayout,
+                   out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Per slot (x <- y) of ``layout``: x, y, and the offset x - y and its
+    length in the three columns of ``out`` (made when None), computed as
+    for the edge (y, x) of an edge list. A pad stands for a loop on its own
+    node, so its offset and length are +0.0. One coordinate at a time, so
+    no temporary holds more than one float per slot."""
     if pos.shape[0] != layout.num_nodes:
         raise DimensionError(f"{pos.shape[0]} positions for a layout of "
                              f"{layout.num_nodes} nodes")
     dst = layout.slot_nodes()
     src = np.where(layout.mask, layout.neighbours, dst)
-    offset = np.take(pos, dst, axis=0) - np.take(pos, src, axis=0)
-    return dst, src, offset, np.sqrt(offset[:, 0] ** 2 + offset[:, 1] ** 2)
+    geo = np.empty((dst.size, 3)) if out is None else out
+    # each coordinate contiguous, where a take is a fast gather
+    for c, coord in enumerate(pos.T.copy()):
+        geo[:, c] = coord.take(dst)
+        geo[:, c] -= coord.take(src)
+    length = np.square(geo[:, 0], out=geo[:, 2])
+    length += geo[:, 1] ** 2
+    np.sqrt(length, out=length)
+    return dst, src, geo
 
 
-def slot_attributes(points, layout: NeighbourLayout) -> np.ndarray:
+def slot_attributes(points, layout: NeighbourLayout,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Per slot (x <- y), in the layout's slot order: the offset x - y
     (dx, dy, taken destination minus source) and its euclidean length;
-    zero rows in pads."""
-    _dst, _src, offset, length = _slot_geometry(as_positions(points), layout)
-    return np.column_stack([offset, length])
+    zero rows in pads. Written into ``out``, a (num_slots, 3) float64
+    array or view, when given."""
+    return _slot_geometry(as_positions(points), layout, out)[2]
 
 
 def gaussian_kernel_weights(points, layout: NeighbourLayout,
@@ -342,7 +353,8 @@ def gaussian_kernel_weights(points, layout: NeighbourLayout,
     pos = as_positions(points)
     if not bandwidth > 0:
         raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
-    dst, src, _offset, dist = _slot_geometry(pos, layout)
+    dst, src, geo = _slot_geometry(pos, layout)
+    dist = geo[:, 2]
     w = np.exp(-(dist ** 2) / (2.0 * bandwidth * bandwidth))
     w[~layout.mask] = 0.0
     total = np.bincount(dst, weights=w, minlength=pos.shape[0]) + 1.0

@@ -12,8 +12,10 @@ from stgno.errors import ContractError, DimensionError, ParameterError
 from stgno.geometry import (NeighbourLayout, RadiusGraph, build_radius_graph,
                             gaussian_kernel_weights, row_mixer, slot_attributes,
                             stable_order)
-from stgno.models import _kernel_input_for, symmetric_norm_weights
+from stgno.models import (_kernel_input_for, init_params, make_config, model_forward,
+                          symmetric_norm_weights)
 from stgno.pipeline import SyntheticConfig, generate_synthetic
+from stgno.train import class_weights, weighted_cross_entropy
 
 from oracles import (brute_force_radius_edges, cell_loop_radius_edges,
                      dense_gaussian_weights, dense_weight_matrix, edge_attributes,
@@ -531,15 +533,17 @@ def test_slot_constants_have_the_bits_of_the_per_edge_path(case):
     assert np.array_equal(gauss_self, edge_self)
 
 
-def test_a_graph_holds_its_positions_neighbours_and_per_node_arrays_only():
-    # no edge list and no slot-to-edge map: past the positions and the
-    # neighbour ids, the graph and its layout hold 24 bytes per node (the
-    # degree order, the degrees and their inverses)
+def _slide_of_3000():
     n = 3000
     pts = np.random.default_rng(n).uniform(size=(n, 2))
-    g = build_radius_graph(pts, math.sqrt(6 / (math.pi * n)))
+    return pts, build_radius_graph(pts, math.sqrt(6 / (math.pi * n)))
+
+
+def _held_bytes_and_bound(g) -> tuple[int, int]:
+    """The bytes of every distinct array the graph, its layout and its plan
+    own, and their bound: the positions, the neighbour ids and 24 bytes
+    per node (the degree order, the degrees and their inverses)."""
     layout = g.layout
-    assert g._constants == {}
     roots = {}
     for obj in (vars(g), vars(layout), *(p._asdict() for p in layout.plan)):
         for value in obj.values():
@@ -547,6 +551,36 @@ def test_a_graph_holds_its_positions_neighbours_and_per_node_arrays_only():
                 while value.base is not None:
                     value = value.base
                 roots[id(value)] = value
-    held = sum(a.nbytes for a in roots.values())
-    assert held <= g.positions.nbytes + layout.neighbours.nbytes + 24 * n
+    return (sum(a.nbytes for a in roots.values()),
+            g.positions.nbytes + layout.neighbours.nbytes + 24 * g.num_nodes)
+
+
+def test_a_graph_holds_its_positions_neighbours_and_per_node_arrays_only():
+    # no edge list and no slot-to-edge map: past the positions and the
+    # neighbour ids, the graph and its layout hold 24 bytes per node
+    pts, g = _slide_of_3000()
+    assert g._constants == {}
+    held, bound = _held_bytes_and_bound(g)
+    assert held <= bound, (held, bound)
     assert np.array_equal(g.edges, brute_force_radius_edges(pts, g.radius))
+
+
+def test_graphpde_step_and_forward_leave_the_graph_as_built():
+    # a training step and an inference forward each derive graphpde's
+    # kernel input and free it with their tape: the graph caches nothing
+    # and still holds only what it was built with
+    _pts, g = _slide_of_3000()
+    rng = np.random.default_rng(5)
+    cfg = make_config("graphpde", input_dim=6, hidden_dim=8, kernel_net_hidden=(32,),
+                      init_seed=1)
+    params = init_params(cfg)
+    x = rng.uniform(-1, 1, (g.num_nodes, 6))
+    labels = rng.integers(0, 3, g.num_nodes)
+    tape = ad.Tape()
+    logits = model_forward(tape, cfg, params, x, graph=g)
+    tape.backward(weighted_cross_entropy(tape, logits, labels, class_weights(labels, 3)))
+    assert all(np.isfinite(p.grad).all() for p in params.values())
+    model_forward(ad.Tape(record=False), cfg, params, x, graph=g)
+    assert g._constants == {}
+    held, bound = _held_bytes_and_bound(g)
+    assert held <= bound, (held, bound)

@@ -336,12 +336,14 @@ def test_graph_keeps_its_positions_when_the_input_array_changes(kind):
                           want)
 
 
-def test_edge_attributes_are_computed_once_per_graph_and_only_for_graphpde(
+def test_edge_attributes_are_computed_once_per_forward_and_only_for_graphpde(
         monkeypatch):
+    # graphpde derives its kernel input once per forward, for all its
+    # layers, and keeps none of it on the graph
     calls = []
     real = geometry.slot_attributes
     monkeypatch.setattr(models, "slot_attributes",
-                        lambda *a: calls.append(1) or real(*a))
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
     pts = np.random.default_rng(8).uniform(size=(3, 12, 2))
     x = RNG.uniform(-1, 1, (12, 4))
     gcn = make_config("gcn", input_dim=4, hidden_dim=5, init_seed=1)
@@ -356,11 +358,12 @@ def test_edge_attributes_are_computed_once_per_graph_and_only_for_graphpde(
         assert g.num_edges > 0
         for _ in range(2):
             model_forward(ad.Tape(), pde, pde_params, x, graph=g)
-    assert len(calls) == len(graphs)
+        assert "kernel_input" not in g._constants
+    assert len(calls) == 2 * len(graphs) == 6
 
 
 def test_kernel_input_is_scaled_attributes_with_ones_and_zero_pads():
-    # graphpde's kernel input, built once per graph: the slot_attributes
+    # graphpde's kernel input, derived on each call: the slot_attributes
     # oracle (edge attributes / radius, then a 1), zero rows in pads
     g = build_radius_graph(np.random.default_rng(3).uniform(size=(30, 2)), 0.35)
     layout, attr = g.layout, models._kernel_input_for(g)
@@ -372,7 +375,8 @@ def test_kernel_input_is_scaled_attributes_with_ones_and_zero_pads():
     assert np.array_equal(attr, pad_edge_rows(
         layout, edges, with_ones(edge_attributes(g.positions, edges) / g.radius)))
     assert np.array_equal(attr[~valid], np.zeros(((~valid).sum(), 4)))
-    assert models._kernel_input_for(g) is attr
+    assert np.array_equal(models._kernel_input_for(g), attr)
+    assert "kernel_input" not in g._constants
     assert models._kernel_input_for(edgeless_graph(2)).shape == (0, 4)
 
 
@@ -756,25 +760,35 @@ def test_constant_features_get_no_gradient_and_change_no_bits(kind):
         assert np.array_equal(grads[name], want_grads[name]), name
 
 
-def _single_block_twin(graph):
-    """A copy of ``graph`` whose cached layout is the one-block oracle."""
+def _single_block_twin(graph, monkeypatch):
+    """A copy of ``graph`` whose layout is the one-block oracle, and the
+    list of kernel inputs graphpde derives for it: the loop oracle's rows
+    (``slot_attributes``), in place of the library's derivation."""
     twin = RadiusGraph(positions=graph.positions, edges=graph.edges, radius=graph.radius)
     twin.layout = single_block_layout(twin)
-    twin.cached("kernel_input", lambda: slot_attributes(twin, twin.layout))
-    return twin
+    fed, derive = [], models._kernel_input_for
+
+    def kernel_input(g):
+        if g is not twin:
+            return derive(g)
+        fed.append(slot_attributes(g, g.layout))
+        return fed[-1]
+
+    monkeypatch.setattr(models, "_kernel_input_for", kernel_input)
+    return twin, fed
 
 
 @pytest.mark.parametrize("radius", [0.25, 1e-4])
 @pytest.mark.parametrize("kernel_hidden,activation", [
     ((32,), "relu"), ((), "relu"), ((16, 16), "tanh")])
 def test_graphpde_step_on_degree_blocks_matches_single_block_oracle(
-        radius, kernel_hidden, activation):
+        monkeypatch, radius, kernel_hidden, activation):
     # 120 spots plus 3 isolated ones; at r = 1e-4 no spot has a neighbour,
     # so the one-block layout has D = 0
     rng = np.random.default_rng(47)
     pts = np.vstack([rng.uniform(size=(120, 2)), [[5.0, 5.0], [7.0, 5.0], [5.0, 7.0]]])
     graph = build_radius_graph(pts, radius)
-    twin = _single_block_twin(graph)
+    twin, fed = _single_block_twin(graph, monkeypatch)
     assert (twin.layout.num_slots == 0) == (radius < 0.1)
     cfg = make_config("graphpde", input_dim=6, hidden_dim=8,
                       kernel_net_hidden=kernel_hidden, activation=activation,
@@ -788,6 +802,7 @@ def test_graphpde_step_on_degree_blocks_matches_single_block_oracle(
     assert np.array_equal(logits, want)
     _, loss, grads = _training_step(cfg, params, graph, x, labels)
     _, want_loss, want_grads = _training_step(cfg, params, twin, x, labels)
+    assert len(fed) == 2 and fed[0].shape == (twin.layout.num_slots, 4)
     assert np.array_equal(loss, want_loss)
     for name in params:
         assert rel_err(grads[name], want_grads[name]) <= 1e-12, name
